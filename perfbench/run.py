@@ -10,16 +10,29 @@ op a fresh `python -m canimm ...` process with cold module caches, as a
 CLI user pays for it.  Run-time files go to `.perfbench_work/`.
 
 --trace 0 times the op list again and again for about S seconds (at least
-once) and reports, as medians over the passes:
+once).  Right after each op it runs REFERENCE, a fixed pure-Python program
+that imports nothing from canimm, in a fresh process, and divides the op's
+CPU time (user + sys, from os.wait4 rusage) by the reference's.  It reports:
 
-  wall_s       time to finish the op list
-  build_s      summed wall time of the build ops (time to a trace)
-  check_s      summed wall time of check and measure ops (time to a verdict)
-  setup_s      median over fresh interpreters of: import canimm.cli,
-               default_pool(), modulus_catalog(), Registry.deserialize of
-               the workload's pool file (the interpreter's own start-up is
-               not counted)
-  peak_rss_mb  highest max-RSS of any op process (os.wait4 rusage)
+  cpu_rel        CPU time of the op list, in reference runs (unit "ref")
+  build_cpu_rel  the same, summed over the build ops (time to a trace)
+  check_cpu_rel  the same, summed over check and measure ops (time to a verdict)
+  setup_s        CPU seconds, in a fresh interpreter, of: import canimm.cli,
+                 default_pool(), modulus_catalog(), Registry.deserialize of
+                 the workload's pool file (the interpreter's own start-up is
+                 not counted); SETUP_PER_PASS probes before every pass
+  peak_rss_mb    highest max-RSS of any op process (os.wait4 rusage)
+
+The first three are medians over the passes, setup_s is the median over all
+its probes.  On a shared virtual machine the CPU speed a process gets swings
+by up to 2x within a minute, and every op of a run moves with it; the
+reference run next to each op moves the same way, so the ratio stays put
+where seconds do not (IQR/median of the op list's cost over ten seeded runs
+per workload on a 2-vCPU VM: 0.09-0.26 in CPU seconds, 0.02-0.05 in
+reference runs).  The medians of the
+raw CPU and wall seconds are printed as plain lines beside the metrics.
+CPU time leaves out waits, so a change that spreads an op over several
+cores shows in those wall seconds only.
 
 --trace 1 runs the op list once untraced and once with spans around each
 module's entry points (perfbench/tracer.py) and reports the per-layer
@@ -61,19 +74,34 @@ SRC = ROOT / "src"
 WORK = ROOT / ".perfbench_work"
 FINGERPRINTS = BENCH / "fingerprints.json"
 
-SETUP_REPEATS = 9
+SETUP_PER_PASS = 3
 RUN_DEADLINE_S = 170.0
 
 SETUP_PROBE = """\
 import sys, time
-t0 = time.perf_counter()
+t0 = time.process_time()
 import canimm.cli
 from canimm.numberings import Registry, default_pool
 default_pool()
 canimm.cli.modulus_catalog()
 with open(sys.argv[1]) as fh:
     Registry.deserialize(fh.read())
-print(time.perf_counter() - t0)
+print(time.process_time() - t0)
+"""
+
+# Interpreter start-up, small-integer arithmetic, dict updates and big-integer
+# growth: the mix the op processes spend their time on, in about 0.15 s.
+REFERENCE = """\
+def churn(n):
+    table, x = {}, 1
+    for i in range(n):
+        x = (x * 3 + i) % 1000003
+        table[i % 512] = table.get(i % 512, 0) + x
+    return sum(table.values())
+y = 1
+for i in range(3000):
+    y = y * 7 + i
+churn(700000)
 """
 
 
@@ -81,10 +109,17 @@ print(time.perf_counter() - t0)
 class OpRun:
     label: str
     seconds: float
+    cpu: float
     exit_code: int
     rss_mb: float
     output: Path
     stderr: Path
+    ref_cpu: float = float("nan")
+
+    @property
+    def rel(self) -> float:
+        """CPU time in units of the reference run that followed the op."""
+        return self.cpu / self.ref_cpu
 
 
 class Runner:
@@ -96,8 +131,8 @@ class Runner:
         self.deadline = deadline
         self.env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
-    def _spawn(self, argv: list[str], stdout: Path, stderr: Path) -> tuple[float, int, float]:
-        """Wall seconds, exit code and max-RSS (MB) of one child process."""
+    def _spawn(self, argv: list[str], stdout: Path, stderr: Path) -> tuple[float, float, int, float]:
+        """Wall seconds, CPU seconds, exit code and max-RSS (MB) of one child process."""
         with open(stdout, "wb") as out, open(stderr, "wb") as err:
             started = time.perf_counter()
             proc = subprocess.Popen(argv, stdout=out, stderr=err, env=self.env, cwd=ROOT)
@@ -113,19 +148,26 @@ class Runner:
                 killer.cancel()
             elapsed = time.perf_counter() - started
         proc.returncode = os.waitstatus_to_exitcode(status)
-        return elapsed, proc.returncode, usage.ru_maxrss / 1024
+        return elapsed, usage.ru_utime + usage.ru_stime, proc.returncode, usage.ru_maxrss / 1024
 
-    def setup_seconds(self, repeats: int) -> float:
+    def setup_samples(self, repeats: int) -> list[float]:
         probe = WORK / "setup.out"
         samples = []
         for _ in range(repeats):
-            _, code, _ = self._spawn([sys.executable, "-c", SETUP_PROBE, str(self.pool_path)], probe, WORK / "setup.err")
+            _, _, code, _ = self._spawn([sys.executable, "-c", SETUP_PROBE, str(self.pool_path)], probe, WORK / "setup.err")
             if code != 0:
                 raise RuntimeError("setup probe failed: " + (WORK / "setup.err").read_text())
             samples.append(float(probe.read_text()))
-        return statistics.median(samples)
+        return samples
 
-    def run_pass(self, directory: Path, spans: Path | None = None) -> list[OpRun]:
+    def reference_cpu(self) -> float:
+        _, cpu, code, _ = self._spawn([sys.executable, "-c", REFERENCE], WORK / "reference.out", WORK / "reference.err")
+        if code != 0:
+            raise RuntimeError("reference run failed: " + (WORK / "reference.err").read_text())
+        return cpu
+
+    def run_pass(self, directory: Path, spans: Path | None = None, reference: bool = False) -> list[OpRun]:
+        """Run the op list once; with `reference`, run REFERENCE after each op."""
         directory.mkdir(parents=True)
         if spans is not None:
             spans.mkdir(parents=True)
@@ -146,8 +188,11 @@ class Runner:
             else:
                 argv = [sys.executable, str(BENCH / "tracer.py"), str(spans / f"{label}.spans"), label, *args]
             stdout = output if op.verb == "measure" else directory / f"{label}.stdout"
-            seconds, code, rss = self._spawn(argv, stdout, directory / f"{label}.stderr")
-            runs.append(OpRun(label, seconds, code, rss, output, directory / f"{label}.stderr"))
+            seconds, cpu, code, rss = self._spawn(argv, stdout, directory / f"{label}.stderr")
+            run = OpRun(label, seconds, cpu, code, rss, output, directory / f"{label}.stderr")
+            if reference:
+                run.ref_cpu = self.reference_cpu()
+            runs.append(run)
         return runs
 
 
@@ -181,10 +226,11 @@ def verify_pass(workload, runs: list[OpRun], pool, fingerprints: dict | None) ->
     return wrong
 
 
-def _pass_totals(runs: list[OpRun], workload) -> tuple[float, float, float]:
-    wall = sum(r.seconds for r in runs)
-    build = sum(r.seconds for op, r in zip(workload.ops, runs) if op.verb == "build")
-    return wall, build, wall - build
+def _pass_totals(runs: list[OpRun], workload, clock: str) -> tuple[float, float, float]:
+    """(all ops, build ops, check and measure ops) of one pass on `clock`: "rel", "cpu" or "seconds"."""
+    total = sum(getattr(r, clock) for r in runs)
+    build = sum(getattr(r, clock) for op, r in zip(workload.ops, runs) if op.verb == "build")
+    return total, build, total - build
 
 
 def _fresh_work_dir(workload) -> Path:
@@ -222,7 +268,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--seconds", type=float, default=36)
+    parser.add_argument("--seconds", type=float, default=42)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--record-fingerprints", action="store_true")
     args = parser.parse_args(argv)
@@ -250,7 +296,7 @@ def main(argv=None) -> int:
     if args.seed == DEFAULT_SEED and FINGERPRINTS.is_file():
         fingerprints = json.loads(FINGERPRINTS.read_text())[workload.name]
 
-    runner.setup_seconds(1)  # warm-up: writes the bytecode cache
+    runner.setup_samples(1)  # warm-up: writes the bytecode cache
     passes: list[list[OpRun]] = []
     metrics: dict[str, dict] = {}
     if args.trace:
@@ -261,25 +307,30 @@ def main(argv=None) -> int:
         for key in _all_op_keys():
             times = [r.seconds for op, r in zip(workload.ops, untraced) if op.key == key]
             layers[f"cli.op.{key}_s"] = statistics.median(times) if times else 0.0
-        layers["trace.overhead_s"] = _pass_totals(traced, workload)[0] - _pass_totals(untraced, workload)[0]
+        layers["trace.overhead_s"] = _pass_totals(traced, workload, "seconds")[0] - _pass_totals(untraced, workload, "seconds")[0]
         for name, value in layers.items():
             metrics[name] = {"value": value, "unit": _layer_unit(name)}
     else:
-        setup = runner.setup_seconds(SETUP_REPEATS)
+        setup: list[float] = []
         loop_start = time.perf_counter()
         while True:
-            runs = runner.run_pass(WORK / f"pass{len(passes)}")
-            passes.append(runs)
+            pass_start = time.perf_counter()
+            setup += runner.setup_samples(SETUP_PER_PASS)
+            passes.append(runner.run_pass(WORK / f"pass{len(passes)}", reference=True))
             # stop before a pass that would end past --seconds or the deadline
-            last = _pass_totals(runs, workload)[0]
+            last = time.perf_counter() - pass_start
             if time.perf_counter() - loop_start + last > args.seconds or time.monotonic() + last > runner.deadline:
                 break
-        totals = [_pass_totals(runs, workload) for runs in passes]
+        medians = {
+            clock: [statistics.median(t[k] for t in (_pass_totals(runs, workload, clock) for runs in passes)) for k in range(3)]
+            for clock in ("rel", "cpu", "seconds")
+        }
+        rel = medians["rel"]
         metrics = {
-            "wall_s": {"value": statistics.median(t[0] for t in totals), "unit": "s"},
-            "build_s": {"value": statistics.median(t[1] for t in totals), "unit": "s"},
-            "check_s": {"value": statistics.median(t[2] for t in totals), "unit": "s"},
-            "setup_s": {"value": setup, "unit": "s"},
+            "cpu_rel": {"value": rel[0], "unit": "ref"},
+            "build_cpu_rel": {"value": rel[1], "unit": "ref"},
+            "check_cpu_rel": {"value": rel[2], "unit": "ref"},
+            "setup_s": {"value": statistics.median(setup), "unit": "s"},
             "peak_rss_mb": {"value": max(r.rss_mb for runs in passes for r in runs), "unit": "MB"},
         }
 
@@ -303,6 +354,9 @@ def main(argv=None) -> int:
         f"nproc {os.cpu_count()}, python {platform.python_version()}, commit {_git_commit()}\n"
         f"error_rate {failed / attempted:.4f} ({failed}/{attempted})"
     )
+    if not args.trace:
+        for clock, name in (("cpu", "cpu"), ("seconds", "wall")):
+            print("{} seconds, not a metric: all ops {:.6g} s, build {:.6g} s, check {:.6g} s".format(name, *medians[clock]))
     for name, m in metrics.items():
         print(f"{name} {m['value']:.6g} {m['unit']}")
     print(json.dumps({"correct": not wrong, "attempted": attempted, "failed": failed, "metrics": metrics}))

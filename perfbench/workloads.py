@@ -30,8 +30,11 @@ DEFAULT_SEED = 0
 # taken across seeds and must stay inside the end-to-end bounds.
 JITTER = 0.02
 
+# Moduli of the drawn adversarial numberings.  `identity` is left out: its
+# adversarial numbering takes about 40% fewer total-tier steps in the scan
+# checks than the other three, so drawing it would let the seed, not the
+# code, move the workload's cost.
 MODULI = {
-    "identity": pg.identity_code,
     "zero": pg.zero_code,
     "succ": pg.succ_code,
     "double": pg.double_code,
