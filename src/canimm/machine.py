@@ -609,7 +609,8 @@ def we_enumeration(e: int, budget: int, oracle: str | None = None) -> list[tuple
 
 
 # ---------------------------------------------------------------------------
-# Total-tier evaluation with a computed sufficient budget
+# Total-tier evaluation: one run at the budget cap, exact by budget
+# monotonicity (see the module docstring)
 
 
 class NotTotalTierError(ValueError):
@@ -621,28 +622,34 @@ class TotalBudgetExceededError(RuntimeError):
 
 
 _TOTAL_CAP = 1 << 32
+_TOTALITY_CACHE: dict[int, bool] = {}
 
 
 def require_total_tier(code: int) -> None:
-    if not is_total_tier(code):
+    total = _TOTALITY_CACHE.get(code)
+    if total is None:
+        total = is_total_tier(code)
+        if code.bit_length() < _CACHE_BIT_LIMIT:
+            _TOTALITY_CACHE[code] = total
+    if not total:
         raise NotTotalTierError(f"code {code} is not in the total tier")
 
 
 def eval_total_steps(e: int, args: Sequence[int], max_budget: int = _TOTAL_CAP) -> tuple[int, int]:
     """Evaluate a total-tier program, returning (value, steps used).
 
-    The sufficient budget is found by doubling, which terminates for every
-    total-tier program; this is the documented sufficient-budget search.
+    The program runs once, at the smallest budget 64 * 2**k >= max_budget.
+    Budget monotonicity (see the module docstring) makes that one run
+    exact: a program converging within it has the same value and step
+    count at every larger budget.  A program that does not converge there
+    raises TotalBudgetExceededError.
     """
     require_total_tier(e)
-    budget = 64
-    while True:
-        r = _run(e, args, budget, None)
-        if r.converged:
-            return r.value, r.steps
-        if budget >= max_budget:
-            raise TotalBudgetExceededError(f"code {e} needs more than {max_budget} steps")
-        budget *= 2
+    budget = max(64, 1 << (max_budget - 1).bit_length())
+    r = _run(e, args, budget, None)
+    if not r.converged:
+        raise TotalBudgetExceededError(f"code {e} needs more than {max_budget} steps")
+    return r.value, r.steps
 
 
 def eval_total(e: int, args: Sequence[int], max_budget: int = _TOTAL_CAP) -> int:
@@ -743,9 +750,8 @@ def fixed_point(g: int) -> FixedPoint:
     d_tree = _diagonal_builder_tree()
     v = encode(Comp(g_tree, (d_tree,)))
     j = _diagonal_code(v)
-    assert eval_total(encode(d_tree), [v]) == j
-
-    _, s_d = eval_total_steps(encode(d_tree), [v])
+    built, s_d = eval_total_steps(encode(d_tree), [v])
+    assert built == j
     applied, s_g = eval_total_steps(g, [j])
     # outer Apply + inner Apply + two Const(v) + Comp + Proj(0)
     prefix = 6 + s_d + s_g

@@ -251,6 +251,80 @@ def test_eval_total_requires_total_tier():
         M.eval_total(pg.diverge_code(), [0])
 
 
+def test_eval_total_memoises_both_totality_verdicts():
+    partial = M.encode(M.Mu(M.Comp(M.Add(), (M.Proj(0), M.Const(4321)))))
+    for _ in range(3):
+        with pytest.raises(M.NotTotalTierError):
+            M.eval_total(partial, [0])
+        assert M._TOTALITY_CACHE[partial] is False
+    total = M.encode(M.Comp(M.Add(), (M.Const(4321), M.Proj(0))))
+    assert M.eval_total(total, [5]) == 4326
+    assert M._TOTALITY_CACHE[total] is True
+
+
+# -- single-run total evaluation against the budget-doubling search ----------
+
+
+def _doubling_eval_total_steps(e, args, max_budget=M._TOTAL_CAP):
+    """Reference: rerun at budgets 64, 128, ... until convergence or the cap."""
+    M.require_total_tier(e)
+    budget = 64
+    while True:
+        r = M.eval_bounded(e, args, budget)
+        if r.converged:
+            return r.value, r.steps
+        if budget >= max_budget:
+            raise M.TotalBudgetExceededError(f"code {e} needs more than {max_budget} steps")
+        budget *= 2
+
+
+def _total_outcome(evaluate, code, args, max_budget):
+    try:
+        return evaluate(code, args, max_budget)
+    except M.TotalBudgetExceededError:
+        return "exceeded"
+
+
+def _random_total_case(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return M.encode(_random_total_tree(rng, 3)), [rng.randrange(12) for _ in range(rng.randrange(4))]
+    if kind == 1:
+        return pg.add_code(), [rng.randrange(400), rng.randrange(50)]
+    if kind == 2:
+        values = [rng.randrange(1 << rng.randrange(1, 80)) for _ in range(rng.randrange(1, 12))]
+        return pg.table_program(values), [rng.randrange(len(values) + 2)]
+    code = rng.choice([pg.identity_code(), pg.succ_code(), pg.double_code(), pg.square_code()])
+    return code, [rng.randrange(1 << rng.randrange(1, 3000))]
+
+
+_TOTAL_CASE_RNG = random.Random(0x70A1)
+_TOTAL_CASES = [_random_total_case(_TOTAL_CASE_RNG) for _ in range(150)]
+
+
+@pytest.mark.parametrize("max_budget", [1, 63, 64, 65, 100, 128, 1000, M._TOTAL_CAP])
+def test_eval_total_steps_matches_doubling_search(max_budget):
+    outcomes = set()
+    for code, args in _TOTAL_CASES:
+        expected = _total_outcome(_doubling_eval_total_steps, code, args, max_budget)
+        assert _total_outcome(M.eval_total_steps, code, args, max_budget) == expected
+        outcomes.add(expected == "exceeded")
+    # every cap but the default one sees runs both converge and exceed it
+    assert outcomes == ({False} if max_budget == M._TOTAL_CAP else {False, True})
+
+
+def test_eval_total_budget_cap_rounds_up_to_a_doubling_step():
+    add = pg.add_code()  # add(n, 0) takes 2 + 3n steps
+    assert M.eval_total_steps(add, [20, 0], max_budget=64) == (20, 62)
+    with pytest.raises(M.TotalBudgetExceededError):
+        M.eval_total_steps(add, [21, 0], max_budget=64)
+    # a cap of 100 admits every run of at most 128 steps
+    for n, steps in ((21, 65), (40, 122), (42, 128)):
+        assert M.eval_total_steps(add, [n, 0], max_budget=100) == (n, steps)
+    with pytest.raises(M.TotalBudgetExceededError):
+        M.eval_total_steps(add, [43, 0], max_budget=100)
+
+
 def test_disassembly_one_instruction_per_line():
     listing = M.disassemble(pg.add_code())
     lines = listing.splitlines()
