@@ -50,10 +50,16 @@ def default_functions() -> list[int]:
     return [pg.identity_code(), pg.zero_code(), pg.succ_code(), pg.double_code()]
 
 
-def _load_pool(path: str | None) -> Registry:
+def _load_pool(path: str | None) -> Registry | None:
+    """The pool from a --pool file (default pool without one); None, after
+    printing the error, when the file is missing or malformed."""
     if path is None:
         return default_pool()
-    return Registry.deserialize(Path(path).read_text())
+    try:
+        return Registry.deserialize(Path(path).read_text())
+    except (OSError, ValueError, IndexError) as err:
+        print(f"error: cannot read pool file {path}: {err}", file=sys.stderr)
+        return None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -69,6 +75,8 @@ def _fill_pairs(pool, index_bound: int) -> int:
 
 def cmd_build(args) -> int:
     pool = _load_pool(args.pool)
+    if pool is None:
+        return 1
     name = args.construction
     if name == "delta2":
         prefix, trace = cons.delta2_prefix(pool.codes(), args.stages, args.markers)
@@ -91,7 +99,7 @@ def cmd_build(args) -> int:
         result.trace.meta["witness_positions"] = list(result.witness_positions)
         text = render_trace(result.trace, {"R": result.prefix})
     elif name == "effectivize":
-        base, base_trace = cons.delta2_prefix(pool.codes(), args.stages, args.markers)
+        base, _ = cons.delta2_prefix(pool.codes(), args.stages, args.markers)
         quotient, trace = cons.effectivize_inside(base, args.markers // 2, args.budget)
         trace.meta["base_stages"] = args.stages
         text = render_trace(trace, {"Q": quotient, "R": base})
@@ -132,8 +140,14 @@ def cmd_check(args) -> int:
     if not path.exists():
         print(f"error: no such trace file: {path}", file=sys.stderr)
         return 1
-    parsed = parse_trace(path.read_text())
+    try:
+        parsed = parse_trace(path.read_text())
+    except (OSError, ValueError, IndexError) as err:
+        print(f"error: cannot read trace file {path}: {err}", file=sys.stderr)
+        return 1
     pool = _load_pool(args.pool)
+    if pool is None:
+        return 1
     moduli = modulus_catalog()
     lines = []
     found_fail = False

@@ -179,8 +179,7 @@ def bci_run(
         if len(value) <= 4 * pair_bound(i) + 3:
             trace.add(s, "case1", e, i)
             continue
-        hits = [p for p in _pairs_hit(value) if p not in used_pairs]
-        p_s, q_s = hits[0], hits[1]
+        p_s, q_s = itertools.islice(_free_pairs(value, used_pairs), 2)
         x = _least_in_pair(value, p_s)
         z = _least_in_pair(value, q_s)
         y = _partner(x)
@@ -201,16 +200,14 @@ def bci_run(
     return SetPrefix(r_mask, length), SetPrefix(q_mask, length), trace
 
 
-def _pairs_hit(value: FiniteSet):
-    # elements are sorted, so equal pair indices are adjacent
-    out = []
-    last = -1
-    for x in value.elements:
-        p = x // 2
-        if p != last:
-            out.append(p)
-            last = p
-    return out
+def _free_pairs(value: FiniteSet, used: set[int]):
+    """Pair blocks the value meets and `used` lacks, least first."""
+    code = value.code
+    while code:
+        p = ((code & -code).bit_length() - 1) >> 1
+        code &= ~(3 << (2 * p))
+        if p not in used:
+            yield p
 
 
 def _least_in_pair(value: FiniteSet, p: int) -> int:
@@ -365,7 +362,7 @@ def ci_not_hi_run(
         if len(value) <= 2 * pair_bound(i):
             trace.add(s, "case1", e, i)
             continue
-        p_s = next(p for p in _pairs_hit(value) if p not in used_pairs)
+        p_s = next(_free_pairs(value, used_pairs))
         x = _least_in_pair(value, p_s)
         r_mask |= 1 << _partner(x)
         used_pairs.add(p_s)
@@ -406,16 +403,23 @@ def _h_block(f: int, n: int, previous_end: int) -> tuple[int, int]:
     return start, start + eval_total(f, (2 * n,)) + 1
 
 
+def _block_set(start: int, end: int) -> FiniteSet:
+    return FiniteSet(((1 << (end - start)) - 1) << start)
+
+
 def h_blocks(f: int, count: int) -> list[FiniteSet]:
+    """Blocks 0..count-1 for modulus f built from scratch, the tests' reference;
+    hi_not_ci_run extends one (start, end) table per modulus instead."""
     out = []
     end = 0
     for n in range(count):
         start, end = _h_block(f, n, end)
-        out.append(FiniteSet(((1 << (end - start)) - 1) << start))
+        out.append(_block_set(start, end))
     return out
 
 
 def h_block_at(f: int, n: int) -> FiniteSet:
+    """The n-th block for modulus f, rebuilding blocks 0..n (reference only)."""
     return h_blocks(f, n + 1)[n]
 
 
@@ -470,17 +474,21 @@ def hi_not_ci_run(fns: Sequence[int], pair_count: int, target_index: int = 0) ->
     mask = 0
     placed = 0
     chosen: dict[int, int] = {}
+    spans: dict[int, list[tuple[int, int]]] = {}
     for p in range(pair_count):
         fi, k = unpair(p)
         f = fns[fi] if fi < len(fns) else pg.zero_code()
         bound = eval_total(f, (placed + 1,))
+        table = spans.setdefault(f, [])
         n = bound + 1
         top = mask.bit_length()
         while True:
-            block_n = _materialized_block(f, n)
-            if block_n.min_value() >= top:
+            while len(table) <= n:
+                table.append(_h_block(f, len(table), table[-1][1] if table else 0))
+            if table[n][0] >= top:
                 break
             n += 1
+        block_n = _block_set(*table[n])
         assert mask & block_n.code == 0
         mask |= block_n.code
         if fi == target_index:
@@ -499,18 +507,6 @@ def hi_not_ci_run(fns: Sequence[int], pair_count: int, target_index: int = 0) ->
         witness_rule=witness_rule,
         witness_positions=tuple(2 * n for n in sorted(chosen)),
     )
-
-
-_BLOCK_CACHE: dict[tuple[int, int], FiniteSet] = {}
-
-
-def _materialized_block(f: int, n: int) -> FiniteSet:
-    key = (f, n)
-    hit = _BLOCK_CACHE.get(key)
-    if hit is None:
-        hit = h_block_at(f, n)
-        _BLOCK_CACHE[key] = hit
-    return hit
 
 
 def replay_hi_not_ci(trace: ConstructionTrace) -> SetPrefix:

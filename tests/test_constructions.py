@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canimm import checkers as ck
 from canimm import constructions as C
@@ -205,6 +209,35 @@ def test_ci_not_hi_one_per_pair_and_bounded(pool):
     assert C.replay_ci_not_hi(trace).mask == prefix.mask
 
 
+def _pairs_hit_reference(value, used):
+    """Every pair block the value meets, read off its sorted elements, minus
+    the used ones."""
+    hit = []
+    for x in value.elements:
+        if not hit or hit[-1] != x // 2:
+            hit.append(x // 2)
+    return [p for p in hit if p not in used]
+
+
+def _interval(start, length):
+    return ((1 << length) - 1) << start
+
+
+value_codes = st.one_of(
+    st.integers(0, (1 << 3000) - 1),
+    st.builds(_interval, st.integers(0, 2000), st.integers(0, 2000)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value_codes, st.sets(st.integers(0, 1600), max_size=400))
+def test_free_pairs_match_whole_set_scan(code, used):
+    value = FiniteSet(code)
+    reference = _pairs_hit_reference(value, used)
+    for k in (1, 2, None):
+        assert list(itertools.islice(C._free_pairs(value, used), k)) == reference[:k]
+
+
 def test_ci_not_hi_case2_withholds_an_element(pool):
     _, trace = C.ci_not_hi_run(list(pool), 400, fill_pairs=800)
     case2 = [rec for rec in trace.records if rec.rule == "case2"]
@@ -244,6 +277,35 @@ def test_hi_not_ci_rule_matches_python_blocks():
     for n in range(10):
         assert numbering.value(2 * n).code == C.h_block_at(f, n).code
         assert numbering.value(2 * n + 1).code == n
+
+
+DEFAULT_FNS = (pg.identity_code(), pg.zero_code(), pg.succ_code(), pg.double_code())
+
+
+# With all four functions the from-scratch reference for the 8th selection
+# (block 2167 of succ) holds 400 MB of block codes, and the 9th selection
+# steps past 4.7 million blocks, so those runs stop at 7 selections.  The
+# short list falls back to the zero function for indices 2 and 3.
+@pytest.mark.parametrize(
+    "fns,max_pairs,target_index",
+    [(DEFAULT_FNS, 7, 0), (DEFAULT_FNS, 7, 2), (DEFAULT_FNS[:2], 10, 0)],
+    ids=["four-fns-target0", "four-fns-target2", "two-fns-zero-fallback"],
+)
+def test_hi_not_ci_selects_least_block_clearing_the_mask(fns, max_pairs, target_index):
+    for pair_count in range(1, max_pairs + 1):
+        result = C.hi_not_ci_run(list(fns), pair_count, target_index=target_index)
+        assert len(result.trace.records) == pair_count
+        mask = 0
+        for rec in result.trace.records:
+            fi, _, n, _, bound, block_code = rec.fields
+            f = fns[fi] if fi < len(fns) else pg.zero_code()
+            blocks = C.h_blocks(f, n + 1)  # blocks[n] is h_block_at(f, n)
+            top = mask.bit_length()
+            assert block_code == blocks[n].code
+            assert n > bound and blocks[n].min_value() >= top
+            assert all(blocks[m].min_value() < top for m in range(bound + 1, n))
+            mask |= block_code
+        assert mask == result.prefix.mask
 
 
 def test_hi_not_ci_selections_outrun_target(hinotci):

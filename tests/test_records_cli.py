@@ -101,6 +101,28 @@ def test_check_missing_file_errors():
     assert "no such trace" in result.stderr
 
 
+def _assert_input_error(result):
+    assert result.returncode == 1
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_build_malformed_pool_file_errors(tmp_path):
+    pool_file = tmp_path / "pool.tsv"
+    pool_file.write_text("0\tnot-a-code\t1\tlabel\n")
+    _assert_input_error(run_cli("build", "delta2", "--pool", str(pool_file)))
+
+
+def test_build_missing_pool_file_errors(tmp_path):
+    _assert_input_error(run_cli("build", "delta2", "--pool", str(tmp_path / "no-such-pool.tsv")))
+
+
+def test_check_malformed_trace_errors(tmp_path):
+    trace = tmp_path / "bad.trace"
+    trace.write_text("trace\tdelta2\nbogus\trecord\n")
+    _assert_input_error(run_cli("check", "immunity", str(trace)))
+
+
 def test_check_domination_and_effective(tmp_path):
     trace = tmp_path / "cnh.trace"
     assert run_cli("build", "ci-not-hi", "--stages", "200", "--index-bound", "10", "--out", str(trace)).returncode == 0
