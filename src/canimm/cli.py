@@ -80,35 +80,35 @@ def cmd_build(args) -> int:
     name = args.construction
     if name == "delta2":
         prefix, trace = cons.delta2_prefix(pool.codes(), args.stages, args.markers)
-        text = render_trace(trace, {"R": prefix})
+        prefixes = {"R": prefix}
     elif name == "bci":
         r, q, trace = cons.bci_run(list(pool), args.stages, _fill_pairs(pool, args.index_bound))
-        text = render_trace(trace, {"Q": q, "R": r})
+        prefixes = {"Q": q, "R": r}
     elif name == "cofinal":
         prefix, trace = cons.cofinal_encode(list(pool), DEFAULT_COFINAL_BITS)
-        text = render_trace(trace, {"R": prefix})
+        prefixes = {"R": prefix}
     elif name == "ci-hi":
         prefix, trace = cons.ci_hi_run(list(pool), default_functions(), args.stages)
-        text = render_trace(trace, {"R": prefix})
+        prefixes = {"R": prefix}
     elif name == "ci-not-hi":
         prefix, trace = cons.ci_not_hi_run(list(pool), args.stages, _fill_pairs(pool, args.index_bound))
-        text = render_trace(trace, {"R": prefix})
+        prefixes = {"R": prefix}
     elif name == "hi-not-ci":
         result = cons.hi_not_ci_run(default_functions(), args.blocks, target_index=0)
         result.trace.meta["witness_rule"] = result.witness_rule
         result.trace.meta["witness_positions"] = list(result.witness_positions)
-        text = render_trace(result.trace, {"R": result.prefix})
+        trace, prefixes = result.trace, {"R": result.prefix}
     elif name == "effectivize":
         base, _ = cons.delta2_prefix(pool.codes(), args.stages, args.markers)
         quotient, trace = cons.effectivize_inside(base, args.markers // 2, args.budget)
         trace.meta["base_stages"] = args.stages
-        text = render_trace(trace, {"Q": quotient, "R": base})
+        prefixes = {"Q": quotient, "R": base}
     elif name == "2generic-witness":
         entries, numbering, trace = cons.build_2generic_witness(
             "", pg.enumerate_oracle_ones_code(), pg.zero_code(), args.index_bound, args.index_bound
         )
         trace.meta["witness_rule"] = numbering.rule
-        text = render_trace(trace, {})
+        prefixes = {}
     elif name == "generic":
         schedule = mathias.default_schedule(
             list(pool), thin_count=args.index_bound, avoid_count=args.blocks, stem_target=args.markers
@@ -122,9 +122,14 @@ def cmd_build(args) -> int:
         run.trace.meta["thin_certs"] = [
             (c.numbering_id, c.start, c.bound) for c in run.thin_certificates
         ]
-        text = render_trace(run.trace, {"R": run.prefix})
+        trace, prefixes = run.trace, {"R": run.prefix}
     else:
         raise AssertionError(name)
+    try:
+        text = render_trace(trace, prefixes)
+    except ValueError as err:  # an integer past Python's int->str digit limit
+        print(f"error: cannot render the {name} trace: {err}", file=sys.stderr)
+        return 1
     _emit(text, args.out)
     return 0
 
@@ -133,6 +138,33 @@ def _check_exit(found_fail: bool, expect_fail: bool) -> int:
     if expect_fail:
         return 0 if found_fail else 2
     return 2 if found_fail else 0
+
+
+def _suite_verdict(args, parsed, pool):
+    """The per-prefix verdict function of the immunity, domination or
+    effective suite."""
+    h = modulus_catalog()[args.modulus]
+    if args.suite == "domination":
+
+        def refute(prefix):
+            members = prefix.members()
+            return checkers.refute_domination(members, h, range(1, len(members) + 1))
+
+        return refute
+    if args.suite == "effective":
+        return lambda prefix: checkers.check_effective_immunity(prefix, h, range(args.index_bound + 1), args.budget)
+    if parsed.name == "hi-not-ci" and args.modulus == "identity":
+        # the trace carries the numbering built to refute its target
+        registry = Registry()
+        witness = registry.register(parsed.meta["witness_rule"], surjective=True, label="witness")
+        scan: list[Numbering] = [witness]
+        k_map = {witness.id: 0}
+        bound = max(parsed.meta["witness_positions"])
+    else:
+        scan = list(pool)
+        k_map = None
+        bound = args.index_bound
+    return lambda prefix: checkers.check_canonical_immunity(prefix, h, scan, bound, k_map)
 
 
 def cmd_check(args) -> int:
@@ -148,41 +180,9 @@ def cmd_check(args) -> int:
     pool = _load_pool(args.pool)
     if pool is None:
         return 1
-    moduli = modulus_catalog()
     lines = []
     found_fail = False
-
-    if args.suite == "immunity":
-        h = moduli[args.modulus]
-        if parsed.name == "hi-not-ci" and args.modulus == "identity":
-            # the trace carries the numbering built to refute its target
-            registry = Registry()
-            witness = registry.register(parsed.meta["witness_rule"], surjective=True, label="witness")
-            scan: list[Numbering] = [witness]
-            k_map = {witness.id: 0}
-            bound = max(parsed.meta["witness_positions"])
-        else:
-            scan = list(pool)
-            k_map = None
-            bound = args.index_bound
-        for label, prefix in sorted(parsed.prefixes.items()):
-            verdict = checkers.check_canonical_immunity(prefix, h, scan, bound, k_map)
-            found_fail |= verdict.failed
-            lines.append(f"{label}\t{checkers.serialize_verdict(verdict)}")
-    elif args.suite == "domination":
-        f = moduli[args.modulus]
-        for label, prefix in sorted(parsed.prefixes.items()):
-            members = prefix.members()
-            verdict = checkers.refute_domination(members, f, range(1, len(members) + 1))
-            found_fail |= verdict.failed
-            lines.append(f"{label}\t{checkers.serialize_verdict(verdict)}")
-    elif args.suite == "effective":
-        h = moduli[args.modulus]
-        for label, prefix in sorted(parsed.prefixes.items()):
-            verdict = checkers.check_effective_immunity(prefix, h, range(args.index_bound + 1), args.budget)
-            found_fail |= verdict.failed
-            lines.append(f"{label}\t{checkers.serialize_verdict(verdict)}")
-    elif args.suite == "schnorr":
+    if args.suite == "schnorr":
         prefix = parsed.prefixes["R"]
         missed = parsed.meta.get("missed_blocks", [])
         top = 0
@@ -201,7 +201,11 @@ def cmd_check(args) -> int:
                 found_fail |= not ok
                 lines.append(f"schnorr\tU_{n}\t{'member' if ok else 'MISSING'}\twitness\t{render_value(witness or 0)}")
     else:
-        raise AssertionError(args.suite)
+        verdict_of = _suite_verdict(args, parsed, pool)
+        for label, prefix in sorted(parsed.prefixes.items()):
+            verdict = verdict_of(prefix)
+            found_fail |= verdict.failed
+            lines.append(f"{label}\t{checkers.serialize_verdict(verdict)}")
 
     _emit("".join(line if line.endswith("\n") else line + "\n" for line in lines), args.out)
     return _check_exit(found_fail, args.expect_fail)
@@ -214,7 +218,12 @@ def cmd_measure(args) -> int:
     value = schnorr.measure_U_trunc(args.n, args.m)
     bound = schnorr.DyadicRational.power(args.n)
     ok = value <= bound
-    print(f"{value.serialize()} ≤ {bound.serialize()}: {'true' if ok else 'false'}")
+    try:
+        text = f"{value.serialize()} ≤ {bound.serialize()}: {'true' if ok else 'false'}"
+    except ValueError as err:  # an integer past Python's int->str digit limit
+        print(f"error: cannot print the measure: {err}", file=sys.stderr)
+        return 1
+    print(text)
     return 0 if ok else 2
 
 

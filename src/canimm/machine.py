@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 from typing import Callable, Sequence
 
 WORD_BITS = 64
@@ -306,30 +307,40 @@ def _parse(r: _Reader) -> Node:
     raise _ParseError
 
 
-_DECODE_CACHE: dict[int, Node] = {}
+CACHE_ENTRIES = 4096
 _CACHE_BIT_LIMIT = 1 << 20
 
 
+def memo(fn):
+    """lru_cache of the CACHE_ENTRIES latest calls (see ``cache_info()``); a
+    call whose leading program code has _CACHE_BIT_LIMIT bits or more skips
+    it, so oversized input cannot pin memory.  Errors are not cached."""
+    cached = lru_cache(maxsize=CACHE_ENTRIES)(fn)
+
+    @wraps(fn)
+    def call(code, *args):
+        if code.bit_length() < _CACHE_BIT_LIMIT:
+            return cached(code, *args)
+        return fn(code, *args)
+
+    call.cache_info = cached.cache_info
+    return call
+
+
+@memo
 def decode(code: int) -> Node:
     """Total decoding: ill-formed numbers yield the always-diverging program."""
     if code < 0:
         raise ValueError("program codes are nonnegative")
-    hit = _DECODE_CACHE.get(code)
-    if hit is not None:
-        return hit
     if code == 0:
         return ALWAYS_DIVERGE
     size = code.bit_length() - 1
     reader = _Reader(code & ((1 << size) - 1), size)
     try:
         tree = _parse(reader)
-        if reader.pos != size:
-            raise _ParseError
     except _ParseError:
-        tree = ALWAYS_DIVERGE
-    if code.bit_length() < _CACHE_BIT_LIMIT:
-        _DECODE_CACHE[code] = tree
-    return tree
+        return ALWAYS_DIVERGE
+    return tree if reader.pos == size else ALWAYS_DIVERGE
 
 
 ALWAYS_DIVERGE_CODE = encode(ALWAYS_DIVERGE)
@@ -530,16 +541,9 @@ def _compile(tree: Node) -> _Runner:
     return run
 
 
-_COMPILE_CACHE: dict[int, _Runner] = {}
-
-
+@memo
 def _compiled(code: int) -> _Runner:
-    hit = _COMPILE_CACHE.get(code)
-    if hit is None:
-        hit = _compile(decode(code))
-        if code.bit_length() < _CACHE_BIT_LIMIT:
-            _COMPILE_CACHE[code] = hit
-    return hit
+    return _compile(decode(code))
 
 
 @dataclass(frozen=True)
@@ -622,16 +626,11 @@ class TotalBudgetExceededError(RuntimeError):
 
 
 _TOTAL_CAP = 1 << 32
-_TOTALITY_CACHE: dict[int, bool] = {}
+_total_verdict = memo(is_total_tier)
 
 
 def require_total_tier(code: int) -> None:
-    total = _TOTALITY_CACHE.get(code)
-    if total is None:
-        total = is_total_tier(code)
-        if code.bit_length() < _CACHE_BIT_LIMIT:
-            _TOTALITY_CACHE[code] = total
-    if not total:
+    if not _total_verdict(code):
         raise NotTotalTierError(f"code {code} is not in the total tier")
 
 

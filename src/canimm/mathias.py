@@ -25,6 +25,7 @@ from .machine import (
     eval_total,
     fixed_point,
     is_total_tier,
+    memo,
     smn,
     we_bounded,
     we_enumeration,
@@ -38,7 +39,10 @@ class ExtensionOrderError(RuntimeError):
     """A schedule step produced a condition that does not extend its input."""
 
 
-_ENUM_VALUES: dict[int, list[int]] = {}
+@memo
+def _enum_values(enumerator: int) -> list[int]:
+    """The value list that ComputableSet.values shares and extends in place."""
+    return []
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,7 @@ class ComputableSet:
             raise NotTotalTierError("reservoir enumerators must be total-tier")
 
     def values(self, count: int) -> list[int]:
-        cache = _ENUM_VALUES.setdefault(self.enumerator, [])
+        cache = _enum_values(self.enumerator)
         while len(cache) < count:
             cache.append(eval_total(self.enumerator, (len(cache),)))
         return cache[:count]

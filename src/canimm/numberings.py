@@ -23,6 +23,7 @@ from .machine import (
     eval_bounded,
     eval_total,
     is_total_tier,
+    memo,
     NotTotalTierError,
 )
 
@@ -44,16 +45,9 @@ __all__ = [
     "default_pool",
 ]
 
-_VALUE_CACHE: dict[tuple[int, int], FiniteSet] = {}
-
-
+@memo
 def _rule_value(rule: int, i: int) -> FiniteSet:
-    key = (rule, i)
-    hit = _VALUE_CACHE.get(key)
-    if hit is None:
-        hit = FiniteSet(eval_total(rule, (i,)))
-        _VALUE_CACHE[key] = hit
-    return hit
+    return FiniteSet(eval_total(rule, (i,)))
 
 
 @dataclass(frozen=True)

@@ -253,13 +253,43 @@ def test_eval_total_requires_total_tier():
 
 def test_eval_total_memoises_both_totality_verdicts():
     partial = M.encode(M.Mu(M.Comp(M.Add(), (M.Proj(0), M.Const(4321)))))
-    for _ in range(3):
+    total = M.encode(M.Comp(M.Add(), (M.Const(4321), M.Proj(0))))
+
+    def both_verdicts():
         with pytest.raises(M.NotTotalTierError):
             M.eval_total(partial, [0])
-        assert M._TOTALITY_CACHE[partial] is False
-    total = M.encode(M.Comp(M.Add(), (M.Const(4321), M.Proj(0))))
-    assert M.eval_total(total, [5]) == 4326
-    assert M._TOTALITY_CACHE[total] is True
+        assert M.eval_total(total, [5]) == 4326
+
+    both_verdicts()
+    before = M._total_verdict.cache_info()
+    both_verdicts()
+    after = M._total_verdict.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+
+
+def test_memo_holds_at_most_cache_entries():
+    base = 1 << 40
+    for code in range(base, base + M.CACHE_ENTRIES + 10):
+        M.decode(code)
+    assert M.decode.cache_info().currsize <= M.CACHE_ENTRIES
+
+
+def test_memo_skips_codes_at_the_bit_limit():
+    code = 1 << (M._CACHE_BIT_LIMIT - 1)  # exactly _CACHE_BIT_LIMIT bits
+    before = M.decode.cache_info()
+    for _ in range(2):
+        assert M.decode(code) == M.ALWAYS_DIVERGE
+    after = M.decode.cache_info()
+    assert after.currsize == before.currsize
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_decode_rejects_negative_codes_without_caching():
+    before = M.decode.cache_info()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            M.decode(-1)
+    assert M.decode.cache_info().currsize == before.currsize
 
 
 # -- single-run total evaluation against the budget-doubling search ----------

@@ -21,6 +21,18 @@ def test_reservoir_constructors_are_increasing():
         cs.check_increasing(64)
 
 
+def test_equal_enumerators_share_one_value_list(monkeypatch):
+    first, second = odds_above(1001), odds_above(1001)
+    assert first.values(5) == [1001, 1003, 1005, 1007, 1009]
+
+    def no_evaluation(*_):
+        raise AssertionError("value evaluated twice")
+
+    monkeypatch.setattr(mt, "eval_total", no_evaluation)
+    assert second.values(5) == [1001, 1003, 1005, 1007, 1009]
+    assert mt._enum_values(second.enumerator) is mt._enum_values(first.enumerator)
+
+
 def test_reservoir_rejects_partial_enumerators():
     with pytest.raises(mt.NotTotalTierError):
         mt.ComputableSet(pg.diverge_code())

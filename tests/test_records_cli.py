@@ -123,6 +123,14 @@ def test_check_malformed_trace_errors(tmp_path):
     _assert_input_error(run_cli("check", "immunity", str(trace)))
 
 
+def test_build_past_the_int_digit_limit_errors():
+    _assert_input_error(run_cli("build", "hi-not-ci", "--blocks", "7"))
+
+
+def test_measure_past_the_int_digit_limit_errors():
+    _assert_input_error(run_cli("measure", "1", "200"))
+
+
 def test_check_domination_and_effective(tmp_path):
     trace = tmp_path / "cnh.trace"
     assert run_cli("build", "ci-not-hi", "--stages", "200", "--index-bound", "10", "--out", str(trace)).returncode == 0
