@@ -94,6 +94,9 @@ def cmd_build(args) -> int:
         prefix, trace = cons.ci_not_hi_run(list(pool), args.stages, _fill_pairs(pool, args.index_bound))
         prefixes = {"R": prefix}
     elif name == "hi-not-ci":
+        if args.blocks < 1:
+            print("error: hi-not-ci needs --blocks of at least 1", file=sys.stderr)
+            return 1
         result = cons.hi_not_ci_run(default_functions(), args.blocks, target_index=0)
         result.trace.meta["witness_rule"] = result.witness_rule
         result.trace.meta["witness_positions"] = list(result.witness_positions)
@@ -212,6 +215,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    if args.n < 0:
+        print("error: need n >= 0", file=sys.stderr)
+        return 1
     if args.m <= args.n:
         print("error: need M > n", file=sys.stderr)
         return 1
@@ -227,8 +233,17 @@ def cmd_measure(args) -> int:
     return 0 if ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like input errors; exit 2 is kept for checks.
+    Subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="canimm", description=__doc__)
+    parser = _Parser(prog="canimm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="run a construction and emit its trace")

@@ -21,6 +21,10 @@ budget and the step count of a converging run is a pure function of
 * an oracle query at a position >= the oracle length (or with no oracle
   at all) makes the whole run diverge.
 
+A search on a nonzero constant, such as the canonical diverger, is answered
+as diverged without spending fuel: it would test that constant forever, and
+a diverged run reports no step count, so no outcome changes.
+
 Codes serialize as decimal integers; `disassemble` renders one
 instruction per line for traces.
 """
@@ -414,6 +418,10 @@ def _arg(args: tuple[int, ...], i: int) -> int:
     return args[i] if i < len(args) else 0
 
 
+def _never(args, oracle, fuel):
+    raise _Diverge
+
+
 def _compile(tree: Node) -> _Runner:
     if isinstance(tree, Const):
         v = tree.value
@@ -509,6 +517,8 @@ def _compile(tree: Node) -> _Runner:
                 acc = step((k, acc) + rest, oracle, fuel)
             return acc
     elif isinstance(tree, Mu):
+        if isinstance(tree.pred, Const) and tree.pred.value:
+            return _never
         p = _compile(tree.pred)
 
         def run(args, oracle, fuel):
@@ -594,6 +604,8 @@ def we_bounded(e: int, budget: int, oracle: str | None = None):
     """
     from .finitesets import FiniteSet
 
+    if _compiled(e) is _never:
+        return FiniteSet(0)
     mask = 0
     for n in range(budget):
         if _run(e, (n,), budget, oracle).converged:

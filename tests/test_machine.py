@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -142,6 +143,156 @@ def test_oracle_persistence(code, oracle, extension, n):
     after = M.eval_oracle_bounded(code, oracle + extension, n, 200)
     if before.converged:
         assert after == before
+
+
+# -- tree-walking reference evaluator -----------------------------------------
+# Follows the fuel rules of the machine docstring node by node and answers
+# nothing without running it, so a search on a nonzero constant spends all
+# its fuel here.
+
+
+class _RefDiverge(Exception):
+    pass
+
+
+_REF_BINARY = {
+    M.Add: lambda a, b: a + b,
+    M.Monus: lambda a, b: a - b if a > b else 0,
+    M.Mul: lambda a, b: a * b,
+    M.Div: lambda a, b: a // b if b else 0,
+    M.PairOp: M.pair,
+}
+_REF_UNARY = {
+    M.Succ: lambda a: a + 1,
+    M.Log2: lambda a: a.bit_length() - 1 if a else 0,
+    M.UnpairL: lambda a: M.unpair(a)[0],
+    M.UnpairR: lambda a: M.unpair(a)[1],
+}
+
+
+def _ref_eval(t, args, oracle, fuel):
+    """Value of tree t on args; fuel is a one-element list of steps left."""
+
+    def tick(cost=1):
+        fuel[0] -= cost
+        if fuel[0] < 0:
+            raise _RefDiverge
+
+    def arg(i):
+        return args[i] if i < len(args) else 0
+
+    def words(n):
+        return n.bit_length() // M.WORD_BITS
+
+    kind = type(t)
+    if kind is M.Const:
+        tick()
+        return t.value
+    if kind is M.Proj:
+        tick()
+        return arg(t.index)
+    if kind in _REF_UNARY:
+        tick(1 + words(arg(0)))
+        return _REF_UNARY[kind](arg(0))
+    if kind in _REF_BINARY:
+        tick(1 + words(arg(0)) + words(arg(1)))
+        return _REF_BINARY[kind](arg(0), arg(1))
+    if kind is M.Pow2:
+        tick(1 + arg(0) // M.WORD_BITS)
+        return 1 << arg(0)
+    tick()
+    if kind is M.Comp:
+        vals = tuple(_ref_eval(a, args, oracle, fuel) for a in t.args)
+        return _ref_eval(t.func, vals, oracle, fuel)
+    if kind is M.PrimRec:
+        rest = args[1:]
+        acc = _ref_eval(t.base, rest, oracle, fuel)
+        for k in range(arg(0)):
+            acc = _ref_eval(t.step, (k, acc) + rest, oracle, fuel)
+        return acc
+    if kind is M.Mu:
+        y = 0
+        while _ref_eval(t.pred, (y,) + args, oracle, fuel) != 0:
+            y += 1
+        return y
+    if kind is M.Query:
+        q = _ref_eval(t.pos, args, oracle, fuel)
+        if oracle is None or q >= len(oracle):
+            raise _RefDiverge
+        return 1 if oracle[q] == "1" else 0
+    if kind is M.Apply:
+        target = _ref_eval(t.func, args, oracle, fuel)
+        vals = tuple(_ref_eval(a, args, oracle, fuel) for a in t.args)
+        return _ref_eval(M.decode(target), vals, oracle, fuel)
+    raise TypeError(t)
+
+
+def _ref_outcome(tree, args, budget, oracle=None):
+    fuel = [budget]
+    try:
+        value = _ref_eval(tree, tuple(args), oracle, fuel)
+    except _RefDiverge:
+        return M.DIVERGED
+    return M.Outcome(value, budget - fuel[0])
+
+
+_SEARCHES = [M.Mu(M.Const(c)) for c in (0, 1, 5)]
+_shortcut_trees = st.recursive(
+    st.one_of(
+        st.sampled_from(_SEARCHES),
+        st.builds(M.Proj, st.integers(0, 2)),
+        st.sampled_from(list(M._NULLARY.values())),
+        # constants include codes, so that Apply can reach a search
+        st.builds(M.Const, st.sampled_from([0, 1, 2, 7, 34, M.encode(M.Succ()), *map(M.encode, _SEARCHES)])),
+    ),
+    lambda inner: st.one_of(
+        st.builds(M.Comp, inner, st.lists(inner, max_size=3).map(tuple)),
+        st.builds(M.PrimRec, inner, inner),
+        st.builds(M.Mu, inner),
+        st.builds(M.Query, inner),
+        st.builds(M.Apply, inner, st.lists(inner, max_size=3).map(tuple)),
+    ),
+    max_leaves=10,
+)
+
+
+@given(
+    _shortcut_trees,
+    st.lists(st.integers(0, 6), max_size=3),
+    st.one_of(st.none(), st.text(alphabet="01", max_size=6)),
+)
+@settings(max_examples=120, deadline=None)
+def test_run_matches_reference_around_constant_searches(tree, args, oracle):
+    code = M.encode(tree)
+    for budget in range(301):
+        assert M._run(code, args, budget, oracle) == _ref_outcome(tree, args, budget, oracle), budget
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_enumeration(tree, budget):
+    out = []
+    for n in range(budget):
+        r = _ref_outcome(tree, (n,), budget)
+        if r.converged:
+            out.append((r.steps, n))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 64, 192])
+def test_bounded_domains_match_reference_on_small_codes(budget):
+    for code in range(512):
+        # codes decoding to the same tree share one reference scan
+        order = _ref_enumeration(M.decode(code), budget)
+        assert M.we_enumeration(code, budget) == order, code
+        assert M.we_bounded(code, budget).code == sum(1 << n for _, n in order), code
+
+
+def test_we_bounded_answers_the_diverger_without_running_it(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the diverger was run")
+
+    monkeypatch.setattr(M, "_run", refuse)
+    assert M.we_bounded(pg.diverge_code(), 10**6).is_empty
 
 
 # -- total-tier tree generator for the s-m-n agreement cases ----------------

@@ -67,12 +67,17 @@ def test_build_commands_are_deterministic(tmp_path, name, flags):
 
 def test_build_rejects_bad_horizons():
     result = run_cli("build", "bci", "--stages", "0")
-    assert result.returncode != 0
+    assert result.returncode == 1  # a usage error, not a failed check (exit 2)
     assert "positive" in result.stderr
 
 
+def test_usage_errors_exit_1():
+    _assert_input_error(run_cli("build", "delta2", "--stages", "0"))
+    _assert_input_error(run_cli("check", "immunity", "x.trace", "--modulus", "nope"))
+
+
 def test_build_rejects_unknown_construction():
-    assert run_cli("build", "nonesuch").returncode != 0
+    assert run_cli("build", "nonesuch").returncode == 1
 
 
 def test_check_immunity_roundtrip(tmp_path):
@@ -129,6 +134,14 @@ def test_build_past_the_int_digit_limit_errors():
 
 def test_measure_past_the_int_digit_limit_errors():
     _assert_input_error(run_cli("measure", "1", "200"))
+
+
+def test_build_hi_not_ci_without_blocks_errors():
+    _assert_input_error(run_cli("build", "hi-not-ci", "--blocks", "0"))
+
+
+def test_measure_negative_n_errors():
+    _assert_input_error(run_cli("measure", "-1", "3"))
 
 
 def test_check_domination_and_effective(tmp_path):
