@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import checkers, constructions as cons, mathias, programs as pg, schnorr
-from .machine import encode
+from .machine import ProgramDepthError, encode, is_total_tier
 from .numberings import Numbering, Registry, default_pool
 from .records import parse_trace, render_trace, render_value
 
@@ -137,6 +137,10 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(i, int) for i in value)
+
+
 def _check_exit(found_fail: bool, expect_fail: bool) -> int:
     if expect_fail:
         return 0 if found_fail else 2
@@ -145,7 +149,8 @@ def _check_exit(found_fail: bool, expect_fail: bool) -> int:
 
 def _suite_verdict(args, parsed, pool):
     """The per-prefix verdict function of the immunity, domination or
-    effective suite."""
+    effective suite; None, after printing the error, when the trace lacks
+    what the suite reads."""
     h = modulus_catalog()[args.modulus]
     if args.suite == "domination":
 
@@ -158,11 +163,15 @@ def _suite_verdict(args, parsed, pool):
         return lambda prefix: checkers.check_effective_immunity(prefix, h, range(args.index_bound + 1), args.budget)
     if parsed.name == "hi-not-ci" and args.modulus == "identity":
         # the trace carries the numbering built to refute its target
-        registry = Registry()
-        witness = registry.register(parsed.meta["witness_rule"], surjective=True, label="witness")
+        rule, positions = parsed.meta.get("witness_rule"), parsed.meta.get("witness_positions")
+        if not (isinstance(rule, int) and rule >= 0 and is_total_tier(rule) and positions and _int_list(positions)):
+            print("error: a hi-not-ci trace needs meta witness_rule (a total-tier code) and "
+                  "witness_positions (a nonempty list of indices)", file=sys.stderr)
+            return None
+        witness = Registry().register(rule, surjective=True, label="witness")
         scan: list[Numbering] = [witness]
         k_map = {witness.id: 0}
-        bound = max(parsed.meta["witness_positions"])
+        bound = max(positions)
     else:
         scan = list(pool)
         k_map = None
@@ -188,6 +197,9 @@ def cmd_check(args) -> int:
     if args.suite == "schnorr":
         prefix = parsed.prefixes["R"]
         missed = parsed.meta.get("missed_blocks", [])
+        if not _int_list(missed):
+            print("error: meta missed_blocks must be a list of block indices", file=sys.stderr)
+            return 1
         top = 0
         while schnorr.block_span(top + 1) <= prefix.length:
             top += 1
@@ -205,6 +217,8 @@ def cmd_check(args) -> int:
                 lines.append(f"schnorr\tU_{n}\t{'member' if ok else 'MISSING'}\twitness\t{render_value(witness or 0)}")
     else:
         verdict_of = _suite_verdict(args, parsed, pool)
+        if verdict_of is None:
+            return 1
         for label, prefix in sorted(parsed.prefixes.items()):
             verdict = verdict_of(prefix)
             found_fail |= verdict.failed
@@ -289,7 +303,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _positive(parser, args)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ProgramDepthError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

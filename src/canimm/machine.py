@@ -8,6 +8,11 @@ diverge.  Every nonnegative integer is a program code: well-formed trees
 round-trip through encode/decode, and every other integer decodes to the
 canonical always-diverging program.
 
+One table, `_KINDS`, describes the 17 node kinds.  The node classes,
+encoding, decoding, the totality and arity checks, compilation, disassembly
+and node equality, hashing and repr are all driven by it, and each of these
+walks keeps its own stack, so no tree is too deep for them.
+
 Evaluation is fuel-bounded and deterministic.  One fuel unit is one
 interpreter step; an arithmetic step additionally charges one unit per
 64-bit word of its operands, so value sizes stay proportional to the
@@ -25,6 +30,11 @@ A search on a nonzero constant, such as the canonical diverger, is answered
 as diverged without spending fuel: it would test that constant forever, and
 a diverged run reports no step count, so no outcome changes.
 
+A run nests one runner per level of its program's tree, and each Apply
+adds the height of the program it runs.  A run that would nest past
+MAX_NESTING levels raises ProgramDepthError, at every caller stack depth
+alike.
+
 Codes serialize as decimal integers; `disassemble` renders one
 instruction per line for traces.
 """
@@ -32,11 +42,16 @@ instruction per line for traces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, wraps
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 WORD_BITS = 64
+
+# A runner level takes one or two Python frames, so a run at this limit
+# stays inside Python's default recursion limit of 1000 frames even when
+# its caller is 300 frames deep.
+MAX_NESTING = 250
 
 # ---------------------------------------------------------------------------
 # Cantor pairing
@@ -66,133 +81,359 @@ def pair_bound(i: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Syntax trees
+# Runners: a compiled node is a closure run(args, oracle, fuel)
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
-
-
-@dataclass(frozen=True)
-class Proj:
-    index: int
-
-
-@dataclass(frozen=True)
-class Succ:
+class _Diverge(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Add:
-    pass
+class ProgramDepthError(ValueError):
+    """A run would nest more than MAX_NESTING runner levels."""
 
 
-@dataclass(frozen=True)
-class Monus:
-    pass
+class _Fuel:
+    """The steps left to one run, and the runner nesting it has entered."""
+
+    __slots__ = ("left", "nesting")
+
+    def __init__(self, budget: int):
+        self.left = budget
+        self.nesting = 0
+
+    def tick(self, cost: int = 1):
+        self.left -= cost
+        if self.left < 0:
+            raise _Diverge
+
+    def nest(self, depth: int) -> int:
+        """Enter a program whose runners nest `depth` levels; returns the
+        nesting to restore when it returns."""
+        outer = self.nesting
+        if outer + depth > MAX_NESTING:
+            raise ProgramDepthError(f"a run would nest {outer + depth} runner levels, past the limit {MAX_NESTING}")
+        self.nesting = outer + depth
+        return outer
 
 
-@dataclass(frozen=True)
-class Mul:
-    pass
+def _words(n: int) -> int:
+    return n.bit_length() // WORD_BITS
 
 
-@dataclass(frozen=True)
-class Div:
-    pass
+_Runner = Callable[[tuple[int, ...], "str | None", _Fuel], int]
 
 
-@dataclass(frozen=True)
-class Pow2:
-    pass
+def _arg(args: tuple[int, ...], i: int) -> int:
+    # absent argument positions read as zero
+    return args[i] if i < len(args) else 0
 
 
-@dataclass(frozen=True)
-class Log2:
-    pass
+def _never(args, oracle, fuel):
+    raise _Diverge
 
 
-@dataclass(frozen=True)
-class PairOp:
-    pass
+def _succ(args, oracle, fuel):
+    a = _arg(args, 0)
+    fuel.tick(1 + _words(a))
+    return a + 1
 
 
-@dataclass(frozen=True)
-class UnpairL:
-    pass
+def _add(args, oracle, fuel):
+    a, b = _arg(args, 0), _arg(args, 1)
+    fuel.tick(1 + _words(a) + _words(b))
+    return a + b
 
 
-@dataclass(frozen=True)
-class UnpairR:
-    pass
+def _monus(args, oracle, fuel):
+    a, b = _arg(args, 0), _arg(args, 1)
+    fuel.tick(1 + _words(a) + _words(b))
+    return a - b if a > b else 0
 
 
-@dataclass(frozen=True)
-class Comp:
-    func: "Node"
-    args: tuple["Node", ...]
+def _mul(args, oracle, fuel):
+    a, b = _arg(args, 0), _arg(args, 1)
+    fuel.tick(1 + _words(a) + _words(b))
+    return a * b
 
 
-@dataclass(frozen=True)
-class PrimRec:
-    base: "Node"
-    step: "Node"
+def _div(args, oracle, fuel):
+    a, b = _arg(args, 0), _arg(args, 1)
+    fuel.tick(1 + _words(a) + _words(b))
+    return a // b if b else 0
 
 
-@dataclass(frozen=True)
-class Mu:
-    pred: "Node"
+def _pow2(args, oracle, fuel):
+    n = _arg(args, 0)
+    # charge before allocating, one step per word of the result
+    fuel.tick(1 + n // WORD_BITS)
+    return 1 << n
 
 
-@dataclass(frozen=True)
-class Query:
-    pos: "Node"
+def _log2(args, oracle, fuel):
+    a = _arg(args, 0)
+    fuel.tick(1 + _words(a))
+    return a.bit_length() - 1 if a else 0
 
 
-@dataclass(frozen=True)
-class Apply:
-    func: "Node"
-    args: tuple["Node", ...]
+def _pair(args, oracle, fuel):
+    a, b = _arg(args, 0), _arg(args, 1)
+    fuel.tick(1 + _words(a) + _words(b))
+    return pair(a, b)
 
 
-Node = (
-    Const | Proj | Succ | Add | Monus | Mul | Div | Pow2 | Log2
-    | PairOp | UnpairL | UnpairR | Comp | PrimRec | Mu | Query | Apply
+def _unpair_left(args, oracle, fuel):
+    a = _arg(args, 0)
+    fuel.tick(1 + _words(a))
+    return unpair(a)[0]
+
+
+def _unpair_right(args, oracle, fuel):
+    a = _arg(args, 0)
+    fuel.tick(1 + _words(a))
+    return unpair(a)[1]
+
+
+def _op(run: _Runner):
+    """The factory of a kind without fields: all its nodes share `run`."""
+    return lambda t, kids: run
+
+
+def _const(t, kids):
+    v = t.value
+
+    def run(args, oracle, fuel):
+        fuel.tick()
+        return v
+
+    return run
+
+
+def _proj(t, kids):
+    i = t.index
+
+    def run(args, oracle, fuel):
+        fuel.tick()
+        return args[i] if i < len(args) else 0
+
+    return run
+
+
+def _comp(t, kids):
+    f, gs = kids[0], tuple(kids[1:])
+
+    def run(args, oracle, fuel):
+        fuel.tick()
+        vals = tuple(g(args, oracle, fuel) for g in gs)
+        return f(vals, oracle, fuel)
+
+    return run
+
+
+def _primrec(t, kids):
+    base, step = kids
+
+    def run(args, oracle, fuel):
+        fuel.tick()
+        n = _arg(args, 0)
+        rest = args[1:]
+        acc = base(rest, oracle, fuel)
+        for k in range(n):
+            acc = step((k, acc) + rest, oracle, fuel)
+        return acc
+
+    return run
+
+
+def _mu(t, kids):
+    if type(t.pred) is Const and t.pred.value:
+        return _never
+    (p,) = kids
+
+    def run(args, oracle, fuel):
+        fuel.tick()
+        y = 0
+        while True:
+            if p((y,) + args, oracle, fuel) == 0:
+                return y
+            y += 1
+
+    return run
+
+
+def _query(t, kids):
+    (pos,) = kids
+
+    def run(args, oracle, fuel):
+        fuel.tick()
+        q = pos(args, oracle, fuel)
+        if oracle is None or q >= len(oracle):
+            raise _Diverge
+        return 1 if oracle[q] == "1" else 0
+
+    return run
+
+
+def _apply(t, kids):
+    f, gs = kids[0], tuple(kids[1:])
+
+    def run(args, oracle, fuel):
+        fuel.tick()
+        target = f(args, oracle, fuel)
+        vals = tuple(g(args, oracle, fuel) for g in gs)
+        inner, depth = _compiled(target)
+        outer = fuel.nest(depth)
+        value = inner(vals, oracle, fuel)
+        fuel.nesting = outer
+        return value
+
+    return run
+
+
+# ---------------------------------------------------------------------------
+# The node table
+#
+# One row per node kind; a row's position is its tag in the code format.
+# Shapes: _INT holds one int payload, _TREE holds only children (none, one
+# or two), _CALL holds a function child and an argument tuple.  The int
+# payload or the argument count is the node's header number (None for
+# _TREE).  The arity rule maps it and the children's arity bounds to the
+# node's; the runner factory maps the node and its children's runners to
+# its own.  Children are always taken in code order.
+
+_INT, _TREE, _CALL = "int", "tree", "call"
+
+
+_Kind = namedtuple("_Kind", "name shape fields arity total listing runner")
+
+
+def _reads(k: int):
+    return lambda number, kids: k
+
+
+_KINDS = (
+    _Kind("Const", _INT, ("value",), _reads(0), True, "const", _const),
+    _Kind("Proj", _INT, ("index",), lambda n, a: n + 1, True, "proj", _proj),
+    _Kind("Succ", _TREE, (), _reads(1), True, "succ", _op(_succ)),
+    _Kind("Add", _TREE, (), _reads(2), True, "add", _op(_add)),
+    _Kind("Monus", _TREE, (), _reads(2), True, "monus", _op(_monus)),
+    _Kind("Mul", _TREE, (), _reads(2), True, "mul", _op(_mul)),
+    _Kind("Div", _TREE, (), _reads(2), True, "div", _op(_div)),
+    _Kind("Pow2", _TREE, (), _reads(1), True, "pow2", _op(_pow2)),
+    _Kind("Log2", _TREE, (), _reads(1), True, "log2", _op(_log2)),
+    _Kind("PairOp", _TREE, (), _reads(2), True, "pair", _op(_pair)),
+    _Kind("UnpairL", _TREE, (), _reads(1), True, "unpair-left", _op(_unpair_left)),
+    _Kind("UnpairR", _TREE, (), _reads(1), True, "unpair-right", _op(_unpair_right)),
+    _Kind("Comp", _CALL, ("func", "args"), lambda n, a: max(a[1:], default=0), True, "comp", _comp),
+    _Kind("PrimRec", _TREE, ("base", "step"), lambda n, a: max(1, 1 + a[0], a[1] - 1), True, "primrec", _primrec),
+    _Kind("Mu", _TREE, ("pred",), lambda n, a: max(0, a[0] - 1), False, "mu", _mu),
+    _Kind("Query", _TREE, ("pos",), lambda n, a: a[0], False, "query", _query),
+    _Kind("Apply", _CALL, ("func", "args"), lambda n, a: max(a), False, "apply", _apply),
 )
 
-_TAG_CONST = 0
-_TAG_PROJ = 1
-_TAG_SUCC = 2
-_TAG_ADD = 3
-_TAG_MONUS = 4
-_TAG_MUL = 5
-_TAG_DIV = 6
-_TAG_POW2 = 7
-_TAG_LOG2 = 8
-_TAG_PAIR = 9
-_TAG_UNPAIRL = 10
-_TAG_UNPAIRR = 11
-_TAG_COMP = 12
-_TAG_PRIMREC = 13
-_TAG_MU = 14
-_TAG_QUERY = 15
-_TAG_APPLY = 16
-_NUM_TAGS = 17
 
-_NULLARY = {
-    _TAG_SUCC: Succ(), _TAG_ADD: Add(), _TAG_MONUS: Monus(), _TAG_MUL: Mul(),
-    _TAG_DIV: Div(), _TAG_POW2: Pow2(), _TAG_LOG2: Log2(), _TAG_PAIR: PairOp(),
-    _TAG_UNPAIRL: UnpairL(), _TAG_UNPAIRR: UnpairR(),
-}
+def _set(node: Node, number: int | None, kids: tuple[Node, ...]) -> Node:
+    object.__setattr__(node, "_number", number)
+    object.__setattr__(node, "_kids", kids)
+    return node
+
+
+class Node:
+    """A syntax tree node; each kind is a subclass generated from its row.
+
+    Nodes are immutable and take their fields as constructor arguments.  A
+    node stores its header number and its children in code order, which is
+    all that the walks below read; the fields are views of these.
+    """
+
+    __slots__ = ("_number", "_kids")
+    _tag: int
+    _kind: _Kind
+
+    def __init__(self, *values, **named):
+        fields = self._kind.fields
+        values += tuple(named.pop(f) for f in fields[len(values):] if f in named)
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)})")
+        if self._kind.shape == _INT:
+            _set(self, values[0], ())
+        elif self._kind.shape == _CALL:
+            _set(self, len(values[1]), (values[0], *values[1]))
+        else:
+            _set(self, None, values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        # the kinds and header numbers in code order fix the whole tree
+        pairs = zip(_preorder(self), _preorder(other))
+        return all(type(a) is type(b) and a._number == b._number for (a, _), (b, _) in pairs)
+
+    def __hash__(self):
+        return hash(tuple((type(t), t._number) for t, _ in _preorder(self)))
+
+    def __repr__(self):
+        out, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, Node):
+                parts = [f"{type(item).__name__}("]
+                for i, name in enumerate(item._kind.fields):
+                    parts += [", " * (i > 0) + name + "=", getattr(item, name)]
+                todo += reversed(parts + [")"])
+            elif isinstance(item, tuple):
+                parts = ["("]
+                for i, value in enumerate(item):
+                    parts += [", " * (i > 0), value]
+                todo += reversed(parts + [",)" if len(item) == 1 else ")"])
+            else:
+                out.append(item if isinstance(item, str) else repr(item))
+        return "".join(out)
+
+
+def _node_class(tag: int, kind: _Kind) -> type:
+    if kind.shape == _INT:
+        getters = [lambda t: t._number]
+    elif kind.shape == _CALL:
+        getters = [lambda t: t._kids[0], lambda t: t._kids[1:]]
+    else:
+        getters = [lambda t, i=i: t._kids[i] for i in range(len(kind.fields))]
+    fields = {name: property(get) for name, get in zip(kind.fields, getters)}
+    return type(kind.name, (Node,), {"__slots__": (), "__module__": __name__, "_tag": tag, "_kind": kind, **fields})
+
+
+_CLASSES = tuple(_node_class(tag, kind) for tag, kind in enumerate(_KINDS))
+(
+    Const, Proj, Succ, Add, Monus, Mul, Div, Pow2, Log2,
+    PairOp, UnpairL, UnpairR, Comp, PrimRec, Mu, Query, Apply,
+) = _CLASSES
 
 ALWAYS_DIVERGE = Mu(Const(1))
 
-TOTAL_TIER_KINDS = (
-    Const, Proj, Succ, Add, Monus, Mul, Div, Pow2, Log2,
-    PairOp, UnpairL, UnpairR, Comp, PrimRec,
-)
+
+def _preorder(tree: Node):
+    """(node, depth) pairs in code order, the order `encode` writes nodes."""
+    todo = [(tree, 0)]
+    while todo:
+        t, depth = todo.pop()
+        if not isinstance(t, Node):
+            raise TypeError(f"not a program node: {t!r}")
+        yield t, depth
+        todo += [(kid, depth + 1) for kid in reversed(t._kids)]
+
+
+def _fold(tree: Node, combine):
+    """combine(node, its children's values in code order), children first."""
+    values = []
+    for t, _ in reversed(list(_preorder(tree))):
+        kids = [values.pop() for _ in t._kids]
+        values.append(combine(t, kids))
+    return values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +445,10 @@ TOTAL_TIER_KINDS = (
 # string (code 0) and every unparseable string decode to the always-
 # diverging program, which keeps decoding total on all of omega.
 #
-# node      bits
-# Const v   tag(5) gamma(v)
-# Proj i    tag(5) gamma(i)
-# nullary   tag(5)
-# Comp      tag(5) gamma(#args) enc(func) enc(arg)...
-# PrimRec   tag(5) enc(base) enc(step)
-# Mu/Query  tag(5) enc(child)
-# Apply     tag(5) gamma(#args) enc(func) enc(arg)...
-#
-# gamma(n) is Elias gamma of n+1: for m = n+1 with L bits, L-1 zeros then m.
+# A node writes its tag in 5 bits, then gamma(header number) if it has one
+# (Const v: gamma(v); Comp f args: gamma(#args)), then its children in code
+# order.  gamma(n) is Elias gamma of n+1: for m = n+1 with L bits, L-1
+# zeros then m.
 
 _TAG_WIDTH = 5
 
@@ -234,81 +469,49 @@ def _gamma(n: int) -> _Bits:
     return m, 2 * length - 1
 
 
-def _enc(tree: Node) -> _Bits:
-    if isinstance(tree, Const):
-        return _cat((_TAG_CONST, _TAG_WIDTH), _gamma(tree.value))
-    if isinstance(tree, Proj):
-        return _cat((_TAG_PROJ, _TAG_WIDTH), _gamma(tree.index))
-    for tag, proto in _NULLARY.items():
-        if isinstance(tree, type(proto)):
-            return tag, _TAG_WIDTH
-    if isinstance(tree, (Comp, Apply)):
-        tag = _TAG_COMP if isinstance(tree, Comp) else _TAG_APPLY
-        parts = [(tag, _TAG_WIDTH), _gamma(len(tree.args)), _enc(tree.func)]
-        parts += [_enc(a) for a in tree.args]
-        return _cat(*parts)
-    if isinstance(tree, PrimRec):
-        return _cat((_TAG_PRIMREC, _TAG_WIDTH), _enc(tree.base), _enc(tree.step))
-    if isinstance(tree, Mu):
-        return _cat((_TAG_MU, _TAG_WIDTH), _enc(tree.pred))
-    if isinstance(tree, Query):
-        return _cat((_TAG_QUERY, _TAG_WIDTH), _enc(tree.pos))
-    raise TypeError(f"not a program node: {tree!r}")
+def _head(tag: int, number: int | None) -> list[_Bits]:
+    """The bits a node writes before its children."""
+    return [(tag, _TAG_WIDTH)] if number is None else [(tag, _TAG_WIDTH), _gamma(number)]
 
 
 def encode(tree: Node) -> int:
     """Injective numbering of syntax trees (inverse of `decode` on its image)."""
-    v, n = _enc(tree)
+    v, n = _cat(*(part for t, _ in _preorder(tree) for part in _head(t._tag, t._number)))
     return (1 << n) | v
 
 
-class _ParseError(Exception):
-    pass
-
-
-class _Reader:
-    __slots__ = ("value", "size", "pos")
-
-    def __init__(self, value: int, size: int):
-        self.value = value
-        self.size = size
-        self.pos = 0
-
-    def take(self, k: int) -> int:
-        if self.pos + k > self.size:
-            raise _ParseError
-        self.pos += k
-        return (self.value >> (self.size - self.pos)) & ((1 << k) - 1)
-
-    def gamma(self) -> int:
-        zeros = 0
-        while self.take(1) == 0:
-            zeros += 1
-        m = (1 << zeros) | self.take(zeros)
-        return m - 1
-
-
-def _parse(r: _Reader) -> Node:
-    tag = r.take(_TAG_WIDTH)
-    if tag == _TAG_CONST:
-        return Const(r.gamma())
-    if tag == _TAG_PROJ:
-        return Proj(r.gamma())
-    if tag in _NULLARY:
-        return _NULLARY[tag]
-    if tag in (_TAG_COMP, _TAG_APPLY):
-        count = r.gamma()
-        func = _parse(r)
-        args = tuple(_parse(r) for _ in range(count))
-        return Comp(func, args) if tag == _TAG_COMP else Apply(func, args)
-    if tag == _TAG_PRIMREC:
-        base = _parse(r)
-        return PrimRec(base, _parse(r))
-    if tag == _TAG_MU:
-        return Mu(_parse(r))
-    if tag == _TAG_QUERY:
-        return Query(_parse(r))
-    raise _ParseError
+def _parse(bits: str) -> Node | None:
+    """The tree whose code has these binary digits below its sentinel bit,
+    or None if they are not exactly one tree.  Nodes are read in code
+    order, and each is built once its children are."""
+    pos, reading = 0, []  # reading: (class, header number, children needed, children read)
+    while pos + _TAG_WIDTH <= len(bits):
+        tag, pos = int(bits[pos:pos + _TAG_WIDTH], 2), pos + _TAG_WIDTH
+        if tag >= len(_CLASSES):
+            return None
+        cls, number = _CLASSES[tag], None
+        shape = cls._kind.shape
+        if shape != _TREE:  # gamma: k zeros, then the k+1 bits of number+1
+            one = bits.find("1", pos)
+            end = 2 * one - pos + 1
+            if one < 0 or end > len(bits):
+                return None
+            number, pos = int(bits[one:end], 2) - 1, end
+        need = 0 if shape == _INT else number + 1 if shape == _CALL else len(cls._kind.fields)
+        if need:
+            reading.append((cls, number, need, []))
+            continue
+        node = _set(object.__new__(cls), number, ())
+        while reading:
+            cls, number, need, kids = reading[-1]
+            kids.append(node)
+            if len(kids) < need:
+                break
+            reading.pop()
+            node = _set(object.__new__(cls), number, tuple(kids))
+        if not reading:
+            return node if pos == len(bits) else None
+    return None
 
 
 CACHE_ENTRIES = 4096
@@ -336,15 +539,8 @@ def decode(code: int) -> Node:
     """Total decoding: ill-formed numbers yield the always-diverging program."""
     if code < 0:
         raise ValueError("program codes are nonnegative")
-    if code == 0:
-        return ALWAYS_DIVERGE
-    size = code.bit_length() - 1
-    reader = _Reader(code & ((1 << size) - 1), size)
-    try:
-        tree = _parse(reader)
-    except _ParseError:
-        return ALWAYS_DIVERGE
-    return tree if reader.pos == size else ALWAYS_DIVERGE
+    tree = _parse(bin(code)[3:])  # bin(code) is "0b1..." for code >= 1
+    return ALWAYS_DIVERGE if tree is None else tree
 
 
 ALWAYS_DIVERGE_CODE = encode(ALWAYS_DIVERGE)
@@ -353,211 +549,34 @@ ALWAYS_DIVERGE_CODE = encode(ALWAYS_DIVERGE)
 def is_total_tier(program: int | Node) -> bool:
     """Syntactic check: no Mu, Query, or Apply anywhere in the tree."""
     tree = decode(program) if isinstance(program, int) else program
-    if isinstance(tree, (Mu, Query, Apply)):
-        return False
-    if isinstance(tree, Comp):
-        return is_total_tier(tree.func) and all(is_total_tier(a) for a in tree.args)
-    if isinstance(tree, PrimRec):
-        return is_total_tier(tree.base) and is_total_tier(tree.step)
-    return True
+    return all(t._kind.total for t, _ in _preorder(tree))
 
 
 def arity_bound(program: int | Node) -> int:
     """How many argument positions the program can possibly read."""
-    t = decode(program) if isinstance(program, int) else program
-    if isinstance(t, Const):
-        return 0
-    if isinstance(t, Proj):
-        return t.index + 1
-    if isinstance(t, (Succ, Pow2, Log2, UnpairL, UnpairR)):
-        return 1
-    if isinstance(t, (Add, Monus, Mul, Div, PairOp)):
-        return 2
-    if isinstance(t, Comp):
-        return max((arity_bound(a) for a in t.args), default=0)
-    if isinstance(t, PrimRec):
-        return max(1, 1 + arity_bound(t.base), arity_bound(t.step) - 1)
-    if isinstance(t, Mu):
-        return max(0, arity_bound(t.pred) - 1)
-    if isinstance(t, Query):
-        return arity_bound(t.pos)
-    if isinstance(t, Apply):
-        return max(arity_bound(t.func), max((arity_bound(a) for a in t.args), default=0))
-    raise TypeError(f"not a program node: {t!r}")
+    tree = decode(program) if isinstance(program, int) else program
+    return _fold(tree, lambda t, kids: t._kind.arity(t._number, kids))
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
 
-class _Diverge(Exception):
-    pass
+def _compile(tree: Node) -> tuple[_Runner, int]:
+    """The tree's runner and its runner nesting, the height of the tree."""
 
+    def combine(t, kids):
+        return t._kind.runner(t, [run for run, _ in kids]), 1 + max((depth for _, depth in kids), default=0)
 
-class _Fuel:
-    __slots__ = ("left",)
-
-    def __init__(self, budget: int):
-        self.left = budget
-
-    def tick(self, cost: int = 1):
-        self.left -= cost
-        if self.left < 0:
-            raise _Diverge
-
-
-def _words(n: int) -> int:
-    return n.bit_length() // WORD_BITS
-
-
-_Runner = Callable[[tuple[int, ...], "str | None", _Fuel], int]
-
-
-def _arg(args: tuple[int, ...], i: int) -> int:
-    # absent argument positions read as zero
-    return args[i] if i < len(args) else 0
-
-
-def _never(args, oracle, fuel):
-    raise _Diverge
-
-
-def _compile(tree: Node) -> _Runner:
-    if isinstance(tree, Const):
-        v = tree.value
-
-        def run(args, oracle, fuel):
-            fuel.tick()
-            return v
-    elif isinstance(tree, Proj):
-        i = tree.index
-
-        def run(args, oracle, fuel):
-            fuel.tick()
-            return args[i] if i < len(args) else 0
-    elif isinstance(tree, Succ):
-
-        def run(args, oracle, fuel):
-            a = _arg(args, 0)
-            fuel.tick(1 + _words(a))
-            return a + 1
-    elif isinstance(tree, Add):
-
-        def run(args, oracle, fuel):
-            a, b = _arg(args, 0), _arg(args, 1)
-            fuel.tick(1 + _words(a) + _words(b))
-            return a + b
-    elif isinstance(tree, Monus):
-
-        def run(args, oracle, fuel):
-            a, b = _arg(args, 0), _arg(args, 1)
-            fuel.tick(1 + _words(a) + _words(b))
-            return a - b if a > b else 0
-    elif isinstance(tree, Mul):
-
-        def run(args, oracle, fuel):
-            a, b = _arg(args, 0), _arg(args, 1)
-            fuel.tick(1 + _words(a) + _words(b))
-            return a * b
-    elif isinstance(tree, Div):
-
-        def run(args, oracle, fuel):
-            a, b = _arg(args, 0), _arg(args, 1)
-            fuel.tick(1 + _words(a) + _words(b))
-            return a // b if b else 0
-    elif isinstance(tree, Pow2):
-
-        def run(args, oracle, fuel):
-            n = _arg(args, 0)
-            # charge before allocating, one step per word of the result
-            fuel.tick(1 + n // WORD_BITS)
-            return 1 << n
-    elif isinstance(tree, Log2):
-
-        def run(args, oracle, fuel):
-            a = _arg(args, 0)
-            fuel.tick(1 + _words(a))
-            return a.bit_length() - 1 if a else 0
-    elif isinstance(tree, PairOp):
-
-        def run(args, oracle, fuel):
-            a, b = _arg(args, 0), _arg(args, 1)
-            fuel.tick(1 + _words(a) + _words(b))
-            return pair(a, b)
-    elif isinstance(tree, UnpairL):
-
-        def run(args, oracle, fuel):
-            a = _arg(args, 0)
-            fuel.tick(1 + _words(a))
-            return unpair(a)[0]
-    elif isinstance(tree, UnpairR):
-
-        def run(args, oracle, fuel):
-            a = _arg(args, 0)
-            fuel.tick(1 + _words(a))
-            return unpair(a)[1]
-    elif isinstance(tree, Comp):
-        f = _compile(tree.func)
-        gs = tuple(_compile(a) for a in tree.args)
-
-        def run(args, oracle, fuel):
-            fuel.tick()
-            vals = tuple(g(args, oracle, fuel) for g in gs)
-            return f(vals, oracle, fuel)
-    elif isinstance(tree, PrimRec):
-        base = _compile(tree.base)
-        step = _compile(tree.step)
-
-        def run(args, oracle, fuel):
-            fuel.tick()
-            n = _arg(args, 0)
-            rest = args[1:]
-            acc = base(rest, oracle, fuel)
-            for k in range(n):
-                acc = step((k, acc) + rest, oracle, fuel)
-            return acc
-    elif isinstance(tree, Mu):
-        if isinstance(tree.pred, Const) and tree.pred.value:
-            return _never
-        p = _compile(tree.pred)
-
-        def run(args, oracle, fuel):
-            fuel.tick()
-            y = 0
-            while True:
-                if p((y,) + args, oracle, fuel) == 0:
-                    return y
-                y += 1
-    elif isinstance(tree, Query):
-        pos = _compile(tree.pos)
-
-        def run(args, oracle, fuel):
-            fuel.tick()
-            q = pos(args, oracle, fuel)
-            if oracle is None or q >= len(oracle):
-                raise _Diverge
-            return 1 if oracle[q] == "1" else 0
-    elif isinstance(tree, Apply):
-        f = _compile(tree.func)
-        gs = tuple(_compile(a) for a in tree.args)
-
-        def run(args, oracle, fuel):
-            fuel.tick()
-            target = f(args, oracle, fuel)
-            vals = tuple(g(args, oracle, fuel) for g in gs)
-            return _compiled(target)(vals, oracle, fuel)
-    else:
-        raise TypeError(f"not a program node: {tree!r}")
-    return run
+    return _fold(tree, combine)
 
 
 @memo
-def _compiled(code: int) -> _Runner:
+def _compiled(code: int) -> tuple[_Runner, int]:
     return _compile(decode(code))
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """Result of a fuel-bounded run: Converged(value, steps) or Diverged."""
 
     value: int | None
@@ -571,12 +590,18 @@ class Outcome:
 DIVERGED = Outcome(None, None)
 
 
-def _run(code: int, args: Sequence[int], budget: int, oracle: str | None) -> Outcome:
+def _check_budget(budget: int) -> None:
     if budget < 0:
         raise ValueError("budget must be nonnegative")
+
+
+def _run(code: int, args: Sequence[int], budget: int, oracle: str | None) -> Outcome:
+    _check_budget(budget)
+    run, depth = _compiled(code)
     fuel = _Fuel(budget)
+    fuel.nest(depth)
     try:
-        v = _compiled(code)(tuple(args), oracle, fuel)
+        v = run(tuple(args), oracle, fuel)
     except _Diverge:
         return DIVERGED
     return Outcome(v, budget - fuel.left)
@@ -604,7 +629,8 @@ def we_bounded(e: int, budget: int, oracle: str | None = None):
     """
     from .finitesets import FiniteSet
 
-    if _compiled(e) is _never:
+    _check_budget(budget)
+    if _compiled(e)[0] is _never:
         return FiniteSet(0)
     mask = 0
     for n in range(budget):
@@ -615,6 +641,7 @@ def we_bounded(e: int, budget: int, oracle: str | None = None):
 
 def we_enumeration(e: int, budget: int, oracle: str | None = None) -> list[tuple[int, int]]:
     """Bounded domain in enumeration order: (steps, n) pairs, sorted."""
+    _check_budget(budget)
     out = []
     for n in range(budget):
         r = _run(e, (n,), budget, oracle)
@@ -691,8 +718,7 @@ def smn_overhead(e: int, n_fixed: int) -> int:
     return 1 + n_fixed + extra
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(NamedTuple):
     """Kleene fixed point j of a transformer g, with its budget correspondence.
 
     `code` is j, `applied` is the value g(j), and `prefix_cost` is the exact
@@ -711,19 +737,13 @@ class FixedPoint:
 #   PRE  = tag(Apply) gamma(1) tag(Apply) gamma(1) tag(Const)
 #   MID  = tag(Const)                      (between the two gamma(u) payloads)
 #   SUF  = tag(Proj) gamma(0)
-_DIAG_PRE = _cat((_TAG_APPLY, _TAG_WIDTH), _gamma(1), (_TAG_APPLY, _TAG_WIDTH), _gamma(1), (_TAG_CONST, _TAG_WIDTH))
-_DIAG_MID = (_TAG_CONST, _TAG_WIDTH)
-_DIAG_SUF = _cat((_TAG_PROJ, _TAG_WIDTH), _gamma(0))
+_DIAG_PRE = _cat(*_head(Apply._tag, 1), *_head(Apply._tag, 1), (Const._tag, _TAG_WIDTH))
+_DIAG_MID = (Const._tag, _TAG_WIDTH)
+_DIAG_SUF = _cat(*_head(Proj._tag, 0))
 
 
 def _diagonal_code(u: int) -> int:
-    m = u + 1
-    glen = 2 * m.bit_length() - 1
-    acc = (1 << _DIAG_PRE[1]) | _DIAG_PRE[0]
-    acc = (acc << glen) | m
-    acc = (acc << _DIAG_MID[1]) | _DIAG_MID[0]
-    acc = (acc << glen) | m
-    return (acc << _DIAG_SUF[1]) | _DIAG_SUF[0]
+    return encode(Apply(Apply(Const(u), (Const(u),)), (Proj(0),)))
 
 
 def _diagonal_builder_tree() -> Node:
@@ -775,32 +795,9 @@ def fixed_point(g: int) -> FixedPoint:
 
 def disassemble(program: int | Node, indent: int = 0) -> str:
     """Human-readable listing, one instruction per line."""
-    t = decode(program) if isinstance(program, int) else program
-    pad = "  " * indent
-    if isinstance(t, Const):
-        return f"{pad}const {t.value}"
-    if isinstance(t, Proj):
-        return f"{pad}proj {t.index}"
-    simple = {
-        Succ: "succ", Add: "add", Monus: "monus", Mul: "mul", Div: "div",
-        Pow2: "pow2", Log2: "log2", PairOp: "pair", UnpairL: "unpair-left",
-        UnpairR: "unpair-right",
-    }
-    for kind, name in simple.items():
-        if isinstance(t, kind):
-            return f"{pad}{name}"
-    if isinstance(t, Comp):
-        lines = [f"{pad}comp", disassemble(t.func, indent + 1)]
-        lines += [disassemble(a, indent + 1) for a in t.args]
-        return "\n".join(lines)
-    if isinstance(t, PrimRec):
-        return "\n".join([f"{pad}primrec", disassemble(t.base, indent + 1), disassemble(t.step, indent + 1)])
-    if isinstance(t, Mu):
-        return "\n".join([f"{pad}mu", disassemble(t.pred, indent + 1)])
-    if isinstance(t, Query):
-        return "\n".join([f"{pad}query", disassemble(t.pos, indent + 1)])
-    if isinstance(t, Apply):
-        lines = [f"{pad}apply", disassemble(t.func, indent + 1)]
-        lines += [disassemble(a, indent + 1) for a in t.args]
-        return "\n".join(lines)
-    raise TypeError(f"not a program node: {t!r}")
+    tree = decode(program) if isinstance(program, int) else program
+    lines = []
+    for t, depth in _preorder(tree):
+        line = "  " * (indent + depth) + t._kind.listing
+        lines.append(line if t._kind.shape != _INT else f"{line} {t._number}")
+    return "\n".join(lines)

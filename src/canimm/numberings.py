@@ -65,9 +65,6 @@ class Numbering:
     def member(self, x: int, i: int) -> bool:
         return x in self.value(i)
 
-    def max_of(self, i: int) -> int:
-        return self.value(i).max_value()
-
     def membership_program(self) -> int:
         """Total program deciding (x, i) -> whether x is in the i-th set."""
         return encode(pg.bit_(pg.P0, pg.comp(decode(self.rule), pg.P1)))

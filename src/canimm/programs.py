@@ -27,8 +27,6 @@ from .machine import (
     Proj,
     Query,
     Succ,
-    UnpairL,
-    UnpairR,
     encode,
 )
 
@@ -77,30 +75,13 @@ def pair_(a: Node, b: Node) -> Node:
     return comp(PairOp(), a, b)
 
 
-def left_(a: Node) -> Node:
-    return comp(UnpairL(), a)
-
-
-def right_(a: Node) -> Node:
-    return comp(UnpairR(), a)
-
-
 def iszero_(a: Node) -> Node:
     # 1 if a == 0 else 0
     return monus_(c_(1), a)
 
 
-def sign_(a: Node) -> Node:
-    # 0 if a == 0 else 1
-    return monus_(c_(1), iszero_(a))
-
-
 def le_(a: Node, b: Node) -> Node:
     return iszero_(monus_(a, b))
-
-
-def lt_(a: Node, b: Node) -> Node:
-    return le_(succ_(a), b)
 
 
 def eq_(a: Node, b: Node) -> Node:
@@ -187,10 +168,6 @@ def succ_code() -> int:
 @lru_cache(maxsize=None)
 def zero_code() -> int:
     return encode(Const(0))
-
-
-def const_code(v: int) -> int:
-    return encode(Const(v))
 
 
 @lru_cache(maxsize=None)

@@ -59,6 +59,14 @@ def test_decode_is_total(code):
     M.decode(code)  # never raises; ill-formed codes become the diverger
 
 
+@given(st.integers(min_value=0, max_value=1 << 4096))
+@settings(max_examples=300)
+def test_decode_is_total_on_large_codes(code):
+    tree = M.decode(code)
+    # a code either decodes to the tree it encodes or is ill-formed
+    assert tree == M.ALWAYS_DIVERGE or M.encode(tree) == code
+
+
 def test_ill_formed_codes_diverge():
     assert M.decode(0) == M.ALWAYS_DIVERGE
     for code in (1, 2, 3, 9, 31):
@@ -237,11 +245,12 @@ def _ref_outcome(tree, args, budget, oracle=None):
 
 
 _SEARCHES = [M.Mu(M.Const(c)) for c in (0, 1, 5)]
+_NULLARY_NODES = [cls() for cls in M._CLASSES if cls._kind.shape == M._TREE and not cls._kind.fields]
 _shortcut_trees = st.recursive(
     st.one_of(
         st.sampled_from(_SEARCHES),
         st.builds(M.Proj, st.integers(0, 2)),
-        st.sampled_from(list(M._NULLARY.values())),
+        st.sampled_from(_NULLARY_NODES),
         # constants include codes, so that Apply can reach a search
         st.builds(M.Const, st.sampled_from([0, 1, 2, 7, 34, M.encode(M.Succ()), *map(M.encode, _SEARCHES)])),
     ),
@@ -506,6 +515,91 @@ def test_eval_total_budget_cap_rounds_up_to_a_doubling_step():
         M.eval_total_steps(add, [43, 0], max_budget=100)
 
 
+_ADD_LISTING = """\
+primrec
+  proj 0
+  comp
+    succ
+    proj 1"""
+
+_DIAGONAL_BUILDER_LISTING = """\
+comp
+  add
+  comp
+    mul
+    comp
+      add
+      comp
+        mul
+        comp
+          add
+          comp
+            mul
+            comp
+              add
+              comp
+                mul
+                const 3166272
+                comp
+                  pow2
+                  comp
+                    monus
+                    comp
+                      add
+                      comp
+                        succ
+                        comp
+                          log2
+                          comp
+                            succ
+                            proj 0
+                      comp
+                        succ
+                        comp
+                          log2
+                          comp
+                            succ
+                            proj 0
+                    const 1
+              comp
+                succ
+                proj 0
+            const 32
+          const 0
+        comp
+          pow2
+          comp
+            monus
+            comp
+              add
+              comp
+                succ
+                comp
+                  log2
+                  comp
+                    succ
+                    proj 0
+              comp
+                succ
+                comp
+                  log2
+                  comp
+                    succ
+                    proj 0
+            const 1
+      comp
+        succ
+        proj 0
+    const 64
+  const 3"""
+
+
+def test_disassembly_listings_are_pinned():
+    assert M.disassemble(pg.add_code()) == _ADD_LISTING
+    assert M.disassemble(M._diagonal_builder_tree()) == _DIAGONAL_BUILDER_LISTING
+    assert M.disassemble(pg.add_code(), indent=2) == "\n".join("    " + line for line in _ADD_LISTING.splitlines())
+
+
 def test_disassembly_one_instruction_per_line():
     listing = M.disassemble(pg.add_code())
     lines = listing.splitlines()
@@ -519,3 +613,131 @@ def test_word_cost_charges_for_large_shifts():
     # diverge instead of allocating
     tree = M.Comp(M.Pow2(), (M.Const(1 << 30),))
     assert not M.eval_bounded(M.encode(tree), [], 10_000).converged
+
+
+# -- the node table: equality, immutability, deep trees ----------------------
+
+
+def test_node_repr_and_keywords_match_the_field_names():
+    tree = M.Apply(M.Mu(M.Query(M.Const(7))), (M.PrimRec(M.Add(), M.UnpairL()),))
+    assert repr(tree) == "Apply(func=Mu(pred=Query(pos=Const(value=7))), args=(PrimRec(base=Add(), step=UnpairL()),))"
+    assert repr(M.Comp(M.Proj(1), ())) == "Comp(func=Proj(index=1), args=())"
+    assert M.Comp(func=M.Succ(), args=(M.Proj(index=0),)) == M.Comp(M.Succ(), (M.Proj(0),))
+    assert tree.args[0].step == M.UnpairL() and tree.func.pred.pos.value == 7
+    with pytest.raises(TypeError):
+        M.Const()
+    with pytest.raises(TypeError):
+        M.Mu(M.Succ(), pos=M.Succ())
+
+
+def test_nodes_of_different_kinds_with_equal_fields_are_unequal():
+    pairs = [
+        (M.Const(3), M.Proj(3)),
+        (M.Succ(), M.Add()),
+        (M.Mu(M.Const(0)), M.Query(M.Const(0))),
+        (M.Comp(M.Succ(), (M.Proj(0),)), M.Apply(M.Succ(), (M.Proj(0),))),
+        (M.Comp(M.Const(1), (M.Mu(M.Proj(0)),)), M.Comp(M.Const(1), (M.Query(M.Proj(0)),))),
+    ]
+    for a, b in pairs:
+        assert a != b and not a == b
+    assert M.Const(3) != 3
+    assert len({M.Comp(M.Succ(), (M.Proj(0),)), M.Comp(M.Succ(), (M.Proj(0),))}) == 1
+
+
+def test_setting_an_attribute_on_a_node_raises():
+    node = M.Comp(M.Succ(), (M.Const(4),))
+    with pytest.raises(AttributeError):
+        node.func = M.Add()
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    with pytest.raises(AttributeError):
+        del node.args
+    assert node == M.Comp(M.Succ(), (M.Const(4),))
+
+
+@given(_shortcut_trees)
+@settings(max_examples=200, deadline=None)
+def test_random_trees_round_trip(tree):
+    assert M.decode(M.encode(tree)) == tree
+
+
+_DEEP = 10_000
+_LISTED = 2_000  # past the default recursion limit, with a listing of a few MB
+_CHAINS = {
+    # wrap, repr opening and closing per level, nodes per level, total tier, arity bound
+    "mu": (M.Mu, "Mu(pred=", ")", 1, False, 0),
+    "query": (M.Query, "Query(pos=", ")", 1, False, 1),
+    "comp": (lambda t: M.Comp(M.Succ(), (t,)), "Comp(func=Succ(), args=(", ",))", 2, True, 1),
+}
+
+
+def _chain(wrap, depth):
+    tree = M.Proj(0)
+    for _ in range(depth):
+        tree = wrap(tree)
+    return tree
+
+
+@pytest.mark.parametrize("name", sorted(_CHAINS))
+def test_deep_trees_go_through_every_walk(name):
+    wrap, opening, closing, nodes, total, arity = _CHAINS[name]
+    tree, twin = _chain(wrap, _DEEP), _chain(wrap, _DEEP)
+    code = M.encode(tree)
+    assert M.decode(code) == tree == twin and hash(tree) == hash(twin) == hash(M.decode(code))
+    assert tree != _chain(wrap, _DEEP - 1)
+    assert M.is_total_tier(code) is total and M.arity_bound(code) == arity
+    # a listing indents each level, so its size is quadratic in the depth
+    listing = M.disassemble(_chain(wrap, _LISTED)).splitlines()
+    assert len(listing) == nodes * _LISTED + 1 and listing[-1] == "  " * _LISTED + "proj 0"
+    assert repr(tree) == opening * _DEEP + "Proj(index=0)" + closing * _DEEP
+    assert M._compile(tree)[1] == _DEEP + 1
+    with pytest.raises(M.ProgramDepthError):
+        M.eval_bounded(code, [2], 10**6)
+
+
+# -- the nesting limit ----------------------------------------------------------
+
+
+def _outcome(code, args, budget):
+    try:
+        return M.eval_bounded(code, args, budget)
+    except M.ProgramDepthError:
+        return "too deep"
+
+
+def _in_nested_frames(depth, call):
+    return call() if depth == 0 else _in_nested_frames(depth - 1, call)
+
+
+_SELF_APPLY = M.encode(M.Apply(M.Proj(0), (M.Proj(0),)))
+
+
+@pytest.mark.parametrize(
+    "code,args,budget,expected",
+    [
+        # a chain of arguments takes two Python frames per level
+        (M.encode(_chain(_CHAINS["comp"][0], M.MAX_NESTING - 1)), [2], 10**6, M.Outcome(M.MAX_NESTING + 1, 2 * M.MAX_NESTING - 1)),
+        (M.encode(_chain(_CHAINS["comp"][0], M.MAX_NESTING)), [2], 10**6, "too deep"),
+        (_SELF_APPLY, [_SELF_APPLY], 300, M.DIVERGED),
+        (_SELF_APPLY, [_SELF_APPLY], 10**4, "too deep"),
+        (_SELF_APPLY, [_SELF_APPLY], 10**6, "too deep"),
+    ],
+    ids=["chain-at-limit", "chain-past-limit", "self-apply-300", "self-apply-10^4", "self-apply-10^6"],
+)
+def test_the_nesting_limit_does_not_depend_on_the_callers_stack(code, args, budget, expected):
+    assert _outcome(code, args, budget) == expected
+    assert _in_nested_frames(300, lambda: _outcome(code, args, budget)) == expected
+
+
+def test_program_depth_error_is_a_value_error():
+    assert issubclass(M.ProgramDepthError, ValueError)
+
+
+@pytest.mark.parametrize("budget", [-1, -3])
+def test_negative_budgets_raise_everywhere(budget):
+    code = M.encode(M.Proj(0))
+    for run in (M.we_bounded, M.we_enumeration, lambda e, b: M.eval_bounded(e, [0], b)):
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            run(code, budget)
+    with pytest.raises(ValueError):
+        M.we_bounded(pg.diverge_code(), budget)

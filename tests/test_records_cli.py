@@ -5,6 +5,7 @@ import pytest
 
 from canimm import cli
 from canimm import constructions as C
+from canimm import machine as M
 from canimm.numberings import default_pool
 from canimm.records import parse_trace, parse_value, render_trace, render_value
 
@@ -142,6 +143,37 @@ def test_build_hi_not_ci_without_blocks_errors():
 
 def test_measure_negative_n_errors():
     _assert_input_error(run_cli("measure", "-1", "3"))
+
+
+def test_check_witness_trace_without_witness_rule_errors(tmp_path):
+    trace = tmp_path / "hnc.trace"
+    assert run_cli("build", "hi-not-ci", "--blocks", "6", "--out", str(trace)).returncode == 0
+    stripped = tmp_path / "no-rule.trace"
+    stripped.write_text("".join(line for line in trace.read_text().splitlines(True) if "witness_rule" not in line))
+    _assert_input_error(run_cli("check", "immunity", str(stripped), "--expect-fail"))
+
+
+def test_check_schnorr_with_malformed_missed_blocks_errors(tmp_path):
+    trace = tmp_path / "generic.trace"
+    flags = ("--index-bound", "6", "--blocks", "4", "--markers", "5", "--stages", "120")
+    assert run_cli("build", "generic", *flags, "--out", str(trace)).returncode == 0
+    lines = trace.read_text().splitlines(True)
+    retyped = [("meta\tmissed_blocks\tx\n" if line.startswith("meta\tmissed_blocks\t") else line) for line in lines]
+    assert retyped != lines
+    bad = tmp_path / "bad.trace"
+    bad.write_text("".join(retyped))
+    _assert_input_error(run_cli("check", "schnorr", str(bad)))
+
+
+def test_build_with_a_too_deep_pool_rule_errors(tmp_path):
+    rule = M.Proj(0)
+    for _ in range(M.MAX_NESTING):
+        rule = M.Comp(M.Succ(), (rule,))
+    pool_file = tmp_path / "pool.tsv"
+    pool_file.write_text(f"0\t{M.encode(rule)}\t1\tdeep\n")
+    result = run_cli("build", "delta2", "--stages", "10", "--markers", "2", "--pool", str(pool_file))
+    _assert_input_error(result)
+    assert "nest" in result.stderr
 
 
 def test_check_domination_and_effective(tmp_path):
