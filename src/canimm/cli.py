@@ -195,7 +195,10 @@ def cmd_check(args) -> int:
     lines = []
     found_fail = False
     if args.suite == "schnorr":
-        prefix = parsed.prefixes["R"]
+        prefix = parsed.prefixes.get("R")
+        if prefix is None:
+            print("error: a schnorr check needs the trace's prefix R line", file=sys.stderr)
+            return 1
         missed = parsed.meta.get("missed_blocks", [])
         if not _int_list(missed):
             print("error: meta missed_blocks must be a list of block indices", file=sys.stderr)

@@ -5,15 +5,19 @@ represented by total-tier programs enumerating them in strictly increasing
 order, which makes infinitude structural (the characteristic-function
 coding would leave it a two-quantifier question; a converter from that
 coding is provided and requires an explicit scan bound as its infinitude
-witness).  Each dense family of conditions is realized as a deterministic
-condition-transformer: meeting the family means applying its transformer,
-and every transformer's output extends its input under the three-clause
-extension order, verified on enumerations truncated at a horizon.
+witness).  The program is the reservoir's representation in traces; its
+values are read natively, from explicit head values followed by a leaf
+program's values, so a derived reservoir never runs its nested program
+in the interpreter.  Each dense family of conditions is realized as a
+deterministic condition-transformer: meeting the family means applying
+its transformer, and every transformer's output extends its input under
+the three-clause extension order, verified on enumerations truncated at a
+horizon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import programs as pg
@@ -41,28 +45,56 @@ class ExtensionOrderError(RuntimeError):
 
 @memo
 def _enum_values(enumerator: int) -> list[int]:
-    """The value list that ComputableSet.values shares and extends in place."""
+    """The value list of a leaf code, shared by its sets and extended in place."""
     return []
 
 
 @dataclass(frozen=True)
 class ComputableSet:
-    """Infinite computable set given by a strictly increasing enumerator."""
+    """Infinite computable set given by a strictly increasing enumerator.
+
+    `enumerator` is the set's program, the form traces record.  Values are
+    read natively from a normal form instead: the explicit `head` values,
+    then the values of the `leaf` code from index `offset` on.  A set built
+    from a code is its own leaf; `shifted` and `with_table_prefix` derive the
+    child's normal form from the parent's, so only leaf codes ever run in
+    the interpreter, whatever the nesting of the derived program.  Callers
+    pass only `enumerator`; the derivations fill in the other fields.
+    """
 
     enumerator: int
+    head: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    leaf: int | None = field(default=None, compare=False, repr=False)
+    offset: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self):
         if not is_total_tier(self.enumerator):
             raise NotTotalTierError("reservoir enumerators must be total-tier")
+        if self.leaf is None:
+            object.__setattr__(self, "leaf", self.enumerator)
+        object.__setattr__(self, "_tail", _enum_values(self.leaf))
+
+    def _tail_to(self, index: int) -> list[int]:
+        """The leaf's value list, evaluated up to `index` inclusive."""
+        tail = self._tail
+        while len(tail) <= index:
+            tail.append(eval_total(self.leaf, (len(tail),)))
+        return tail
 
     def values(self, count: int) -> list[int]:
-        cache = _enum_values(self.enumerator)
-        while len(cache) < count:
-            cache.append(eval_total(self.enumerator, (len(cache),)))
-        return cache[:count]
+        head = self.head
+        if count <= len(head):
+            return list(head[:count])
+        start = self.offset
+        stop = start + count - len(head)
+        return [*head, *self._tail_to(stop - 1)[start:stop]]
 
     def value(self, n: int) -> int:
-        return self.values(n + 1)[n]
+        head = self.head
+        if n < len(head):
+            return head[n]
+        index = n - len(head) + self.offset
+        return self._tail_to(index)[index]
 
     def check_increasing(self, horizon: int = 16) -> None:
         vals = self.values(horizon + 1)
@@ -88,11 +120,16 @@ class ComputableSet:
     def odds(cls) -> "ComputableSet":
         return cls(encode(pg.succ_(pg.mul_(pg.c_(2), pg.P0))))
 
+    def _derived(self, tree, head: tuple[int, ...], skip: int) -> "ComputableSet":
+        """The set with program `tree` that reads `head`, then this set's
+        values from index len(self.head) + skip on."""
+        return ComputableSet(encode(tree), head, self.leaf, self.offset + skip)
+
     def shifted(self, k: int) -> "ComputableSet":
         if k == 0:
             return self
         tree = pg.comp(decode(self.enumerator), pg.add_(pg.P0, pg.c_(k)))
-        return ComputableSet(encode(tree))
+        return self._derived(tree, self.head[k:], max(0, k - len(self.head)))
 
     def with_table_prefix(self, values: Sequence[int], tail_index: int) -> "ComputableSet":
         """Enumerator taking the given values first, then this enumerator
@@ -104,7 +141,8 @@ class ComputableSet:
         tail_at = pg.add_(pg.monus_(pg.P0, pg.c_(count)), pg.c_(tail_index))
         tail = pg.comp(decode(self.enumerator), tail_at)
         tree = pg.add_(pg.mul_(pg.monus_(pg.c_(1), past), table), pg.mul_(past, tail))
-        return ComputableSet(encode(tree))
+        head = (*values, *self.head[tail_index:])
+        return self._derived(tree, head, max(0, tail_index - len(self.head)))
 
 
 def computable_set_from_characteristic(chi: int, scan_bound: int, count: int) -> ComputableSet:

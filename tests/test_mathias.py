@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from canimm import machine as M
 from canimm import mathias as mt
 from canimm import numberings as nb
 from canimm import programs as pg
 from canimm.finitesets import FiniteSet, code_of
-from canimm.machine import encode, we_bounded
+from canimm.machine import decode, encode, eval_total, we_bounded
 
 
 def _set(*elements):
@@ -206,3 +209,85 @@ def test_characteristic_converter():
         mt.computable_set_from_characteristic(chi, 6, 10)  # witness too weak
     with pytest.raises(mt.NotTotalTierError):
         mt.computable_set_from_characteristic(pg.diverge_code(), 10, 2)
+
+
+# ---------------------------------------------------------------------------
+# Native reservoir values against the programs that traces record
+
+
+def _lowered_shift(code, k):
+    """The enumerator of a k-shift, built as a nested program."""
+    if k == 0:
+        return code
+    return encode(pg.comp(decode(code), pg.add_(pg.P0, pg.c_(k))))
+
+
+def _lowered_table(code, values, tail_index):
+    """The enumerator of a table prefix, built as a nested program."""
+    count = len(values)
+    table = pg.packed_select_(list(values), pg.P0)
+    past = pg.le_(pg.c_(count), pg.P0)
+    tail_at = pg.add_(pg.monus_(pg.P0, pg.c_(count)), pg.c_(tail_index))
+    tail = pg.comp(decode(code), tail_at)
+    return encode(pg.add_(pg.mul_(pg.monus_(pg.c_(1), past), table), pg.mul_(past, tail)))
+
+
+_LEAVES = (
+    mt.ComputableSet.naturals,
+    mt.ComputableSet.evens,
+    mt.ComputableSet.odds,
+    lambda: mt.computable_set_from_characteristic(encode(pg.parity_(pg.P0)), 40, 10),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_LEAVES), st.data())
+def test_native_values_match_the_lowered_program(leaf, data):
+    cs = leaf()
+    for _ in range(data.draw(st.integers(0, 6), label="steps")):
+        if data.draw(st.booleans(), label="shift"):
+            k = data.draw(st.integers(0, 5), label="k")
+            expected = _lowered_shift(cs.enumerator, k)
+            cs = cs.shifted(k)
+        else:
+            tail_index = data.draw(st.integers(0, 5), label="tail_index")
+            below = cs.value(tail_index)
+            values = sorted(data.draw(st.sets(st.integers(0, below - 1), max_size=3), label="values")) if below else []
+            expected = _lowered_table(cs.enumerator, values, tail_index)
+            cs = cs.with_table_prefix(values, tail_index)
+        assert cs.enumerator == expected
+    horizon = 14
+    native = [cs.value(n) for n in range(horizon)]
+    assert native == cs.values(horizon)
+    assert native == [eval_total(cs.enumerator, (n,)) for n in range(horizon)]
+    cs.check_increasing(horizon)
+
+
+def test_build_generic_runs_only_leaf_codes(monkeypatch, pool):
+    leaf = mt.ComputableSet(encode(pg.add_(pg.P0, pg.c_(5))))
+    codes = set()
+    run_total = M.eval_total_steps
+
+    def counting(e, args, *rest):
+        codes.add(e)
+        return run_total(e, args, *rest)
+
+    monkeypatch.setattr(M, "eval_total_steps", counting)
+    schedule = mt.default_schedule(list(pool), thin_count=12, avoid_count=6, stem_target=8)
+    run = mt.build_generic(mt.Condition.empty(leaf), schedule, horizon=200)
+    derived = {cond.reservoir.enumerator for _, cond in run.chain} - {leaf.enumerator}
+    assert len(derived) == len(run.chain) - 1
+    assert all(cond.reservoir.leaf == leaf.enumerator for _, cond in run.chain)
+    assert leaf.enumerator in codes
+    assert codes <= {leaf.enumerator, *pool.codes()}  # reservoir leaf and numbering rules only
+
+
+def test_long_size_schedules_do_not_nest_the_interpreter():
+    # 260 shifts nest the final enumerator past MAX_NESTING, so it cannot run;
+    # the values are read natively, so the chain still builds
+    run = mt.build_generic(mt.Condition.empty(), [mt.size_step(n) for n in range(1, 261)], horizon=5)
+    assert run.prefix.members() == tuple(range(260))
+    final = run.chain[-1][1].reservoir
+    assert final.values(3) == [260, 261, 262]
+    with pytest.raises(M.ProgramDepthError):
+        eval_total(final.enumerator, (0,))

@@ -165,6 +165,18 @@ def test_check_schnorr_with_malformed_missed_blocks_errors(tmp_path):
     _assert_input_error(run_cli("check", "schnorr", str(bad)))
 
 
+def test_check_schnorr_without_prefix_errors(tmp_path):
+    trace = tmp_path / "generic.trace"
+    flags = ("--index-bound", "6", "--blocks", "4", "--markers", "5", "--stages", "120")
+    assert run_cli("build", "generic", *flags, "--out", str(trace)).returncode == 0
+    lines = trace.read_text().splitlines(True)
+    kept = [line for line in lines if not line.startswith("prefix\tR\t")]
+    assert len(kept) == len(lines) - 1
+    stripped = tmp_path / "no-prefix.trace"
+    stripped.write_text("".join(kept))
+    _assert_input_error(run_cli("check", "schnorr", str(stripped)))
+
+
 def test_build_with_a_too_deep_pool_rule_errors(tmp_path):
     rule = M.Proj(0)
     for _ in range(M.MAX_NESTING):
