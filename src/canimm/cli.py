@@ -13,21 +13,9 @@ import sys
 from pathlib import Path
 
 from . import checkers, constructions as cons, mathias, programs as pg, schnorr
-from .machine import ProgramDepthError, encode, is_total_tier
+from .machine import encode, is_total_tier
 from .numberings import Numbering, Registry, default_pool
 from .records import parse_trace, render_trace, render_value
-
-BUILD_NAMES = (
-    "delta2",
-    "bci",
-    "cofinal",
-    "ci-hi",
-    "ci-not-hi",
-    "hi-not-ci",
-    "effectivize",
-    "2generic-witness",
-    "generic",
-)
 
 CHECK_SUITES = ("immunity", "domination", "effective", "schnorr")
 
@@ -73,67 +61,61 @@ def _fill_pairs(pool, index_bound: int) -> int:
     return cons.pool_value_ceiling(list(pool), index_bound) // 2 + 2
 
 
+def _with_r(prefix, trace):
+    return trace, {"R": prefix}
+
+
+def _build_bci(pool, args):
+    r, q, trace = cons.bci_run(list(pool), args.stages, _fill_pairs(pool, args.index_bound))
+    return trace, {"Q": q, "R": r}
+
+
+def _build_effectivize(pool, args):
+    base, _ = cons.delta2_prefix(pool.codes(), args.stages, args.markers)
+    quotient, trace = cons.effectivize_inside(base, args.markers // 2, args.budget)
+    trace.meta["base_stages"] = args.stages
+    return trace, {"Q": quotient, "R": base}
+
+
+def _build_2generic_witness(pool, args):
+    _, _, trace = cons.build_2generic_witness(
+        "", pg.enumerate_oracle_ones_code(), pg.zero_code(), args.index_bound, args.index_bound
+    )
+    return trace, {}
+
+
+def _build_generic(pool, args):
+    schedule = mathias.default_schedule(
+        list(pool), thin_count=args.index_bound, avoid_count=args.blocks, stem_target=args.markers
+    )
+    run = mathias.build_generic(mathias.Condition.empty(), schedule, horizon=args.stages)
+    return run.trace, {"R": run.prefix}
+
+
+# name -> (pool, args) -> (trace, prefixes by label).  Every entry reads the
+# library function off its module at call time, so a wrapper installed on
+# the module (a profiler's, say) sees the call.
+BUILDS = {
+    "delta2": lambda pool, args: _with_r(*cons.delta2_prefix(pool.codes(), args.stages, args.markers)),
+    "bci": _build_bci,
+    "cofinal": lambda pool, args: _with_r(*cons.cofinal_encode(list(pool), DEFAULT_COFINAL_BITS)),
+    "ci-hi": lambda pool, args: _with_r(*cons.ci_hi_run(list(pool), default_functions(), args.stages)),
+    "ci-not-hi": lambda pool, args: _with_r(
+        *cons.ci_not_hi_run(list(pool), args.stages, _fill_pairs(pool, args.index_bound))
+    ),
+    "hi-not-ci": lambda pool, args: _with_r(*cons.hi_not_ci_run(default_functions(), args.blocks, target_index=0)),
+    "effectivize": _build_effectivize,
+    "2generic-witness": _build_2generic_witness,
+    "generic": _build_generic,
+}
+
+
 def cmd_build(args) -> int:
     pool = _load_pool(args.pool)
     if pool is None:
         return 1
-    name = args.construction
-    if name == "delta2":
-        prefix, trace = cons.delta2_prefix(pool.codes(), args.stages, args.markers)
-        prefixes = {"R": prefix}
-    elif name == "bci":
-        r, q, trace = cons.bci_run(list(pool), args.stages, _fill_pairs(pool, args.index_bound))
-        prefixes = {"Q": q, "R": r}
-    elif name == "cofinal":
-        prefix, trace = cons.cofinal_encode(list(pool), DEFAULT_COFINAL_BITS)
-        prefixes = {"R": prefix}
-    elif name == "ci-hi":
-        prefix, trace = cons.ci_hi_run(list(pool), default_functions(), args.stages)
-        prefixes = {"R": prefix}
-    elif name == "ci-not-hi":
-        prefix, trace = cons.ci_not_hi_run(list(pool), args.stages, _fill_pairs(pool, args.index_bound))
-        prefixes = {"R": prefix}
-    elif name == "hi-not-ci":
-        if args.blocks < 1:
-            print("error: hi-not-ci needs --blocks of at least 1", file=sys.stderr)
-            return 1
-        result = cons.hi_not_ci_run(default_functions(), args.blocks, target_index=0)
-        result.trace.meta["witness_rule"] = result.witness_rule
-        result.trace.meta["witness_positions"] = list(result.witness_positions)
-        trace, prefixes = result.trace, {"R": result.prefix}
-    elif name == "effectivize":
-        base, _ = cons.delta2_prefix(pool.codes(), args.stages, args.markers)
-        quotient, trace = cons.effectivize_inside(base, args.markers // 2, args.budget)
-        trace.meta["base_stages"] = args.stages
-        prefixes = {"Q": quotient, "R": base}
-    elif name == "2generic-witness":
-        entries, numbering, trace = cons.build_2generic_witness(
-            "", pg.enumerate_oracle_ones_code(), pg.zero_code(), args.index_bound, args.index_bound
-        )
-        trace.meta["witness_rule"] = numbering.rule
-        prefixes = {}
-    elif name == "generic":
-        schedule = mathias.default_schedule(
-            list(pool), thin_count=args.index_bound, avoid_count=args.blocks, stem_target=args.markers
-        )
-        try:
-            run = mathias.build_generic(mathias.Condition.empty(), schedule, horizon=args.stages)
-        except mathias.ExtensionOrderError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        run.trace.meta["missed_blocks"] = list(run.avoidance.missed_blocks) if run.avoidance else []
-        run.trace.meta["thin_certs"] = [
-            (c.numbering_id, c.start, c.bound) for c in run.thin_certificates
-        ]
-        trace, prefixes = run.trace, {"R": run.prefix}
-    else:
-        raise AssertionError(name)
-    try:
-        text = render_trace(trace, prefixes)
-    except ValueError as err:  # an integer past Python's int->str digit limit
-        print(f"error: cannot render the {name} trace: {err}", file=sys.stderr)
-        return 1
-    _emit(text, args.out)
+    trace, prefixes = BUILDS[args.construction](pool, args)
+    _emit(render_trace(trace, prefixes), args.out)
     return 0
 
 
@@ -235,18 +217,10 @@ def cmd_measure(args) -> int:
     if args.n < 0:
         print("error: need n >= 0", file=sys.stderr)
         return 1
-    if args.m <= args.n:
-        print("error: need M > n", file=sys.stderr)
-        return 1
     value = schnorr.measure_U_trunc(args.n, args.m)
     bound = schnorr.DyadicRational.power(args.n)
     ok = value <= bound
-    try:
-        text = f"{value.serialize()} ≤ {bound.serialize()}: {'true' if ok else 'false'}"
-    except ValueError as err:  # an integer past Python's int->str digit limit
-        print(f"error: cannot print the measure: {err}", file=sys.stderr)
-        return 1
-    print(text)
+    print(f"{value.serialize()} ≤ {bound.serialize()}: {'true' if ok else 'false'}")
     return 0 if ok else 2
 
 
@@ -264,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="run a construction and emit its trace")
-    b.add_argument("construction", choices=BUILD_NAMES)
+    b.add_argument("construction", choices=BUILDS)
     b.add_argument("--stages", type=int, default=1000)
     b.add_argument("--markers", type=int, default=32)
     b.add_argument("--index-bound", type=int, default=16)
@@ -308,7 +282,10 @@ def main(argv=None) -> int:
     _positive(parser, args)
     try:
         return args.func(args)
-    except ProgramDepthError as err:
+    except mathias.ExtensionOrderError as err:  # a built chain broke the extension order
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    except ValueError as err:  # input the library rejects, ProgramDepthError among them
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -443,17 +443,7 @@ def h_even_rule_tree(f: int):
     return pg.interval_code_(pg.monus_(end, width), end)
 
 
-@dataclass(frozen=True)
-class HiNotCiResult:
-    prefix: SetPrefix
-    trace: ConstructionTrace
-    target_index: int
-    target_function: int
-    witness_rule: int
-    witness_positions: tuple[int, ...]
-
-
-def hi_not_ci_run(fns: Sequence[int], pair_count: int, target_index: int = 0) -> HiNotCiResult:
+def hi_not_ci_run(fns: Sequence[int], pair_count: int, target_index: int = 0) -> tuple[SetPrefix, ConstructionTrace]:
     """Union of blocks chosen to outrun every listed function.
 
     The p-th selection, for p = pair(i, k), takes a block of the i-th
@@ -462,8 +452,10 @@ def hi_not_ci_run(fns: Sequence[int], pair_count: int, target_index: int = 0) ->
     block's minimum is the (s+1)-st element of the set, which therefore
     overtakes f_i at that position (and infinitely often in the limit
     reading).  The same blocks feed a numbering with D(2n) = block(n) of
-    the target function, refuting that function as a modulus of immunity.
-    Function indices beyond the list are treated as the zero function.
+    the target function, refuting that function as a modulus of immunity;
+    the trace's meta carries its rule (witness_rule) and the indices 2n of
+    the chosen target blocks (witness_positions).  Function indices beyond
+    the list are treated as the zero function.
     """
     if pair_count < 1:
         raise ValueError("need at least one selection")
@@ -496,17 +488,9 @@ def hi_not_ci_run(fns: Sequence[int], pair_count: int, target_index: int = 0) ->
         trace.add(p, "select", fi, k, n, placed, bound, block_n.code)
         placed += len(block_n)
 
-    target = fns[target_index]
-    witness_rule = even_odd_rule_code(h_even_rule_tree(target))
-    prefix = SetPrefix(mask, mask.bit_length())
-    return HiNotCiResult(
-        prefix=prefix,
-        trace=trace,
-        target_index=target_index,
-        target_function=target,
-        witness_rule=witness_rule,
-        witness_positions=tuple(2 * n for n in sorted(chosen)),
-    )
+    trace.meta["witness_rule"] = even_odd_rule_code(h_even_rule_tree(fns[target_index]))
+    trace.meta["witness_positions"] = [2 * n for n in sorted(chosen)]
+    return SetPrefix(mask, mask.bit_length()), trace
 
 
 def replay_hi_not_ci(trace: ConstructionTrace) -> SetPrefix:
@@ -586,7 +570,8 @@ def build_2generic_witness(
     witness sets H(i, n): the first f(2 pair(i,n)) + 1 elements enumerated
     into the pumped domain.  Unresolved pumps stay unresolved; their table
     entries are simply absent (never fabricated).  The resulting numbering
-    has D(2 pair(i,n)) = H(i,n) and the standard numbering on odd indices.
+    has D(2 pair(i,n)) = H(i,n) and the standard numbering on odd indices;
+    its rule is the trace's meta witness_rule.
     """
     entries = []
     table: dict[int, int] = {}
@@ -612,8 +597,8 @@ def build_2generic_witness(
             beta = rho[len(tau):]
             entries.append(WitnessEntry(i, n, key, target, beta, witness))
             trace.add(key, "entry", i, n, target, witness.code)
-    registry = Registry()
-    numbering = registry.register(witness_rule_from_table(table), surjective=True, label="2generic-witness")
+    trace.meta["witness_rule"] = witness_rule_from_table(table)
+    numbering = Registry().register(trace.meta["witness_rule"], surjective=True, label="2generic-witness")
     return entries, numbering, trace
 
 

@@ -465,7 +465,10 @@ def build_generic(
     steps taken so far (the size families make generics infinite; here they
     keep the stem moving).  Every link of the chain is checked against the
     extension order at the horizon and a violation aborts with the step
-    named.  The final stem is the generic's finite approximation.
+    named.  The final stem is the generic's finite approximation.  The
+    trace's meta carries the stem, the blocks the avoidance step missed
+    (missed_blocks) and each thinning certificate's (numbering id, start,
+    bound) (thin_certs).
     """
     chain: list[tuple[str, Condition]] = [("start", start)]
     certificates: list[ThinCertificate] = []
@@ -493,6 +496,8 @@ def build_generic(
                 current = grown
     prefix = current.prefix()
     trace.meta["stem"] = current.stem.code
+    trace.meta["missed_blocks"] = list(avoidance.missed_blocks) if avoidance else []
+    trace.meta["thin_certs"] = [(c.numbering_id, c.start, c.bound) for c in certificates]
     return GenericRun(chain, prefix, certificates, avoidance, trace)
 
 

@@ -161,22 +161,24 @@ def test_ci_not_hi_criterion(pool):
 
 def test_hi_not_ci_criterion():
     fns = [pg.identity_code(), pg.zero_code(), pg.succ_code(), pg.double_code()]
-    result = C.hi_not_ci_run(fns, 6, target_index=0)
+    prefix, trace = C.hi_not_ci_run(fns, 6, target_index=0)
+    target = trace.meta["functions"][trace.meta["target_index"]]
+    positions = trace.meta["witness_positions"]
     registry = nb.Registry()
-    witness = registry.register(result.witness_rule, surjective=True, label="witness")
+    witness = registry.register(trace.meta["witness_rule"], surjective=True, label="witness")
 
     verdict = ck.check_canonical_immunity(
-        result.prefix,
-        result.target_function,
+        prefix,
+        target,
         [witness],
-        index_bound=max(result.witness_positions),
+        index_bound=max(positions),
         k_map={witness.id: 0},
     )
     assert verdict.failed
-    hit = [v for v in verdict.violations if v[1] in result.witness_positions]
+    hit = [v for v in verdict.violations if v[1] in positions]
     assert len(hit) >= 3, verdict.violations
     for violation in verdict.violations:
-        assert ck.reverify_immunity_violation(result.prefix, violation, [witness], result.target_function)
+        assert ck.reverify_immunity_violation(prefix, violation, [witness], target)
     _report("hi-not-ci", f"{len(hit)} recorded violations of the target modulus, each re-verified")
 
 

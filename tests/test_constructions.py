@@ -293,10 +293,10 @@ DEFAULT_FNS = (pg.identity_code(), pg.zero_code(), pg.succ_code(), pg.double_cod
 )
 def test_hi_not_ci_selects_least_block_clearing_the_mask(fns, max_pairs, target_index):
     for pair_count in range(1, max_pairs + 1):
-        result = C.hi_not_ci_run(list(fns), pair_count, target_index=target_index)
-        assert len(result.trace.records) == pair_count
+        prefix, trace = C.hi_not_ci_run(list(fns), pair_count, target_index=target_index)
+        assert len(trace.records) == pair_count
         mask = 0
-        for rec in result.trace.records:
+        for rec in trace.records:
             fi, _, n, _, bound, block_code = rec.fields
             f = fns[fi] if fi < len(fns) else pg.zero_code()
             blocks = C.h_blocks(f, n + 1)  # blocks[n] is h_block_at(f, n)
@@ -305,33 +305,36 @@ def test_hi_not_ci_selects_least_block_clearing_the_mask(fns, max_pairs, target_
             assert n > bound and blocks[n].min_value() >= top
             assert all(blocks[m].min_value() < top for m in range(bound + 1, n))
             mask |= block_code
-        assert mask == result.prefix.mask
+        assert mask == prefix.mask
 
 
 def test_hi_not_ci_selections_outrun_target(hinotci):
-    members = hinotci.prefix.members()
-    for rec in hinotci.trace.records:
+    prefix, trace = hinotci
+    members = prefix.members()
+    for rec in trace.records:
         fi, k, n, placed, bound, block_code = rec.fields
         block = FiniteSet(block_code)
         assert members[placed] == block.min_value()
         assert members[placed] >= n > bound
-    assert C.replay_hi_not_ci(hinotci.trace).mask == hinotci.prefix.mask
+    assert C.replay_hi_not_ci(trace).mask == prefix.mask
 
 
 def test_hi_not_ci_witness_numbering_refutes_target(hinotci):
+    prefix, trace = hinotci
+    positions = trace.meta["witness_positions"]
     reg = nb.Registry()
-    witness = reg.register(hinotci.witness_rule, surjective=True)
+    witness = reg.register(trace.meta["witness_rule"], surjective=True)
     verdict = ck.check_canonical_immunity(
-        hinotci.prefix,
-        hinotci.target_function,
+        prefix,
+        trace.meta["functions"][trace.meta["target_index"]],
         [witness],
-        index_bound=max(hinotci.witness_positions),
+        index_bound=max(positions),
         k_map={witness.id: 0},
     )
     assert verdict.failed
     hit = {i for (_, i, _, _) in verdict.violations}
-    assert set(hinotci.witness_positions) <= hit
-    assert len(hinotci.witness_positions) >= 3
+    assert set(positions) <= hit
+    assert len(positions) >= 3
 
 
 # ---------------------------------------------------------------- pumping

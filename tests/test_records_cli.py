@@ -6,7 +6,10 @@ import pytest
 from canimm import cli
 from canimm import constructions as C
 from canimm import machine as M
-from canimm.numberings import default_pool
+from canimm import mathias
+from canimm import programs as pg
+from canimm.finitesets import SetPrefix
+from canimm.numberings import default_pool, witness_rule_from_table
 from canimm.records import parse_trace, parse_value, render_trace, render_value
 
 
@@ -44,26 +47,104 @@ def test_measure_command_output_format():
     assert run_cli("measure", "2", "2").returncode == 1
 
 
-@pytest.mark.parametrize(
-    "name,flags",
-    [
-        ("delta2", ("--stages", "400", "--markers", "12")),
-        ("bci", ("--stages", "200", "--index-bound", "10")),
-        ("cofinal", ()),
-        ("ci-hi", ("--stages", "16")),
-        ("ci-not-hi", ("--stages", "200", "--index-bound", "10")),
-        ("hi-not-ci", ("--blocks", "6")),
-        ("effectivize", ("--stages", "400", "--markers", "12", "--budget", "96")),
-        ("2generic-witness", ("--index-bound", "1")),
-        ("generic", ("--index-bound", "6", "--blocks", "4", "--markers", "5", "--stages", "120")),
-    ],
-)
+def _replays_r(replay):
+    return lambda parsed: {"R": replay(parsed.trace())}
+
+
+def _replay_bci(parsed):
+    r, q = C.replay_bci(parsed.trace())
+    return {"Q": q, "R": r}
+
+
+def _replay_effectivize(parsed):
+    base = SetPrefix(parsed.meta["base_mask"], parsed.meta["base_length"])
+    return {"Q": C.replay_effectivize(parsed.trace()), "R": base}
+
+
+def _replay_2generic_witness(parsed):
+    assert witness_rule_from_table(C.replay_2generic(parsed.trace())) == parsed.meta["witness_rule"]
+    return {}
+
+
+def _replay_generic(parsed):
+    # generic chains record the transformer that produced every condition
+    conditions = [rec for rec in parsed.records if rec.rule == "condition"]
+    assert conditions and all(isinstance(rec.fields[0], str) for rec in conditions)
+    stem = conditions[-1].fields[1]  # the final stem is the prefix
+    return {"R": SetPrefix(stem, stem.bit_length())}
+
+
+# name -> the prefixes its trace replays to through the library
+REPLAYS = {
+    "delta2": _replays_r(C.replay_delta2),
+    "bci": _replay_bci,
+    "cofinal": _replays_r(C.replay_cofinal),
+    "ci-hi": _replays_r(C.replay_ci_hi),
+    "ci-not-hi": _replays_r(C.replay_ci_not_hi),
+    "hi-not-ci": _replays_r(C.replay_hi_not_ci),
+    "effectivize": _replay_effectivize,
+    "2generic-witness": _replay_2generic_witness,
+    "generic": _replay_generic,
+}
+
+BUILD_FLAGS = [
+    ("delta2", ("--stages", "400", "--markers", "12")),
+    ("bci", ("--stages", "200", "--index-bound", "10")),
+    ("cofinal", ()),
+    ("ci-hi", ("--stages", "16")),
+    ("ci-not-hi", ("--stages", "200", "--index-bound", "10")),
+    ("hi-not-ci", ("--blocks", "6")),
+    ("effectivize", ("--stages", "400", "--markers", "12", "--budget", "96")),
+    ("2generic-witness", ("--index-bound", "1")),
+    ("generic", ("--index-bound", "6", "--blocks", "4", "--markers", "5", "--stages", "120")),
+]
+
+
+@pytest.mark.parametrize("name,flags", BUILD_FLAGS)
 def test_build_commands_are_deterministic(tmp_path, name, flags):
+    """Every build the CLI offers gives the same bytes twice, and each of
+    its prefixes replays through the library."""
+    assert {n for n, _ in BUILD_FLAGS} == set(cli.BUILDS) == set(REPLAYS)
     first = tmp_path / "a.trace"
     second = tmp_path / "b.trace"
     assert run_cli("build", name, "--out", str(first), *flags).returncode == 0
     assert run_cli("build", name, "--out", str(second), *flags).returncode == 0
     assert first.read_bytes() == second.read_bytes()
+    parsed = parse_trace(first.read_text())
+    replayed = REPLAYS[name](parsed)
+    assert {label: (p.mask, p.length) for label, p in parsed.prefixes.items()} == {
+        label: (p.mask, p.length) for label, p in replayed.items()
+    }
+
+
+def _generic_run(pool):
+    schedule = mathias.default_schedule(list(pool), thin_count=6, avoid_count=4, stem_target=5)
+    run = mathias.build_generic(mathias.Condition.empty(), schedule, horizon=120)
+    return run.trace, {"R": run.prefix}
+
+
+def _hi_not_ci_run(pool):
+    prefix, trace = C.hi_not_ci_run(cli.default_functions(), 6, target_index=0)
+    return trace, {"R": prefix}
+
+
+def _2generic_witness_run(pool):
+    _, _, trace = C.build_2generic_witness("", pg.enumerate_oracle_ones_code(), pg.zero_code(), 1, 1)
+    return trace, {}
+
+
+@pytest.mark.parametrize(
+    "name,library_run",
+    [("hi-not-ci", _hi_not_ci_run), ("2generic-witness", _2generic_witness_run), ("generic", _generic_run)],
+    ids=["hi-not-ci", "2generic-witness", "generic"],
+)
+def test_library_trace_is_the_cli_trace(pool, name, library_run):
+    """The library writes every meta key the checks read: its trace, run
+    with the same parameters as BUILD_FLAGS[name], renders to the bytes
+    `canimm build` prints."""
+    result = run_cli("build", name, *dict(BUILD_FLAGS)[name])
+    assert result.returncode == 0, result.stderr
+    assert render_trace(*library_run(pool)) == result.stdout
 
 
 def test_build_rejects_bad_horizons():
@@ -220,36 +301,6 @@ def test_cli_pool_file_roundtrip(tmp_path):
     default_trace = tmp_path / "default.trace"
     assert run_cli("build", "delta2", "--stages", "300", "--markers", "8", "--out", str(default_trace)).returncode == 0
     assert trace.read_bytes() == default_trace.read_bytes()
-
-
-def test_cli_outputs_replay_through_the_library(tmp_path):
-    cases = {
-        "delta2": (("--stages", "400", "--markers", "12"), C.replay_delta2, "R"),
-        "ci-not-hi": (("--stages", "200", "--index-bound", "10"), C.replay_ci_not_hi, "R"),
-        "hi-not-ci": (("--blocks", "6"), C.replay_hi_not_ci, "R"),
-        "cofinal": ((), C.replay_cofinal, "R"),
-    }
-    for name, (flags, replay, label) in cases.items():
-        path = tmp_path / f"{name}.trace"
-        assert run_cli("build", name, "--out", str(path), *flags).returncode == 0
-        parsed = parse_trace(path.read_text())
-        assert replay(parsed.trace()).mask == parsed.prefixes[label].mask, name
-    # bci carries two prefixes
-    path = tmp_path / "bci.trace"
-    assert run_cli("build", "bci", "--stages", "200", "--index-bound", "10", "--out", str(path)).returncode == 0
-    parsed = parse_trace(path.read_text())
-    r, q = C.replay_bci(parsed.trace())
-    assert r.mask == parsed.prefixes["R"].mask and q.mask == parsed.prefixes["Q"].mask
-    # generic chains record the transformer that produced every condition
-    path = tmp_path / "generic.trace"
-    assert run_cli(
-        "build", "generic", "--index-bound", "6", "--blocks", "4", "--markers", "5", "--stages", "120",
-        "--out", str(path),
-    ).returncode == 0
-    parsed = parse_trace(path.read_text())
-    conditions = [rec for rec in parsed.records if rec.rule == "condition"]
-    assert conditions and all(isinstance(rec.fields[0], str) for rec in conditions)
-    assert conditions[-1].fields[1] == parsed.prefixes["R"].mask  # final stem is the prefix
 
 
 def test_main_entrypoint_callable():
