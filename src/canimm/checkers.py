@@ -9,10 +9,9 @@ pattern: by default the pool entry with registry index e is scanned from e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .finitesets import SetPrefix
+from .finitesets import Record, SetPrefix
 from .machine import eval_total, we_bounded
 from .numberings import Numbering
 
@@ -21,15 +20,15 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    violations: tuple[tuple, ...] = ()
-    horizon: tuple[tuple[str, object], ...] = ()
+class Verdict(Record):
+    __slots__ = ("status", "violations", "horizon")
 
-    def __post_init__(self):
-        if self.status == FAIL and not self.violations:
+    def __init__(
+        self, status: str, violations: tuple[tuple, ...] = (), horizon: tuple[tuple[str, object], ...] = ()
+    ):
+        if status == FAIL and not violations:
             raise ValueError("a Fail verdict needs at least one violation")
+        self._fill(status, violations, horizon)
 
     @property
     def passed(self) -> bool:

@@ -110,12 +110,34 @@ BUILDS = {
 }
 
 
+# The flag that bounds the integers in a construction's trace, for each
+# construction whose trace can pass Python's int->str digit limit.
+TRACE_SIZE_FLAGS = {
+    "effectivize": "--markers",
+    "hi-not-ci": "--blocks",
+    "2generic-witness": "--index-bound",
+    "generic": "--index-bound",
+}
+
+
+def _digit_limit_error(output: str, shrink: str) -> ValueError:
+    return ValueError(
+        f"{output} has an integer of more than {sys.get_int_max_str_digits()} decimal digits, "
+        f"Python's int->str limit; a smaller {shrink} shrinks it"
+    )
+
+
 def cmd_build(args) -> int:
     pool = _load_pool(args.pool)
     if pool is None:
         return 1
     trace, prefixes = BUILDS[args.construction](pool, args)
-    _emit(render_trace(trace, prefixes), args.out)
+    try:
+        text = render_trace(trace, prefixes)
+    except ValueError as err:  # str() of an integer past the digit limit
+        shrink = TRACE_SIZE_FLAGS.get(args.construction, "size flag")
+        raise _digit_limit_error(f"the {args.construction} trace", shrink) from err
+    _emit(text, args.out)
     return 0
 
 
@@ -220,7 +242,12 @@ def cmd_measure(args) -> int:
     value = schnorr.measure_U_trunc(args.n, args.m)
     bound = schnorr.DyadicRational.power(args.n)
     ok = value <= bound
-    print(f"{value.serialize()} ≤ {bound.serialize()}: {'true' if ok else 'false'}")
+    try:
+        text = value.serialize()
+    except ValueError as err:  # str() of an integer past the digit limit
+        output = f"the measure of U_{args.n} truncated at m = {args.m}"
+        raise _digit_limit_error(output, "m (the second argument)") from err
+    print(f"{text} ≤ {bound.serialize()}: {'true' if ok else 'false'}")
     return 0 if ok else 2
 
 

@@ -16,11 +16,10 @@ pair(i, i).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import programs as pg
-from .finitesets import FiniteSet, SetPrefix, subset_of_string
+from .finitesets import FiniteSet, Record, SetPrefix, subset_of_string
 from .machine import (
     eval_bounded,
     eval_total,
@@ -37,18 +36,18 @@ class TruncationError(ValueError):
     """A decode asked for more positions than the prefix holds."""
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    stage: int
-    rule: str
-    fields: tuple[int | str, ...] = ()
+class TraceRecord(Record):
+    __slots__ = ("stage", "rule", "fields")
+
+    def __init__(self, stage: int, rule: str, fields: tuple[int | str, ...] = ()):
+        self._fill(stage, rule, fields)
 
 
-@dataclass
-class ConstructionTrace:
-    name: str
-    meta: dict[str, object] = field(default_factory=dict)
-    records: list[TraceRecord] = field(default_factory=list)
+class ConstructionTrace(Record, frozen=False):
+    __slots__ = ("name", "meta", "records")
+
+    def __init__(self, name: str, meta: dict[str, object] | None = None, records: list[TraceRecord] | None = None):
+        self._fill(name, {} if meta is None else meta, [] if records is None else records)
 
     def add(self, stage: int, rule: str, *fields_: int | str):
         self.records.append(TraceRecord(stage, rule, tuple(fields_)))
@@ -507,14 +506,14 @@ def replay_hi_not_ci(trace: ConstructionTrace) -> SetPrefix:
 PUMP_FUEL_PER_BIT = 16
 
 
-@dataclass(frozen=True)
-class PumpResult:
+class PumpResult(Record):
     """Either the first witness extension in length-lex order, or an honest
     record that the bounded search ran out."""
 
-    rho: str | None
-    candidates_tried: int
-    best_size: int
+    __slots__ = ("rho", "candidates_tried", "best_size")
+
+    def __init__(self, rho: str | None, candidates_tried: int, best_size: int):
+        self._fill(rho, candidates_tried, best_size)
 
     @property
     def resolved(self) -> bool:
@@ -544,14 +543,11 @@ def alpha_string(i: int) -> str:
     return bin(i + 1)[3:]
 
 
-@dataclass(frozen=True)
-class WitnessEntry:
-    i: int
-    n: int
-    key: int
-    target: int
-    beta: str | None
-    witness: FiniteSet | None
+class WitnessEntry(Record):
+    __slots__ = ("i", "n", "key", "target", "beta", "witness")
+
+    def __init__(self, i: int, n: int, key: int, target: int, beta: str | None, witness: FiniteSet | None):
+        self._fill(i, n, key, target, beta, witness)
 
     @property
     def resolved(self) -> bool:

@@ -2,12 +2,64 @@
 
 The canonical code of a finite set F is the integer sum of 2**n over n in F,
 so a code doubles as a bitmask and subset tests are single integer ops.
+`Record`, the base of the package's record classes, lives here because
+this module imports nothing else from the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator
+
+
+class Record:
+    """Base of the package's record classes: plain slotted classes, which
+    cost next to nothing to define when the package is imported.
+
+    A record lists its fields in `__slots__` and takes them in that order in
+    its own `__init__`, which stores them with `_fill`.  The base gives `==`
+    between records of one class over the shown fields (every slot not named
+    in the class keyword `hidden`), a `Name(field=value, ...)` repr of them
+    and, unless the class says `frozen=False`, a hash of them and refusal of
+    assignment after construction.  Record classes are not subclassed: the
+    base reads the fields from each class's own `__slots__`.
+    """
+
+    __slots__ = ()
+    _shown: tuple[str, ...]
+
+    def __init_subclass__(cls, frozen: bool = True, hidden: tuple[str, ...] = (), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._shown = tuple(name for name in cls.__slots__ if name not in hidden)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._shown)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
 
 
 def code_of(elements: Iterable[int]) -> int:
@@ -19,22 +71,26 @@ def code_of(elements: Iterable[int]) -> int:
     return code
 
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
 def elements_of(code: int) -> tuple[int, ...]:
     if code < 0:
         raise ValueError("codes are nonnegative")
-    out = []
-    while code:
-        low = code & -code
-        out.append(low.bit_length() - 1)
-        code ^= low
-    return tuple(out)
+    # the binary digits lowest first, as bytes 0 and 1, select the positions
+    # in one pass; clearing the low bits one by one would copy the whole
+    # integer once per element
+    bits = bin(code)[:1:-1].encode().translate(_BIT_VALUES)
+    return tuple(compress(range(len(bits)), bits))
 
 
-@dataclass(frozen=True)
-class FiniteSet:
+class FiniteSet(Record):
     """A finite set of naturals, stored as its canonical code."""
 
-    code: int
+    __slots__ = ("code",)
+
+    def __init__(self, code: int):
+        self._fill(code)
 
     @classmethod
     def from_elements(cls, elements: Iterable[int]) -> "FiniteSet":
@@ -110,18 +166,17 @@ def subset_of_string(fs: FiniteSet, sigma: str) -> bool:
     return all(sigma[n] == "1" for n in fs.elements)
 
 
-@dataclass(frozen=True)
-class SetPrefix:
+class SetPrefix(Record):
     """Characteristic prefix of a constructed set: `length` bits of mask."""
 
-    mask: int
-    length: int
+    __slots__ = ("mask", "length")
 
-    def __post_init__(self):
-        if self.length < 0:
+    def __init__(self, mask: int, length: int):
+        if length < 0:
             raise ValueError("length must be nonnegative")
-        if self.mask >> self.length:
+        if mask >> length:
             raise ValueError("mask has bits at or beyond length")
+        self._fill(mask, length)
 
     @classmethod
     def from_members(cls, members: Iterable[int], length: int | None = None) -> "SetPrefix":
@@ -132,17 +187,14 @@ class SetPrefix:
 
     @classmethod
     def from_bits(cls, bits: str) -> "SetPrefix":
-        mask = 0
-        for pos, ch in enumerate(bits):
-            if ch == "1":
-                mask |= 1 << pos
-            elif ch != "0":
-                raise ValueError(f"bad bit {ch!r}")
-        return cls(mask, len(bits))
+        # int(..., 2) alone would also take "_", "+", "-" and spaces
+        if bits.count("0") + bits.count("1") != len(bits):
+            raise ValueError(f"bad bit {next(ch for ch in bits if ch not in '01')!r}")
+        return cls(int(bits[::-1], 2) if bits else 0, len(bits))
 
     @property
     def bits(self) -> str:
-        return "".join("1" if (self.mask >> n) & 1 else "0" for n in range(self.length))
+        return format(self.mask, "b").zfill(self.length)[::-1] if self.length else ""
 
     def members(self) -> tuple[int, ...]:
         return elements_of(self.mask)

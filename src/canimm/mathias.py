@@ -17,12 +17,11 @@ horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import programs as pg
 from . import schnorr
-from .finitesets import FiniteSet, SetPrefix, code_of
+from .finitesets import FiniteSet, Record, SetPrefix, code_of
 from .machine import (
     decode,
     encode,
@@ -49,8 +48,7 @@ def _enum_values(enumerator: int) -> list[int]:
     return []
 
 
-@dataclass(frozen=True)
-class ComputableSet:
+class ComputableSet(Record, hidden=("head", "leaf", "offset", "_tail")):
     """Infinite computable set given by a strictly increasing enumerator.
 
     `enumerator` is the set's program, the form traces record.  Values are
@@ -59,20 +57,18 @@ class ComputableSet:
     from a code is its own leaf; `shifted` and `with_table_prefix` derive the
     child's normal form from the parent's, so only leaf codes ever run in
     the interpreter, whatever the nesting of the derived program.  Callers
-    pass only `enumerator`; the derivations fill in the other fields.
+    pass only `enumerator`; the derivations fill in the other fields, which
+    `==`, `hash` and `repr` leave out.
     """
 
-    enumerator: int
-    head: tuple[int, ...] = field(default=(), compare=False, repr=False)
-    leaf: int | None = field(default=None, compare=False, repr=False)
-    offset: int = field(default=0, compare=False, repr=False)
+    __slots__ = ("enumerator", "head", "leaf", "offset", "_tail")
 
-    def __post_init__(self):
-        if not is_total_tier(self.enumerator):
+    def __init__(self, enumerator: int, head: tuple[int, ...] = (), leaf: int | None = None, offset: int = 0):
+        if not is_total_tier(enumerator):
             raise NotTotalTierError("reservoir enumerators must be total-tier")
-        if self.leaf is None:
-            object.__setattr__(self, "leaf", self.enumerator)
-        object.__setattr__(self, "_tail", _enum_values(self.leaf))
+        if leaf is None:
+            leaf = enumerator
+        self._fill(enumerator, head, leaf, offset, _enum_values(leaf))
 
     def _tail_to(self, index: int) -> list[int]:
         """The leaf's value list, evaluated up to `index` inclusive."""
@@ -166,16 +162,15 @@ def computable_set_from_characteristic(chi: int, scan_bound: int, count: int) ->
     return ComputableSet(encode(tree))
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(Record):
     """Mathias condition [a, A]: finite stem below an infinite reservoir."""
 
-    stem: FiniteSet
-    reservoir: ComputableSet
+    __slots__ = ("stem", "reservoir")
 
-    def __post_init__(self):
-        if not self.stem.is_empty and self.stem.max_value() >= self.reservoir.value(0):
+    def __init__(self, stem: FiniteSet, reservoir: ComputableSet):
+        if not stem.is_empty and stem.max_value() >= reservoir.value(0):
             raise ValueError("stem must lie strictly below the reservoir")
+        self._fill(stem, reservoir)
 
     @classmethod
     def empty(cls, reservoir: ComputableSet | None = None) -> "Condition":
@@ -230,17 +225,15 @@ def meet_size(cond: Condition, n: int) -> Condition:
     return Condition(stem, cond.reservoir.shifted(need))
 
 
-@dataclass(frozen=True)
-class ThinCertificate:
+class ThinCertificate(Record):
     """Finite-scale record that a thinning output realizes the size-bounding
     family for its numbering on [start, bound]: any value of the numbering
     there that fits inside visible_mask has at most its index many elements."""
 
-    numbering_id: int
-    start: int
-    bound: int
-    visible_mask: int
-    ceiling: int
+    __slots__ = ("numbering_id", "start", "bound", "visible_mask", "ceiling")
+
+    def __init__(self, numbering_id: int, start: int, bound: int, visible_mask: int, ceiling: int):
+        self._fill(numbering_id, start, bound, visible_mask, ceiling)
 
     def holds_for(self, numbering: Numbering) -> bool:
         for i in range(self.start, self.bound + 1):
@@ -291,10 +284,11 @@ def thin_for_numbering(cond: Condition, numbering: Numbering, count: int) -> tup
     return Condition(cond.stem, thinned), cert
 
 
-@dataclass(frozen=True)
-class AvoidanceRecord:
-    missed_blocks: tuple[int, ...]
-    kept_values: tuple[int, ...]
+class AvoidanceRecord(Record):
+    __slots__ = ("missed_blocks", "kept_values")
+
+    def __init__(self, missed_blocks: tuple[int, ...], kept_values: tuple[int, ...]):
+        self._fill(missed_blocks, kept_values)
 
 
 def meet_avoidance(cond: Condition, count: int) -> tuple[Condition, AvoidanceRecord]:
@@ -329,13 +323,13 @@ def meet_avoidance(cond: Condition, count: int) -> tuple[Condition, AvoidanceRec
     return Condition(cond.stem, thinned), AvoidanceRecord(tuple(missed), tuple(kept))
 
 
-@dataclass(frozen=True)
-class MeetOutcome:
+class MeetOutcome(Record):
     """Met(condition, clause) or an honest Unresolved with the evidence."""
 
-    condition: Condition | None
-    clause: str | None
-    evidence: dict
+    __slots__ = ("condition", "clause", "evidence")
+
+    def __init__(self, condition: Condition | None, clause: str | None, evidence: dict):
+        self._fill(condition, clause, evidence)
 
     @property
     def met(self) -> bool:
@@ -425,10 +419,11 @@ def meet_D_eh(cond: Condition, e: int, h: int, budget: int, max_prefix: int = 16
 # Generic builder
 
 
-@dataclass(frozen=True)
-class ScheduleStep:
-    name: str
-    apply: Callable[[Condition], tuple[Condition, object]]
+class ScheduleStep(Record):
+    __slots__ = ("name", "apply")
+
+    def __init__(self, name: str, apply: Callable[[Condition], tuple[Condition, object]]):
+        self._fill(name, apply)
 
 
 def size_step(n: int) -> ScheduleStep:
@@ -443,13 +438,18 @@ def avoidance_step(count: int) -> ScheduleStep:
     return ScheduleStep(f"avoid-{count}", lambda c: meet_avoidance(c, count))
 
 
-@dataclass
-class GenericRun:
-    chain: list[tuple[str, Condition]]
-    prefix: SetPrefix
-    thin_certificates: list[ThinCertificate]
-    avoidance: AvoidanceRecord | None
-    trace: ConstructionTrace
+class GenericRun(Record, frozen=False):
+    __slots__ = ("chain", "prefix", "thin_certificates", "avoidance", "trace")
+
+    def __init__(
+        self,
+        chain: list[tuple[str, Condition]],
+        prefix: SetPrefix,
+        thin_certificates: list[ThinCertificate],
+        avoidance: AvoidanceRecord | None,
+        trace: ConstructionTrace,
+    ):
+        self._fill(chain, prefix, thin_certificates, avoidance, trace)
 
 
 def build_generic(

@@ -11,10 +11,8 @@ arbitrary registered rules do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import programs as pg
-from .finitesets import FiniteSet, decode_finite_set, encode_finite_set
+from .finitesets import FiniteSet, Record, decode_finite_set, encode_finite_set
 from .machine import (
     Node,
     PrimRec,
@@ -50,14 +48,13 @@ def _rule_value(rule: int, i: int) -> FiniteSet:
     return FiniteSet(eval_total(rule, (i,)))
 
 
-@dataclass(frozen=True)
-class Numbering:
+class Numbering(Record):
     """A registered total rule i -> finite-set code."""
 
-    id: int
-    rule: int
-    surjective: bool = False
-    label: str = ""
+    __slots__ = ("id", "rule", "surjective", "label")
+
+    def __init__(self, id: int, rule: int, surjective: bool = False, label: str = ""):
+        self._fill(id, rule, surjective, label)
 
     def value(self, i: int) -> FiniteSet:
         return _rule_value(self.rule, i)

@@ -8,10 +8,8 @@ serialize to identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .constructions import ConstructionTrace, TraceRecord
-from .finitesets import SetPrefix
+from .finitesets import Record, SetPrefix
 
 
 def render_value(value) -> str:
@@ -69,12 +67,22 @@ def render_trace(trace: ConstructionTrace, prefixes: dict[str, SetPrefix]) -> st
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class ParsedTrace:
-    name: str
-    meta: dict = field(default_factory=dict)
-    records: list[TraceRecord] = field(default_factory=list)
-    prefixes: dict[str, SetPrefix] = field(default_factory=dict)
+class ParsedTrace(Record, frozen=False):
+    __slots__ = ("name", "meta", "records", "prefixes")
+
+    def __init__(
+        self,
+        name: str,
+        meta: dict | None = None,
+        records: list[TraceRecord] | None = None,
+        prefixes: dict[str, SetPrefix] | None = None,
+    ):
+        self._fill(
+            name,
+            {} if meta is None else meta,
+            [] if records is None else records,
+            {} if prefixes is None else prefixes,
+        )
 
     def trace(self) -> ConstructionTrace:
         return ConstructionTrace(self.name, dict(self.meta), list(self.records))

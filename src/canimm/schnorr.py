@@ -15,25 +15,22 @@ value is surfaced rather than rounded to that bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .finitesets import FiniteSet, SetPrefix
+from .finitesets import FiniteSet, Record, SetPrefix
 
 
-@dataclass(frozen=True)
-class DyadicRational:
+class DyadicRational(Record):
     """Exact k / 2^m with k >= 0, kept in lowest terms (odd k, or zero)."""
 
-    numerator: int
-    exponent: int
+    __slots__ = ("numerator", "exponent")
 
-    def __post_init__(self):
-        if self.numerator < 0 or self.exponent < 0:
+    def __init__(self, numerator: int, exponent: int):
+        if numerator < 0 or exponent < 0:
             raise ValueError("dyadic rationals here are nonnegative")
-        if self.numerator and self.exponent and self.numerator % 2 == 0:
+        if numerator and exponent and numerator % 2 == 0:
             raise ValueError("not in canonical form")
-        if self.numerator == 0 and self.exponent != 0:
+        if numerator == 0 and exponent != 0:
             raise ValueError("zero has exponent 0")
+        self._fill(numerator, exponent)
 
     @classmethod
     def make(cls, numerator: int, exponent: int) -> "DyadicRational":

@@ -1,14 +1,37 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from canimm import machine
+from canimm.checkers import Verdict
+from canimm.constructions import ConstructionTrace, PumpResult, TraceRecord, WitnessEntry
 from canimm.finitesets import (
     FiniteSet,
     SetPrefix,
     decode_finite_set,
+    elements_of,
     encode_finite_set,
     subset_of_string,
 )
+from canimm.mathias import (
+    AvoidanceRecord,
+    ComputableSet,
+    Condition,
+    GenericRun,
+    MeetOutcome,
+    ScheduleStep,
+    ThinCertificate,
+)
+from canimm.numberings import Numbering
+from canimm.records import ParsedTrace
+from canimm.schnorr import DyadicRational
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_canonical_code_examples():
@@ -61,3 +84,199 @@ def test_set_prefix_bits_roundtrip():
 def test_set_prefix_rejects_overflow():
     with pytest.raises(ValueError):
         SetPrefix(0b100, 2)
+
+
+# The per-bit loops the linear SetPrefix.bits, SetPrefix.from_bits and
+# elements_of replaced, kept as their reference.
+def _bits_by_loop(mask, length):
+    return "".join("1" if (mask >> n) & 1 else "0" for n in range(length))
+
+
+def _from_bits_by_loop(bits):
+    mask = 0
+    for pos, ch in enumerate(bits):
+        if ch == "1":
+            mask |= 1 << pos
+        elif ch != "0":
+            raise ValueError(f"bad bit {ch!r}")
+    return SetPrefix(mask, len(bits))
+
+
+def _elements_by_loop(code):
+    out = []
+    while code:
+        low = code & -code
+        out.append(low.bit_length() - 1)
+        code ^= low
+    return tuple(out)
+
+
+@given(st.integers(min_value=0, max_value=1 << 3000), st.integers(min_value=0, max_value=70))
+def test_prefix_bits_and_elements_match_the_per_bit_loops(mask, extra):
+    length = mask.bit_length() + extra
+    prefix = SetPrefix(mask, length)
+    assert prefix.bits == _bits_by_loop(mask, length)
+    assert SetPrefix.from_bits(prefix.bits) == _from_bits_by_loop(prefix.bits) == prefix
+    assert elements_of(mask) == _elements_by_loop(mask)
+
+
+@given(st.text(alphabet="01_+- 2\n", max_size=24))
+def test_from_bits_rejects_what_the_per_bit_loop_rejects(text):
+    # int(text, 2) alone would take "_", "+", "-" and surrounding spaces
+    try:
+        expected = _from_bits_by_loop(text)
+    except ValueError as err:
+        with pytest.raises(ValueError) as info:
+            SetPrefix.from_bits(text)
+        assert str(info.value) == str(err)
+    else:
+        assert SetPrefix.from_bits(text) == expected
+
+
+def test_cli_import_loads_no_dataclasses():
+    # -S: a .pth file of the installation may import dataclasses itself
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, canimm.cli; print('dataclasses' in sys.modules)"
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+_NATURALS = machine.encode(machine.Proj(0))
+_RESERVOIR = ComputableSet(_NATURALS)
+_TRACE = ConstructionTrace("generic")
+
+# (class, every field by keyword in field order, repr, frozen)
+RECORDS = [
+    (FiniteSet, {"code": 5}, "FiniteSet(code=5)", True),
+    (SetPrefix, {"mask": 5, "length": 4}, "SetPrefix(mask=5, length=4)", True),
+    (DyadicRational, {"numerator": 3, "exponent": 2}, "DyadicRational(numerator=3, exponent=2)", True),
+    (
+        Verdict,
+        {"status": "fail", "violations": ((0, 1),), "horizon": (("bound", 4),)},
+        "Verdict(status='fail', violations=((0, 1),), horizon=(('bound', 4),))",
+        True,
+    ),
+    (
+        Numbering,
+        {"id": 1, "rule": 7, "surjective": True, "label": "x"},
+        "Numbering(id=1, rule=7, surjective=True, label='x')",
+        True,
+    ),
+    (
+        TraceRecord,
+        {"stage": 2, "rule": "mark", "fields": (3, "a")},
+        "TraceRecord(stage=2, rule='mark', fields=(3, 'a'))",
+        True,
+    ),
+    (
+        ConstructionTrace,
+        {"name": "t", "meta": {"k": 1}, "records": [TraceRecord(0, "r")]},
+        "ConstructionTrace(name='t', meta={'k': 1}, records=[TraceRecord(stage=0, rule='r', fields=())])",
+        False,
+    ),
+    (
+        PumpResult,
+        {"rho": "01", "candidates_tried": 3, "best_size": 2},
+        "PumpResult(rho='01', candidates_tried=3, best_size=2)",
+        True,
+    ),
+    (
+        WitnessEntry,
+        {"i": 0, "n": 1, "key": 2, "target": 3, "beta": None, "witness": FiniteSet(6)},
+        "WitnessEntry(i=0, n=1, key=2, target=3, beta=None, witness=FiniteSet(code=6))",
+        True,
+    ),
+    (
+        ParsedTrace,
+        {"name": "delta2", "meta": {}, "records": [], "prefixes": {"R": SetPrefix(1, 2)}},
+        "ParsedTrace(name='delta2', meta={}, records=[], prefixes={'R': SetPrefix(mask=1, length=2)})",
+        False,
+    ),
+    (ComputableSet, {"enumerator": _NATURALS}, f"ComputableSet(enumerator={_NATURALS})", True),
+    (
+        Condition,
+        {"stem": FiniteSet(0), "reservoir": _RESERVOIR},
+        f"Condition(stem=FiniteSet(code=0), reservoir=ComputableSet(enumerator={_NATURALS}))",
+        True,
+    ),
+    (
+        ThinCertificate,
+        {"numbering_id": 0, "start": 1, "bound": 5, "visible_mask": 6, "ceiling": 9},
+        "ThinCertificate(numbering_id=0, start=1, bound=5, visible_mask=6, ceiling=9)",
+        True,
+    ),
+    (
+        AvoidanceRecord,
+        {"missed_blocks": (3,), "kept_values": (7,)},
+        "AvoidanceRecord(missed_blocks=(3,), kept_values=(7,))",
+        True,
+    ),
+    (
+        MeetOutcome,
+        {"condition": None, "clause": None, "evidence": {"best_size": 0}},
+        "MeetOutcome(condition=None, clause=None, evidence={'best_size': 0})",
+        True,
+    ),
+    (
+        ScheduleStep,
+        {"name": "size-1", "apply": len},
+        "ScheduleStep(name='size-1', apply=<built-in function len>)",
+        True,
+    ),
+    (
+        GenericRun,
+        {"chain": [], "prefix": SetPrefix(0, 0), "thin_certificates": [], "avoidance": None, "trace": _TRACE},
+        "GenericRun(chain=[], prefix=SetPrefix(mask=0, length=0), thin_certificates=[], avoidance=None, "
+        "trace=ConstructionTrace(name='generic', meta={}, records=[]))",
+        False,
+    ),
+]
+
+
+def _hash_or_type_error(value):
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("cls, fields, text, frozen", RECORDS, ids=[row[0].__name__ for row in RECORDS])
+def test_record_classes_keep_their_value_semantics(cls, fields, text, frozen):
+    record = cls(**fields)
+    assert repr(record) == text
+    assert record == cls(*fields.values())
+    assert record.__eq__(tuple(fields.values())) is NotImplemented
+    name, value = next(iter(fields.items()))
+    if frozen:
+        # the hash of the field tuple, as for any frozen value record
+        assert _hash_or_type_error(record) == _hash_or_type_error(tuple(fields.values()))
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    else:
+        assert _hash_or_type_error(record) is TypeError
+        setattr(record, name, value)
+        assert getattr(record, name) is value
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+
+
+def test_record_defaults_are_fresh_per_instance():
+    assert Numbering(0, 7) == Numbering(0, 7, False, "")
+    assert TraceRecord(0, "r").fields == ()
+    assert Verdict("pass") == Verdict("pass", (), ())
+    for make in (lambda: ConstructionTrace("t"), lambda: ParsedTrace("t")):
+        first, second = make(), make()
+        assert first == second
+        assert first.meta is not second.meta
+        assert first.records is not second.records
+    assert ParsedTrace("t").prefixes is not ParsedTrace("t").prefixes
+
+
+def test_reservoir_normal_form_stays_out_of_eq_hash_and_repr():
+    derived = ComputableSet(_NATURALS, head=(0, 1), leaf=_NATURALS, offset=2)
+    assert derived == _RESERVOIR and hash(derived) == hash(_RESERVOIR)
+    assert repr(derived) == repr(_RESERVOIR)
+    assert derived.values(4) == _RESERVOIR.values(4)

@@ -211,11 +211,17 @@ def test_check_malformed_trace_errors(tmp_path):
 
 
 def test_build_past_the_int_digit_limit_errors():
-    _assert_input_error(run_cli("build", "hi-not-ci", "--blocks", "7"))
+    result = run_cli("build", "hi-not-ci", "--blocks", "7")
+    _assert_input_error(result)
+    assert "the hi-not-ci trace has an integer of more than" in result.stderr
+    assert "a smaller --blocks shrinks it" in result.stderr
 
 
 def test_measure_past_the_int_digit_limit_errors():
-    _assert_input_error(run_cli("measure", "1", "200"))
+    result = run_cli("measure", "1", "200")
+    _assert_input_error(result)
+    assert "the measure of U_1 truncated at m = 200 has an integer of more than" in result.stderr
+    assert "a smaller m (the second argument) shrinks it" in result.stderr
 
 
 def test_build_hi_not_ci_without_blocks_errors():
