@@ -110,8 +110,9 @@ BUILDS = {
 }
 
 
-# The flag that bounds the integers in a construction's trace, for each
-# construction whose trace can pass Python's int->str digit limit.
+# The flag whose smaller values shrink the largest integer in a
+# construction's trace, for each construction whose trace is known to pass
+# Python's int->str digit limit (tests/test_records_cli.py shows each).
 TRACE_SIZE_FLAGS = {
     "effectivize": "--markers",
     "hi-not-ci": "--blocks",
@@ -120,10 +121,11 @@ TRACE_SIZE_FLAGS = {
 }
 
 
-def _digit_limit_error(output: str, shrink: str) -> ValueError:
+def _digit_limit_error(output: str, shrink: str | None) -> ValueError:
+    hint = f"; a smaller {shrink} shrinks it" if shrink else ""
     return ValueError(
         f"{output} has an integer of more than {sys.get_int_max_str_digits()} decimal digits, "
-        f"Python's int->str limit; a smaller {shrink} shrinks it"
+        f"Python's int->str limit{hint}"
     )
 
 
@@ -135,7 +137,7 @@ def cmd_build(args) -> int:
     try:
         text = render_trace(trace, prefixes)
     except ValueError as err:  # str() of an integer past the digit limit
-        shrink = TRACE_SIZE_FLAGS.get(args.construction, "size flag")
+        shrink = TRACE_SIZE_FLAGS.get(args.construction)
         raise _digit_limit_error(f"the {args.construction} trace", shrink) from err
     _emit(text, args.out)
     return 0

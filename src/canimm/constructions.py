@@ -43,7 +43,7 @@ class TraceRecord(Record):
         self._fill(stage, rule, fields)
 
 
-class ConstructionTrace(Record, frozen=False):
+class ConstructionTrace(Record):
     __slots__ = ("name", "meta", "records")
 
     def __init__(self, name: str, meta: dict[str, object] | None = None, records: list[TraceRecord] | None = None):

@@ -19,22 +19,18 @@ class Record:
     A record lists its fields in `__slots__` and takes them in that order in
     its own `__init__`, which stores them with `_fill`.  The base gives `==`
     between records of one class over the shown fields (every slot not named
-    in the class keyword `hidden`), a `Name(field=value, ...)` repr of them
-    and, unless the class says `frozen=False`, a hash of them and refusal of
-    assignment after construction.  Record classes are not subclassed: the
-    base reads the fields from each class's own `__slots__`.
+    in the class keyword `hidden`), a `Name(field=value, ...)` repr of them,
+    a hash of them (a TypeError when a field holds a dict or list) and
+    refusal of assignment after construction.  Record classes are not
+    subclassed: the base reads the fields from each class's own `__slots__`.
     """
 
     __slots__ = ()
     _shown: tuple[str, ...]
 
-    def __init_subclass__(cls, frozen: bool = True, hidden: tuple[str, ...] = (), **kwargs):
+    def __init_subclass__(cls, hidden: tuple[str, ...] = (), **kwargs):
         super().__init_subclass__(**kwargs)
         cls._shown = tuple(name for name in cls.__slots__ if name not in hidden)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def _fill(self, *values) -> None:
         for name, value in zip(self.__slots__, values, strict=True):
@@ -56,10 +52,10 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
 
 
 def code_of(elements: Iterable[int]) -> int:
@@ -77,9 +73,18 @@ _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 def elements_of(code: int) -> tuple[int, ...]:
     if code < 0:
         raise ValueError("codes are nonnegative")
+    count = code.bit_count()
+    if count * count < 4 * code.bit_length():
+        # few elements: clear the low bits one by one, each step copying the
+        # integer; below about 2*sqrt(bits) elements this beats the scan
+        out = []
+        while code:
+            low = code & -code
+            out.append(low.bit_length() - 1)
+            code ^= low
+        return tuple(out)
     # the binary digits lowest first, as bytes 0 and 1, select the positions
-    # in one pass; clearing the low bits one by one would copy the whole
-    # integer once per element
+    # in one pass over the bits
     bits = bin(code)[:1:-1].encode().translate(_BIT_VALUES)
     return tuple(compress(range(len(bits)), bits))
 

@@ -438,7 +438,7 @@ def avoidance_step(count: int) -> ScheduleStep:
     return ScheduleStep(f"avoid-{count}", lambda c: meet_avoidance(c, count))
 
 
-class GenericRun(Record, frozen=False):
+class GenericRun(Record):
     __slots__ = ("chain", "prefix", "thin_certificates", "avoidance", "trace")
 
     def __init__(

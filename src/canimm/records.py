@@ -67,7 +67,7 @@ def render_trace(trace: ConstructionTrace, prefixes: dict[str, SetPrefix]) -> st
     return "\n".join(lines) + "\n"
 
 
-class ParsedTrace(Record, frozen=False):
+class ParsedTrace(Record):
     __slots__ = ("name", "meta", "records", "prefixes")
 
     def __init__(
@@ -89,26 +89,29 @@ class ParsedTrace(Record, frozen=False):
 
 
 def parse_trace(text: str) -> ParsedTrace:
-    parsed = ParsedTrace(name="")
+    name = ""
+    meta: dict = {}
+    records: list[TraceRecord] = []
+    prefixes: dict[str, SetPrefix] = {}
     for line in text.splitlines():
         if not line.strip():
             continue
         kind, _, rest = line.partition("\t")
         if kind == "trace":
-            parsed.name = rest
+            name = rest
         elif kind == "meta":
             key, _, raw = rest.partition("\t")
-            parsed.meta[key] = parse_value(raw)
+            meta[key] = parse_value(raw)
         elif kind == "rec":
             parts = rest.split("\t")
             stage, rule = int(parts[0]), parts[1]
             fields = tuple(_parse_atom(x) for x in parts[2:])
-            parsed.records.append(TraceRecord(stage, rule, fields))
+            records.append(TraceRecord(stage, rule, fields))
         elif kind == "prefix":
             label, _, bits = rest.partition("\t")
-            parsed.prefixes[label] = SetPrefix.from_bits(bits)
+            prefixes[label] = SetPrefix.from_bits(bits)
         else:
             raise ValueError(f"unknown record kind {kind!r}")
-    if not parsed.name:
+    if not name:
         raise ValueError("not a trace file (no trace header)")
-    return parsed
+    return ParsedTrace(name, meta, records, prefixes)

@@ -217,6 +217,38 @@ def test_build_past_the_int_digit_limit_errors():
     assert "a smaller --blocks shrinks it" in result.stderr
 
 
+# (construction, its size flag, a value whose trace passes the digit limit,
+# a smaller value whose trace does not)
+TRACE_SIZE_CASES = [
+    ("effectivize", "--markers", "64", "32"),
+    ("hi-not-ci", "--blocks", "7", "6"),
+    ("2generic-witness", "--index-bound", "20", "16"),
+    ("generic", "--index-bound", "64", "48"),
+]
+
+
+def test_trace_size_cases_cover_the_flag_table():
+    assert {case[:2] for case in TRACE_SIZE_CASES} == set(cli.TRACE_SIZE_FLAGS.items())
+
+
+@pytest.mark.parametrize("construction, flag, too_big, fits", TRACE_SIZE_CASES, ids=[c[0] for c in TRACE_SIZE_CASES])
+def test_build_names_the_flag_that_shrinks_an_oversized_trace(construction, flag, too_big, fits):
+    result = run_cli("build", construction, flag, too_big)
+    _assert_input_error(result)
+    assert f"the {construction} trace has an integer of more than" in result.stderr
+    assert f"a smaller {flag} shrinks it" in result.stderr
+    assert run_cli("build", construction, flag, fits).returncode == 0
+
+
+def test_build_without_a_size_flag_names_only_the_trace(monkeypatch, capsys):
+    oversized = C.ConstructionTrace("delta2", {"code": 1 << 20000})
+    monkeypatch.setitem(cli.BUILDS, "delta2", lambda pool, args: (oversized, {}))
+    assert cli.main(["build", "delta2"]) == 1
+    err = capsys.readouterr().err
+    assert "the delta2 trace has an integer of more than" in err
+    assert "shrinks it" not in err
+
+
 def test_measure_past_the_int_digit_limit_errors():
     result = run_cli("measure", "1", "200")
     _assert_input_error(result)
