@@ -14,10 +14,8 @@ from pathlib import Path
 
 from . import checkers, constructions as cons, mathias, programs as pg, schnorr
 from .machine import encode, is_total_tier
-from .numberings import Numbering, Registry, default_pool
+from .numberings import Registry, default_pool
 from .records import parse_trace, render_trace, render_value
-
-CHECK_SUITES = ("immunity", "domination", "effective", "schnorr")
 
 DEFAULT_COFINAL_BITS = "10" * 16
 
@@ -38,16 +36,14 @@ def default_functions() -> list[int]:
     return [pg.identity_code(), pg.zero_code(), pg.succ_code(), pg.double_code()]
 
 
-def _load_pool(path: str | None) -> Registry | None:
-    """The pool from a --pool file (default pool without one); None, after
-    printing the error, when the file is missing or malformed."""
+def _load_pool(path: str | None) -> Registry:
+    """The pool from a --pool file (default pool without one)."""
     if path is None:
         return default_pool()
     try:
         return Registry.deserialize(Path(path).read_text())
     except (OSError, ValueError, IndexError) as err:
-        print(f"error: cannot read pool file {path}: {err}", file=sys.stderr)
-        return None
+        raise ValueError(f"cannot read pool file {path}: {err}") from err
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -131,8 +127,6 @@ def _digit_limit_error(output: str, shrink: str | None) -> ValueError:
 
 def cmd_build(args) -> int:
     pool = _load_pool(args.pool)
-    if pool is None:
-        return 1
     trace, prefixes = BUILDS[args.construction](pool, args)
     try:
         text = render_trace(trace, prefixes)
@@ -147,100 +141,92 @@ def _int_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(i, int) for i in value)
 
 
-def _check_exit(found_fail: bool, expect_fail: bool) -> int:
-    if expect_fail:
-        return 0 if found_fail else 2
-    return 2 if found_fail else 0
+def _verdict_lines(parsed, verdict_of):
+    lines = []
+    found_fail = False
+    for label, prefix in sorted(parsed.prefixes.items()):
+        verdict = verdict_of(prefix)
+        found_fail |= verdict.failed
+        lines.append(f"{label}\t{checkers.serialize_verdict(verdict)}")
+    return lines, found_fail
 
 
-def _suite_verdict(args, parsed, pool):
-    """The per-prefix verdict function of the immunity, domination or
-    effective suite; None, after printing the error, when the trace lacks
-    what the suite reads."""
-    h = modulus_catalog()[args.modulus]
-    if args.suite == "domination":
-
-        def refute(prefix):
-            members = prefix.members()
-            return checkers.refute_domination(members, h, range(1, len(members) + 1))
-
-        return refute
-    if args.suite == "effective":
-        return lambda prefix: checkers.check_effective_immunity(prefix, h, range(args.index_bound + 1), args.budget)
+def _check_immunity(parsed, pool, h, args):
+    scan, bound = list(pool), args.index_bound
     if parsed.name == "hi-not-ci" and args.modulus == "identity":
         # the trace carries the numbering built to refute its target
         rule, positions = parsed.meta.get("witness_rule"), parsed.meta.get("witness_positions")
         if not (isinstance(rule, int) and rule >= 0 and is_total_tier(rule) and positions and _int_list(positions)):
-            print("error: a hi-not-ci trace needs meta witness_rule (a total-tier code) and "
-                  "witness_positions (a nonempty list of indices)", file=sys.stderr)
-            return None
-        witness = Registry().register(rule, surjective=True, label="witness")
-        scan: list[Numbering] = [witness]
-        k_map = {witness.id: 0}
-        bound = max(positions)
-    else:
-        scan = list(pool)
-        k_map = None
-        bound = args.index_bound
-    return lambda prefix: checkers.check_canonical_immunity(prefix, h, scan, bound, k_map)
+            raise ValueError("a hi-not-ci trace needs meta witness_rule (a total-tier code) and "
+                             "witness_positions (a nonempty list of indices)")
+        scan, bound = [Registry().register(rule, surjective=True, label="witness")], max(positions)
+    return _verdict_lines(parsed, lambda prefix: checkers.check_canonical_immunity(prefix, h, scan, bound))
+
+
+def _check_domination(parsed, pool, h, args):
+    def refute(prefix):
+        members = prefix.members()
+        return checkers.refute_domination(members, h, range(1, len(members) + 1))
+
+    return _verdict_lines(parsed, refute)
+
+
+def _check_effective(parsed, pool, h, args):
+    codes = range(args.index_bound + 1)
+    return _verdict_lines(parsed, lambda prefix: checkers.check_effective_immunity(prefix, h, codes, args.budget))
+
+
+def _check_schnorr(parsed, pool, h, args):
+    prefix = parsed.prefixes.get("R")
+    if prefix is None:
+        raise ValueError("a schnorr check needs the trace's prefix R line")
+    missed = parsed.meta.get("missed_blocks", [])
+    if not _int_list(missed):
+        raise ValueError("meta missed_blocks must be a list of block indices")
+    top = 0
+    while schnorr.block_span(top + 1) <= prefix.length:
+        top += 1
+    covered = [i for i in missed if i <= top]
+    if not covered:
+        return ["schnorr\tinconclusive\tno covered missed blocks\n"], True
+    m = max(covered)
+    lines = []
+    found_fail = False
+    for n in range(min(len(missed), m)):
+        ok, witness = schnorr.in_U_n(prefix, n, m)
+        found_fail |= not ok
+        lines.append(f"schnorr\tU_{n}\t{'member' if ok else 'MISSING'}\twitness\t{render_value(witness or 0)}\n")
+    return lines, found_fail
+
+
+# suite -> (parsed trace, pool, modulus code, args) -> (output lines, each
+# ending in a newline, and whether a check failed).  Like BUILDS, every entry
+# reads the library function off its module at call time.
+CHECKS = {
+    "immunity": _check_immunity,
+    "domination": _check_domination,
+    "effective": _check_effective,
+    "schnorr": _check_schnorr,
+}
 
 
 def cmd_check(args) -> int:
     path = Path(args.trace)
     if not path.exists():
-        print(f"error: no such trace file: {path}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no such trace file: {path}")
     try:
         parsed = parse_trace(path.read_text())
     except (OSError, ValueError, IndexError) as err:
-        print(f"error: cannot read trace file {path}: {err}", file=sys.stderr)
-        return 1
+        raise ValueError(f"cannot read trace file {path}: {err}") from err
     pool = _load_pool(args.pool)
-    if pool is None:
-        return 1
-    lines = []
-    found_fail = False
-    if args.suite == "schnorr":
-        prefix = parsed.prefixes.get("R")
-        if prefix is None:
-            print("error: a schnorr check needs the trace's prefix R line", file=sys.stderr)
-            return 1
-        missed = parsed.meta.get("missed_blocks", [])
-        if not _int_list(missed):
-            print("error: meta missed_blocks must be a list of block indices", file=sys.stderr)
-            return 1
-        top = 0
-        while schnorr.block_span(top + 1) <= prefix.length:
-            top += 1
-        covered = [i for i in missed if i <= top]
-        if not covered:
-            lines.append("schnorr\tinconclusive\tno covered missed blocks")
-            found_fail = True
-        else:
-            m = max(covered)
-            for n in range(len(missed)):
-                if n >= m:
-                    break
-                ok, witness = schnorr.in_U_n(prefix, n, m)
-                found_fail |= not ok
-                lines.append(f"schnorr\tU_{n}\t{'member' if ok else 'MISSING'}\twitness\t{render_value(witness or 0)}")
-    else:
-        verdict_of = _suite_verdict(args, parsed, pool)
-        if verdict_of is None:
-            return 1
-        for label, prefix in sorted(parsed.prefixes.items()):
-            verdict = verdict_of(prefix)
-            found_fail |= verdict.failed
-            lines.append(f"{label}\t{checkers.serialize_verdict(verdict)}")
-
-    _emit("".join(line if line.endswith("\n") else line + "\n" for line in lines), args.out)
-    return _check_exit(found_fail, args.expect_fail)
+    lines, found_fail = CHECKS[args.suite](parsed, pool, modulus_catalog()[args.modulus], args)
+    _emit("".join(lines), args.out)
+    return 2 if found_fail != args.expect_fail else 0
 
 
 def cmd_measure(args) -> int:
     if args.n < 0:
-        print("error: need n >= 0", file=sys.stderr)
-        return 1
+        raise ValueError("need n >= 0")
     value = schnorr.measure_U_trunc(args.n, args.m)
     bound = schnorr.DyadicRational.power(args.n)
     ok = value <= bound
@@ -278,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_build)
 
     c = sub.add_parser("check", help="run a checker suite over a trace file")
-    c.add_argument("suite", choices=CHECK_SUITES)
+    c.add_argument("suite", choices=CHECKS)
     c.add_argument("trace")
     c.add_argument("--pool", default=None)
     c.add_argument("--index-bound", type=int, default=16)
@@ -314,7 +300,7 @@ def main(argv=None) -> int:
     except mathias.ExtensionOrderError as err:  # a built chain broke the extension order
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:  # input the library rejects, ProgramDepthError among them
+    except (ValueError, OSError) as err:  # bad input (ProgramDepthError among it), an --out that cannot be written
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -133,9 +133,6 @@ class FiniteSet(Record):
     def issubset_mask(self, mask: int) -> bool:
         return self.code & ~mask == 0
 
-    def union(self, other: "FiniteSet") -> "FiniteSet":
-        return FiniteSet(self.code | other.code)
-
     def characteristic_string(self) -> str:
         """Binary string of length max+1 with ones exactly on the set.
 
@@ -203,11 +200,6 @@ class SetPrefix(Record):
 
     def members(self) -> tuple[int, ...]:
         return elements_of(self.mask)
-
-    @property
-    def principal(self) -> tuple[int, ...]:
-        """Members in increasing order (the principal-function table)."""
-        return self.members()
 
     def __contains__(self, x: int) -> bool:
         return 0 <= x < self.length and (self.mask >> x) & 1 == 1

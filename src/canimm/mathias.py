@@ -457,7 +457,6 @@ def build_generic(
     schedule: Sequence[ScheduleStep],
     *,
     horizon: int = 1000,
-    grow: bool = True,
 ) -> GenericRun:
     """Fold the schedule into a condition chain and emit the stem reached.
 
@@ -486,14 +485,13 @@ def build_generic(
             certificates.append(info)
         elif isinstance(info, AvoidanceRecord):
             avoidance = info
-        if grow:
-            grown = meet_size(current, number)
-            if grown is not current:
-                if not extends(grown, current, horizon):
-                    raise ExtensionOrderError(f"growth after {step.name} violated the extension order")
-                chain.append((f"grow-{number}", grown))
-                trace.add(number, "condition", f"grow-{number}", grown.stem.code, grown.reservoir.enumerator)
-                current = grown
+        grown = meet_size(current, number)
+        if grown is not current:
+            if not extends(grown, current, horizon):
+                raise ExtensionOrderError(f"growth after {step.name} violated the extension order")
+            chain.append((f"grow-{number}", grown))
+            trace.add(number, "condition", f"grow-{number}", grown.stem.code, grown.reservoir.enumerator)
+            current = grown
     prefix = current.prefix()
     trace.meta["stem"] = current.stem.code
     trace.meta["missed_blocks"] = list(avoidance.missed_blocks) if avoidance else []

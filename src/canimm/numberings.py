@@ -59,9 +59,6 @@ class Numbering(Record):
     def value(self, i: int) -> FiniteSet:
         return _rule_value(self.rule, i)
 
-    def member(self, x: int, i: int) -> bool:
-        return x in self.value(i)
-
     def membership_program(self) -> int:
         """Total program deciding (x, i) -> whether x is in the i-th set."""
         return encode(pg.bit_(pg.P0, pg.comp(decode(self.rule), pg.P1)))

@@ -3,11 +3,12 @@ import sys
 
 import pytest
 
-from canimm import cli
+from canimm import checkers, cli
 from canimm import constructions as C
 from canimm import machine as M
 from canimm import mathias
 from canimm import programs as pg
+from canimm import schnorr
 from canimm.finitesets import SetPrefix
 from canimm.numberings import default_pool, witness_rule_from_table
 from canimm.records import parse_trace, parse_value, render_trace, render_value
@@ -194,6 +195,14 @@ def _assert_input_error(result):
     assert "Traceback" not in result.stderr
 
 
+def test_out_into_a_missing_directory_errors(tmp_path):
+    out = str(tmp_path / "no-such-dir" / "x.trace")
+    _assert_input_error(run_cli("build", "delta2", "--stages", "10", "--markers", "2", "--out", out))
+    trace = tmp_path / "delta2.trace"
+    assert run_cli("build", "delta2", "--stages", "10", "--markers", "2", "--out", str(trace)).returncode == 0
+    _assert_input_error(run_cli("check", "immunity", str(trace), "--out", out))
+
+
 def test_build_malformed_pool_file_errors(tmp_path):
     pool_file = tmp_path / "pool.tsv"
     pool_file.write_text("0\tnot-a-code\t1\tlabel\n")
@@ -343,3 +352,60 @@ def test_cli_pool_file_roundtrip(tmp_path):
 
 def test_main_entrypoint_callable():
     assert cli.main(["measure", "1", "3"]) == 0
+
+
+# name -> the library function (module, attribute) its BUILDS entry reaches
+BUILD_ENTRY_POINTS = {
+    "delta2": (C, "delta2_prefix"),
+    "bci": (C, "bci_run"),
+    "cofinal": (C, "cofinal_encode"),
+    "ci-hi": (C, "ci_hi_run"),
+    "ci-not-hi": (C, "ci_not_hi_run"),
+    "hi-not-ci": (C, "hi_not_ci_run"),
+    "effectivize": (C, "effectivize_inside"),
+    "2generic-witness": (C, "build_2generic_witness"),
+    "generic": (mathias, "build_generic"),
+}
+
+# suite -> (module, attribute) its CHECKS entry reaches, and the build and
+# check flags that make it reach it
+CHECK_ENTRY_POINTS = {
+    "immunity": ((checkers, "check_canonical_immunity"), "delta2", ()),
+    "domination": ((checkers, "refute_domination"), "ci-not-hi", ("--modulus", "double")),
+    "effective": ((checkers, "check_effective_immunity"), "ci-not-hi", ("--modulus", "double", "--budget", "96")),
+    "schnorr": ((schnorr, "in_U_n"), "generic", ()),
+}
+
+
+def _count_calls(monkeypatch, module, attr):
+    calls = []
+    original = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,flags", BUILD_FLAGS, ids=[name for name, _ in BUILD_FLAGS])
+def test_build_entry_calls_the_library_through_its_module(monkeypatch, tmp_path, name, flags):
+    """A wrapper installed on the module after import (the benchmark
+    tracer's, say) sees the call; an entry that captured the function at
+    import would bypass it."""
+    assert set(BUILD_ENTRY_POINTS) == set(cli.BUILDS)
+    calls = _count_calls(monkeypatch, *BUILD_ENTRY_POINTS[name])
+    assert cli.main(["build", name, *flags, "--out", str(tmp_path / "t.trace")]) == 0
+    assert calls
+
+
+@pytest.mark.parametrize("suite", sorted(CHECK_ENTRY_POINTS))
+def test_check_entry_calls_the_library_through_its_module(monkeypatch, tmp_path, suite):
+    assert set(CHECK_ENTRY_POINTS) == set(cli.CHECKS)
+    entry_point, build, flags = CHECK_ENTRY_POINTS[suite]
+    trace = str(tmp_path / "t.trace")
+    assert cli.main(["build", build, *dict(BUILD_FLAGS)[build], "--out", trace]) == 0
+    calls = _count_calls(monkeypatch, *entry_point)
+    assert cli.main(["check", suite, trace, *flags, "--out", str(tmp_path / "verdicts")]) == 0
+    assert calls
