@@ -137,8 +137,8 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _int_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(i, int) for i in value)
+def _index_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(i, int) and i >= 0 for i in value)
 
 
 def _verdict_lines(parsed, verdict_of):
@@ -156,7 +156,7 @@ def _check_immunity(parsed, pool, h, args):
     if parsed.name == "hi-not-ci" and args.modulus == "identity":
         # the trace carries the numbering built to refute its target
         rule, positions = parsed.meta.get("witness_rule"), parsed.meta.get("witness_positions")
-        if not (isinstance(rule, int) and rule >= 0 and is_total_tier(rule) and positions and _int_list(positions)):
+        if not (isinstance(rule, int) and rule >= 0 and is_total_tier(rule) and positions and _index_list(positions)):
             raise ValueError("a hi-not-ci trace needs meta witness_rule (a total-tier code) and "
                              "witness_positions (a nonempty list of indices)")
         scan, bound = [Registry().register(rule, surjective=True, label="witness")], max(positions)
@@ -181,7 +181,7 @@ def _check_schnorr(parsed, pool, h, args):
     if prefix is None:
         raise ValueError("a schnorr check needs the trace's prefix R line")
     missed = parsed.meta.get("missed_blocks", [])
-    if not _int_list(missed):
+    if not _index_list(missed):
         raise ValueError("meta missed_blocks must be a list of block indices")
     top = 0
     while schnorr.block_span(top + 1) <= prefix.length:

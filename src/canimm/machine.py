@@ -26,6 +26,15 @@ budget and the step count of a converging run is a pure function of
 * an oracle query at a position >= the oracle length (or with no oracle
   at all) makes the whole run diverge.
 
+Each node compiles to a closure, its runner, that charges its own steps
+inline.  A Comp of a word operation (Succ ... UnpairR) with as many
+arguments as the operation reads is one runner: it charges the Comp step,
+evaluates the operands in order, reads a Const or Proj operand in place
+and charges the operation.  Two charges with nothing evaluated between
+them are taken as one, which changes no outcome: the run diverges exactly
+when the sum does, and Pow2 still charges before it allocates.  So step
+counts are those of the node-by-node rules above.
+
 A search on a nonzero constant, such as the canonical diverger, is answered
 as diverged without spending fuel: it would test that constant forever, and
 a diverged run reports no step count, so no outcome changes.
@@ -42,6 +51,8 @@ instruction per line for traces.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from collections import namedtuple
 from functools import lru_cache, wraps
 from typing import Callable, NamedTuple, Sequence
@@ -93,18 +104,16 @@ class ProgramDepthError(ValueError):
 
 
 class _Fuel:
-    """The steps left to one run, and the runner nesting it has entered."""
+    """The steps left to one run, and the runner nesting it has entered.
+
+    A runner charges its own steps: it computes ``left = fuel.left - cost``,
+    raises _Diverge if that is negative and otherwise stores it."""
 
     __slots__ = ("left", "nesting")
 
     def __init__(self, budget: int):
         self.left = budget
         self.nesting = 0
-
-    def tick(self, cost: int = 1):
-        self.left -= cost
-        if self.left < 0:
-            raise _Diverge
 
     def nest(self, depth: int) -> int:
         """Enter a program whose runners nest `depth` levels; returns the
@@ -116,115 +125,156 @@ class _Fuel:
         return outer
 
 
-def _words(n: int) -> int:
-    return n.bit_length() // WORD_BITS
-
-
 _Runner = Callable[[tuple[int, ...], "str | None", _Fuel], int]
-
-
-def _arg(args: tuple[int, ...], i: int) -> int:
-    # absent argument positions read as zero
-    return args[i] if i < len(args) else 0
 
 
 def _never(args, oracle, fuel):
     raise _Diverge
 
 
-def _succ(args, oracle, fuel):
-    a = _arg(args, 0)
-    fuel.tick(1 + _words(a))
-    return a + 1
+def _read(t: Node) -> tuple[int, int]:
+    """A Const or Proj node as (position, default): its value is
+    args[position] if that exists, else default.  A constant reads past
+    every argument tuple; an absent argument position reads as zero."""
+    return (t._number, 0) if type(t) is Proj else (sys.maxsize, t._number)
 
 
-def _add(args, oracle, fuel):
-    a, b = _arg(args, 0), _arg(args, 1)
-    fuel.tick(1 + _words(a) + _words(b))
-    return a + b
-
-
-def _monus(args, oracle, fuel):
-    a, b = _arg(args, 0), _arg(args, 1)
-    fuel.tick(1 + _words(a) + _words(b))
-    return a - b if a > b else 0
-
-
-def _mul(args, oracle, fuel):
-    a, b = _arg(args, 0), _arg(args, 1)
-    fuel.tick(1 + _words(a) + _words(b))
-    return a * b
-
-
-def _div(args, oracle, fuel):
-    a, b = _arg(args, 0), _arg(args, 1)
-    fuel.tick(1 + _words(a) + _words(b))
-    return a // b if b else 0
-
-
-def _pow2(args, oracle, fuel):
-    n = _arg(args, 0)
-    # charge before allocating, one step per word of the result
-    fuel.tick(1 + n // WORD_BITS)
-    return 1 << n
-
-
-def _log2(args, oracle, fuel):
-    a = _arg(args, 0)
-    fuel.tick(1 + _words(a))
-    return a.bit_length() - 1 if a else 0
-
-
-def _pair(args, oracle, fuel):
-    a, b = _arg(args, 0), _arg(args, 1)
-    fuel.tick(1 + _words(a) + _words(b))
-    return pair(a, b)
-
-
-def _unpair_left(args, oracle, fuel):
-    a = _arg(args, 0)
-    fuel.tick(1 + _words(a))
-    return unpair(a)[0]
-
-
-def _unpair_right(args, oracle, fuel):
-    a = _arg(args, 0)
-    fuel.tick(1 + _words(a))
-    return unpair(a)[1]
-
-
-def _op(run: _Runner):
-    """The factory of a kind without fields: all its nodes share `run`."""
-    return lambda t, kids: run
-
-
-def _const(t, kids):
-    v = t.value
+def _leaf(t, kids):
+    i, c = _read(t)
 
     def run(args, oracle, fuel):
-        fuel.tick()
-        return v
+        if (left := fuel.left - 1) < 0:
+            raise _Diverge
+        fuel.left = left
+        return args[i] if i < len(args) else c
 
     return run
 
 
-def _proj(t, kids):
-    i = t.index
+# A word kind's row gives its value function and its charge rule: the
+# operation takes one step plus rule(x) // WORD_BITS for each operand x.
+# _BY_SIZE charges by the operand's bit length; _BY_VALUE charges by its
+# value, so Pow2 pays for the words of 1 << x before allocating it.
+_BY_SIZE = int.bit_length
+_BY_VALUE = operator.index
 
-    def run(args, oracle, fuel):
-        fuel.tick()
-        return args[i] if i < len(args) else 0
+
+def _operands(kind: _Kind) -> int:
+    return kind.arity(None, ())  # a word kind reads a fixed number of positions
+
+
+def _word_runner(kind: _Kind, operands: list, pre: int, k: int) -> _Runner:
+    """A runner that charges `pre` steps, evaluates the operands in order,
+    each a runner or a `_read` pair, then charges k steps plus the charge
+    rule of each operand and applies the value function.  `pre` is
+    charged only when a runner operand follows it."""
+    value, rule = kind.op
+    runs = [x for x in operands if not isinstance(x, tuple)]
+    if len(operands) == 1 and not runs:
+        ((i, c),) = operands
+
+        def run(args, oracle, fuel):
+            x = args[i] if i < len(args) else c
+            if (left := fuel.left - k - rule(x) // WORD_BITS) < 0:
+                raise _Diverge
+            fuel.left = left
+            return value(x)
+
+    elif len(operands) == 1:
+        (g,) = runs
+
+        def run(args, oracle, fuel):
+            if (left := fuel.left - pre) < 0:
+                raise _Diverge
+            fuel.left = left
+            x = g(args, oracle, fuel)
+            if (left := fuel.left - k - rule(x) // WORD_BITS) < 0:
+                raise _Diverge
+            fuel.left = left
+            return value(x)
+
+    elif not runs:
+        (i, c), (j, d) = operands
+
+        def run(args, oracle, fuel):
+            n = len(args)
+            x = args[i] if i < n else c
+            y = args[j] if j < n else d
+            if (left := fuel.left - k - rule(x) // WORD_BITS - rule(y) // WORD_BITS) < 0:
+                raise _Diverge
+            fuel.left = left
+            return value(x, y)
+
+    elif len(runs) == 2:
+        g, h = runs
+
+        def run(args, oracle, fuel):
+            if (left := fuel.left - pre) < 0:
+                raise _Diverge
+            fuel.left = left
+            x = g(args, oracle, fuel)
+            y = h(args, oracle, fuel)
+            if (left := fuel.left - k - rule(x) // WORD_BITS - rule(y) // WORD_BITS) < 0:
+                raise _Diverge
+            fuel.left = left
+            return value(x, y)
+
+    else:
+        (g,) = runs
+        first = operands[0] is g
+        (i, c) = operands[first]
+
+        def run(args, oracle, fuel):
+            if (left := fuel.left - pre) < 0:
+                raise _Diverge
+            fuel.left = left
+            x = g(args, oracle, fuel)
+            y = args[i] if i < len(args) else c
+            if (left := fuel.left - k - rule(x) // WORD_BITS - rule(y) // WORD_BITS) < 0:
+                raise _Diverge
+            fuel.left = left
+            return value(x, y) if first else value(y, x)
 
     return run
+
+
+def _word(t, kids):
+    # a bare operation reads its operands from argument positions 0 and 1
+    return _word_runner(t._kind, [(0, 0), (1, 0)][: _operands(t._kind)], 0, 1)
+
+
+def _gather(gs: tuple[_Runner, ...]):
+    """A closure (args, oracle, fuel) -> the tuple of what the runners gs
+    compute, in order."""
+    if len(gs) == 1:
+        (g,) = gs
+        return lambda args, oracle, fuel: (g(args, oracle, fuel),)
+    if len(gs) == 2:
+        g, h = gs
+        return lambda args, oracle, fuel: (g(args, oracle, fuel), h(args, oracle, fuel))
+    return lambda args, oracle, fuel: tuple([g(args, oracle, fuel) for g in gs])
 
 
 def _comp(t, kids):
-    f, gs = kids[0], tuple(kids[1:])
+    f, gs = kids[0], kids[1:]
+    func, nodes = t._kids[0], t._kids[1:]
+    if func._kind.op and len(gs) == _operands(func._kind):
+        # One runner for the Comp step, the operands and the operation.  A
+        # constant or projection operand is read in place; its step merges
+        # with the Comp step when no runner operand comes before it, else
+        # with the operation's charge.  With no runner operand the whole
+        # node is one charge.
+        operands = [_read(g) if type(g) in (Const, Proj) else run for g, run in zip(nodes, gs)]
+        at = [n for n, x in enumerate(operands) if not isinstance(x, tuple)]
+        pre, k = (1 + at[0], len(operands) - at[-1]) if at else (0, 2 + len(operands))
+        return _word_runner(func._kind, operands, pre, k)
+    gather = _gather(gs)
 
     def run(args, oracle, fuel):
-        fuel.tick()
-        vals = tuple(g(args, oracle, fuel) for g in gs)
-        return f(vals, oracle, fuel)
+        if (left := fuel.left - 1) < 0:
+            raise _Diverge
+        fuel.left = left
+        return f(gather(args, oracle, fuel), oracle, fuel)
 
     return run
 
@@ -233,11 +283,12 @@ def _primrec(t, kids):
     base, step = kids
 
     def run(args, oracle, fuel):
-        fuel.tick()
-        n = _arg(args, 0)
+        if (left := fuel.left - 1) < 0:
+            raise _Diverge
+        fuel.left = left
         rest = args[1:]
         acc = base(rest, oracle, fuel)
-        for k in range(n):
+        for k in range(args[0] if args else 0):
             acc = step((k, acc) + rest, oracle, fuel)
         return acc
 
@@ -250,12 +301,13 @@ def _mu(t, kids):
     (p,) = kids
 
     def run(args, oracle, fuel):
-        fuel.tick()
+        if (left := fuel.left - 1) < 0:
+            raise _Diverge
+        fuel.left = left
         y = 0
-        while True:
-            if p((y,) + args, oracle, fuel) == 0:
-                return y
+        while p((y,) + args, oracle, fuel) != 0:
             y += 1
+        return y
 
     return run
 
@@ -264,7 +316,9 @@ def _query(t, kids):
     (pos,) = kids
 
     def run(args, oracle, fuel):
-        fuel.tick()
+        if (left := fuel.left - 1) < 0:
+            raise _Diverge
+        fuel.left = left
         q = pos(args, oracle, fuel)
         if oracle is None or q >= len(oracle):
             raise _Diverge
@@ -274,12 +328,14 @@ def _query(t, kids):
 
 
 def _apply(t, kids):
-    f, gs = kids[0], tuple(kids[1:])
+    f, gather = kids[0], _gather(kids[1:])
 
     def run(args, oracle, fuel):
-        fuel.tick()
+        if (left := fuel.left - 1) < 0:
+            raise _Diverge
+        fuel.left = left
         target = f(args, oracle, fuel)
-        vals = tuple(g(args, oracle, fuel) for g in gs)
+        vals = gather(args, oracle, fuel)
         inner, depth = _compiled(target)
         outer = fuel.nest(depth)
         value = inner(vals, oracle, fuel)
@@ -298,31 +354,33 @@ def _apply(t, kids):
 # payload or the argument count is the node's header number (None for
 # _TREE).  The arity rule maps it and the children's arity bounds to the
 # node's; the runner factory maps the node and its children's runners to
-# its own.  Children are always taken in code order.
+# its own.  Children are always taken in code order.  The ten word kinds
+# also give (value function, charge rule); the others give None.
 
 _INT, _TREE, _CALL = "int", "tree", "call"
 
 
-_Kind = namedtuple("_Kind", "name shape fields arity total listing runner")
+_Kind = namedtuple("_Kind", "name shape fields arity total listing runner op", defaults=(None,))
 
 
 def _reads(k: int):
     return lambda number, kids: k
 
 
+# (1).__add__ and (1).__lshift__ are a + 1 and 1 << a without a Python frame
 _KINDS = (
-    _Kind("Const", _INT, ("value",), _reads(0), True, "const", _const),
-    _Kind("Proj", _INT, ("index",), lambda n, a: n + 1, True, "proj", _proj),
-    _Kind("Succ", _TREE, (), _reads(1), True, "succ", _op(_succ)),
-    _Kind("Add", _TREE, (), _reads(2), True, "add", _op(_add)),
-    _Kind("Monus", _TREE, (), _reads(2), True, "monus", _op(_monus)),
-    _Kind("Mul", _TREE, (), _reads(2), True, "mul", _op(_mul)),
-    _Kind("Div", _TREE, (), _reads(2), True, "div", _op(_div)),
-    _Kind("Pow2", _TREE, (), _reads(1), True, "pow2", _op(_pow2)),
-    _Kind("Log2", _TREE, (), _reads(1), True, "log2", _op(_log2)),
-    _Kind("PairOp", _TREE, (), _reads(2), True, "pair", _op(_pair)),
-    _Kind("UnpairL", _TREE, (), _reads(1), True, "unpair-left", _op(_unpair_left)),
-    _Kind("UnpairR", _TREE, (), _reads(1), True, "unpair-right", _op(_unpair_right)),
+    _Kind("Const", _INT, ("value",), _reads(0), True, "const", _leaf),
+    _Kind("Proj", _INT, ("index",), lambda n, a: n + 1, True, "proj", _leaf),
+    _Kind("Succ", _TREE, (), _reads(1), True, "succ", _word, ((1).__add__, _BY_SIZE)),
+    _Kind("Add", _TREE, (), _reads(2), True, "add", _word, (operator.add, _BY_SIZE)),
+    _Kind("Monus", _TREE, (), _reads(2), True, "monus", _word, (lambda a, b: a - b if a > b else 0, _BY_SIZE)),
+    _Kind("Mul", _TREE, (), _reads(2), True, "mul", _word, (operator.mul, _BY_SIZE)),
+    _Kind("Div", _TREE, (), _reads(2), True, "div", _word, (lambda a, b: a // b if b else 0, _BY_SIZE)),
+    _Kind("Pow2", _TREE, (), _reads(1), True, "pow2", _word, ((1).__lshift__, _BY_VALUE)),
+    _Kind("Log2", _TREE, (), _reads(1), True, "log2", _word, (lambda a: a.bit_length() - 1 if a else 0, _BY_SIZE)),
+    _Kind("PairOp", _TREE, (), _reads(2), True, "pair", _word, (pair, _BY_SIZE)),
+    _Kind("UnpairL", _TREE, (), _reads(1), True, "unpair-left", _word, (lambda a: unpair(a)[0], _BY_SIZE)),
+    _Kind("UnpairR", _TREE, (), _reads(1), True, "unpair-right", _word, (lambda a: unpair(a)[1], _BY_SIZE)),
     _Kind("Comp", _CALL, ("func", "args"), lambda n, a: max(a[1:], default=0), True, "comp", _comp),
     _Kind("PrimRec", _TREE, ("base", "step"), lambda n, a: max(1, 1 + a[0], a[1] - 1), True, "primrec", _primrec),
     _Kind("Mu", _TREE, ("pred",), lambda n, a: max(0, a[0] - 1), False, "mu", _mu),
@@ -595,16 +653,21 @@ def _check_budget(budget: int) -> None:
         raise ValueError("budget must be nonnegative")
 
 
-def _run(code: int, args: Sequence[int], budget: int, oracle: str | None) -> Outcome:
-    _check_budget(budget)
-    run, depth = _compiled(code)
+def _exec(compiled: tuple[_Runner, int], args: tuple[int, ...], budget: int, oracle: str | None) -> Outcome:
+    """One run of a compiled program; the budget is already checked."""
+    run, depth = compiled
     fuel = _Fuel(budget)
     fuel.nest(depth)
     try:
-        v = run(tuple(args), oracle, fuel)
+        v = run(args, oracle, fuel)
     except _Diverge:
         return DIVERGED
     return Outcome(v, budget - fuel.left)
+
+
+def _run(code: int, args: Sequence[int], budget: int, oracle: str | None) -> Outcome:
+    _check_budget(budget)
+    return _exec(_compiled(code), tuple(args), budget, oracle)
 
 
 def eval_bounded(e: int, args: Sequence[int], budget: int) -> Outcome:
@@ -630,11 +693,12 @@ def we_bounded(e: int, budget: int, oracle: str | None = None):
     from .finitesets import FiniteSet
 
     _check_budget(budget)
-    if _compiled(e)[0] is _never:
+    compiled = _compiled(e)
+    if compiled[0] is _never:
         return FiniteSet(0)
     mask = 0
     for n in range(budget):
-        if _run(e, (n,), budget, oracle).converged:
+        if _exec(compiled, (n,), budget, oracle).converged:
             mask |= 1 << n
     return FiniteSet(mask)
 
@@ -642,9 +706,10 @@ def we_bounded(e: int, budget: int, oracle: str | None = None):
 def we_enumeration(e: int, budget: int, oracle: str | None = None) -> list[tuple[int, int]]:
     """Bounded domain in enumeration order: (steps, n) pairs, sorted."""
     _check_budget(budget)
+    compiled = _compiled(e)
     out = []
     for n in range(budget):
-        r = _run(e, (n,), budget, oracle)
+        r = _exec(compiled, (n,), budget, oracle)
         if r.converged:
             out.append((r.steps, n))
     out.sort()

@@ -2,11 +2,13 @@ import functools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from canimm import cli
 from canimm import machine as M
 from canimm import programs as pg
+from canimm.numberings import adversarial_rule_code, default_pool
 
 
 def test_pairing_examples():
@@ -298,10 +300,85 @@ def test_bounded_domains_match_reference_on_small_codes(budget):
 
 def test_we_bounded_answers_the_diverger_without_running_it(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the diverger was run")
+        raise AssertionError("a program was run")
 
-    monkeypatch.setattr(M, "_run", refuse)
+    # _exec is the per-input path of the bounded scans
+    monkeypatch.setattr(M, "_exec", refuse)
+    with pytest.raises(AssertionError, match="a program was run"):
+        M.we_bounded(pg.identity_code(), 1)
     assert M.we_bounded(pg.diverge_code(), 10**6).is_empty
+
+
+@pytest.mark.parametrize("scan", [M.we_bounded, M.we_enumeration], ids=["we_bounded", "we_enumeration"])
+def test_a_bounded_scan_looks_its_code_up_once(scan):
+    code = M.encode(M.Comp(M.Add(), (M.Proj(0), M.Const(977))))
+    before = M._compiled.cache_info()
+    scan(code, 50)
+    after = M._compiled.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
+
+
+# -- word operations: fused and generic Comp shapes against the reference ------
+
+_WORD_CONSTANTS = [0, 1, 3, 64, 130, 2**63 - 1, 2**63, 2**64, 2**130 + 7]
+_word_trees = st.recursive(
+    st.one_of(
+        st.builds(M.Proj, st.integers(0, 2)),
+        st.builds(M.Const, st.sampled_from(_WORD_CONSTANTS)),
+        st.sampled_from(_NULLARY_NODES),
+    ),
+    lambda inner: st.one_of(
+        # a word operation fuses with its Comp at its arity and runs the
+        # generic Comp with too few or too many arguments
+        st.builds(M.Comp, st.sampled_from(_NULLARY_NODES), st.lists(inner, max_size=3).map(tuple)),
+        st.builds(M.Comp, inner, st.lists(inner, max_size=3).map(tuple)),
+        st.builds(M.PrimRec, inner, inner),
+    ),
+    max_leaves=12,
+)
+
+_WORD_CAP = 150
+
+
+@given(_word_trees, st.lists(st.sampled_from([0, 2, 5, 64, 2**64, 2**130]), max_size=3))
+@example(M.Comp(M.Add(), (M.Proj(0),)), [2**64])
+@example(M.Comp(M.Succ(), (M.Proj(0), M.Proj(1), M.Const(2**130))), [2**130, 1])
+@example(M.Comp(M.Pow2(), (M.Const(130),)), [])
+@example(M.Comp(M.Mul(), (M.Comp(M.Pow2(), (M.Proj(0),)), M.Const(2**130))), [64])
+@example(M.Comp(M.Monus(), (M.Const(2**64), M.Comp(M.Log2(), (M.Proj(1),)))), [0, 2**130])
+@settings(max_examples=150, deadline=None)
+def test_run_matches_reference_on_word_operations(tree, args):
+    code = M.encode(tree)
+    full = _ref_outcome(tree, args, _WORD_CAP)
+    top = full.steps + 1 if full.converged else _WORD_CAP
+    for budget in range(top + 1):
+        assert M._run(code, args, budget, None) == _ref_outcome(tree, args, budget), budget
+
+
+def _named_programs():
+    codes = {name: getattr(pg, name)() for name in dir(pg) if name.endswith("_code") and name != "query_at_code"}
+    codes["query_at_code"] = pg.query_at_code(2)
+    codes.update({f"adversarial-{name}": adversarial_rule_code(f) for name, f in cli.modulus_catalog().items()})
+    codes.update({f"pool-{number.label}": number.rule for number in default_pool()})
+    return codes
+
+
+_NAMED_PROGRAMS = _named_programs()
+
+
+@pytest.mark.parametrize("name", sorted(_NAMED_PROGRAMS))
+def test_named_programs_take_the_reference_step_counts(name):
+    code = _NAMED_PROGRAMS[name]
+    tree = M.decode(code)
+    for n in range(9):
+        args = [n, 8 - n][: max(1, M.arity_bound(tree))]
+        if M.is_total_tier(code):
+            value, steps = M.eval_total_steps(code, args)
+            assert _ref_outcome(tree, args, M._TOTAL_CAP) == M.Outcome(value, steps), n
+            assert M.eval_bounded(code, args, steps - 1) == M.DIVERGED, n
+        else:  # the searches and oracle readers, against a short oracle
+            for budget in range(0, 200, 7):
+                assert M._run(code, args, budget, "0110") == _ref_outcome(tree, args, budget, "0110"), (n, budget)
 
 
 # -- total-tier tree generator for the s-m-n agreement cases ----------------
@@ -709,20 +786,28 @@ def _in_nested_frames(depth, call):
     return call() if depth == 0 else _in_nested_frames(depth - 1, call)
 
 
+def _generic_comp(t):
+    return M.Comp(M.Comp(M.Succ(), (M.Proj(0),)), (t,))
+
+
 _SELF_APPLY = M.encode(M.Apply(M.Proj(0), (M.Proj(0),)))
 
 
 @pytest.mark.parametrize(
     "code,args,budget,expected",
     [
-        # a chain of arguments takes two Python frames per level
+        # a chain of fused Comps takes one Python frame per level
         (M.encode(_chain(_CHAINS["comp"][0], M.MAX_NESTING - 1)), [2], 10**6, M.Outcome(M.MAX_NESTING + 1, 2 * M.MAX_NESTING - 1)),
         (M.encode(_chain(_CHAINS["comp"][0], M.MAX_NESTING)), [2], 10**6, "too deep"),
+        # a chain of generic Comps takes two, the Comp's and its argument
+        # tuple's; the function of each is two levels high
+        (M.encode(_chain(_generic_comp, M.MAX_NESTING - 2)), [2], 10**6, M.Outcome(M.MAX_NESTING, 4 * M.MAX_NESTING - 7)),
+        (M.encode(_chain(_generic_comp, M.MAX_NESTING - 1)), [2], 10**6, "too deep"),
         (_SELF_APPLY, [_SELF_APPLY], 300, M.DIVERGED),
         (_SELF_APPLY, [_SELF_APPLY], 10**4, "too deep"),
         (_SELF_APPLY, [_SELF_APPLY], 10**6, "too deep"),
     ],
-    ids=["chain-at-limit", "chain-past-limit", "self-apply-300", "self-apply-10^4", "self-apply-10^6"],
+    ids=["chain-at-limit", "chain-past-limit", "generic-at-limit", "generic-past-limit", "self-apply-300", "self-apply-10^4", "self-apply-10^6"],
 )
 def test_the_nesting_limit_does_not_depend_on_the_callers_stack(code, args, budget, expected):
     assert _outcome(code, args, budget) == expected

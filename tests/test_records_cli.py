@@ -293,6 +293,34 @@ def test_check_schnorr_with_malformed_missed_blocks_errors(tmp_path):
     _assert_input_error(run_cli("check", "schnorr", str(bad)))
 
 
+def _with_meta(tmp_path, trace, key, value):
+    """A copy of the trace file whose meta `key` line holds `value`."""
+    lines = trace.read_text().splitlines(True)
+    edited = [f"meta\t{key}\t{value}\n" if line.startswith(f"meta\t{key}\t") else line for line in lines]
+    assert edited != lines
+    out = tmp_path / f"edited-{key}.trace"
+    out.write_text("".join(edited))
+    return out
+
+
+def test_check_schnorr_with_a_negative_missed_block_errors(tmp_path):
+    trace = tmp_path / "generic.trace"
+    flags = ("--index-bound", "6", "--blocks", "4", "--markers", "5", "--stages", "120")
+    assert run_cli("build", "generic", *flags, "--out", str(trace)).returncode == 0
+    result = run_cli("check", "schnorr", str(_with_meta(tmp_path, trace, "missed_blocks", "[-3]")))
+    _assert_input_error(result)
+    assert "missed_blocks" in result.stderr
+
+
+def test_check_immunity_with_a_negative_witness_position_errors(tmp_path):
+    trace = tmp_path / "hnc.trace"
+    assert run_cli("build", "hi-not-ci", "--blocks", "6", "--out", str(trace)).returncode == 0
+    edited = _with_meta(tmp_path, trace, "witness_positions", "[-5]")
+    result = run_cli("check", "immunity", str(edited), "--expect-fail")
+    _assert_input_error(result)
+    assert "witness_positions" in result.stderr
+
+
 def test_check_schnorr_without_prefix_errors(tmp_path):
     trace = tmp_path / "generic.trace"
     flags = ("--index-bound", "6", "--blocks", "4", "--markers", "5", "--stages", "120")
