@@ -80,6 +80,13 @@ def _build_2generic_witness(pool, args):
     return trace, {}
 
 
+def _build_hi_not_ci(pool, args):
+    try:
+        return _with_r(*cons.hi_not_ci_run(default_functions(), args.blocks, target_index=0))
+    except ValueError as err:  # no selection, or one past the construction's size guard
+        raise ValueError(f"--blocks {args.blocks}: {err}") from err
+
+
 def _build_generic(pool, args):
     schedule = mathias.default_schedule(
         list(pool), thin_count=args.index_bound, avoid_count=args.blocks, stem_target=args.markers
@@ -99,7 +106,7 @@ BUILDS = {
     "ci-not-hi": lambda pool, args: _with_r(
         *cons.ci_not_hi_run(list(pool), args.stages, _fill_pairs(pool, args.index_bound))
     ),
-    "hi-not-ci": lambda pool, args: _with_r(*cons.hi_not_ci_run(default_functions(), args.blocks, target_index=0)),
+    "hi-not-ci": _build_hi_not_ci,
     "effectivize": _build_effectivize,
     "2generic-witness": _build_2generic_witness,
     "generic": _build_generic,

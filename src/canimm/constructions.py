@@ -78,8 +78,10 @@ def delta2_prefix(pool: Sequence[int], stages: int, markers: int) -> tuple[SetPr
     At stage s, marker n is the least value above marker n-1 avoiding every
     D_{e,s}(i) with pool position e and index i both at most n whose size
     exceeds i.  Since a stage value only changes at its settling step, the
-    markers are recomputed exactly at those event stages; the trace records
-    each move and which pool entries settled within the horizon.
+    markers are recomputed exactly at those event stages, from the lowest
+    level max(e, i) whose mask an oversized value settling there grows; the
+    trace records each move and which pool entries settled within the
+    horizon.
     """
     if stages < 1 or markers < 1:
         raise ValueError("stage and marker horizons must be positive")
@@ -107,23 +109,29 @@ def delta2_prefix(pool: Sequence[int], stages: int, markers: int) -> tuple[SetPr
             "unsettled": sorted(unsettled),
         },
     )
-    current: list[int] = []
+    hits: dict[int, list[tuple[int, int]]] = {}  # stage -> (level, oversized value)
+    for (e, i), (steps, value) in settled.items():
+        if value.bit_count() > i:
+            hits.setdefault(steps, []).append((max(e, i), value))
+    levels = [0] * markers  # the union of each level's settled oversized values
+    below = [0] * markers  # below[n]: the union of levels 0..n, which marker n avoids
+    current = [-1] * markers  # -1: not placed yet; the first event places every marker
+    low = 0
     for s in events:
-        mask = 0
-        previous = -1
-        stage_markers = []
-        for n in range(markers):
-            for e, i in _pairs_at_level(n, len(pool)):
-                hit = settled.get((e, i))
-                if hit is not None and hit[0] <= s and hit[1].bit_count() > i:
-                    mask |= hit[1]
-            x = _free_position(mask, previous + 1)
-            stage_markers.append(x)
-            previous = x
-        for n, x in enumerate(stage_markers):
-            if n >= len(current) or current[n] != x:
-                trace.add(s, "set", n, x)
-        current = stage_markers
+        for level, value in hits.get(s, ()):
+            if value & ~levels[level]:
+                levels[level] |= value
+                low = min(low, level)
+        mask = below[low - 1] if low else 0
+        previous = current[low - 1] if low else -1
+        for n in range(low, markers):
+            mask |= levels[n]
+            below[n] = mask
+            previous = _free_position(mask, previous + 1)
+            if current[n] != previous:
+                current[n] = previous
+                trace.add(s, "set", n, previous)
+        low = markers
 
     prefix = SetPrefix.from_members(current, current[-1] + 1)
     return prefix, trace
@@ -442,6 +450,15 @@ def h_even_rule_tree(f: int):
     return pg.interval_code_(pg.monus_(end, width), end)
 
 
+# Size guard of hi_not_ci_run: the blocks one selection may add to its
+# function's table, and the bit where a selected block may end at most.
+# Block codes grow doubly exponentially: with the four default functions
+# the 8th selection adds 2,141 blocks and ends at bit 4,702,392, and the
+# 9th would add 4.7 million.
+MAX_SELECTION_BLOCKS = 1 << 14
+MAX_BLOCK_END = 1 << 25
+
+
 def hi_not_ci_run(fns: Sequence[int], pair_count: int, target_index: int = 0) -> tuple[SetPrefix, ConstructionTrace]:
     """Union of blocks chosen to outrun every listed function.
 
@@ -454,7 +471,9 @@ def hi_not_ci_run(fns: Sequence[int], pair_count: int, target_index: int = 0) ->
     the target function, refuting that function as a modulus of immunity;
     the trace's meta carries its rule (witness_rule) and the indices 2n of
     the chosen target blocks (witness_positions).  Function indices beyond
-    the list are treated as the zero function.
+    the list are treated as the zero function.  A selection that would add
+    more than MAX_SELECTION_BLOCKS blocks, or take a block ending past bit
+    MAX_BLOCK_END, raises ValueError before its block set is built.
     """
     if pair_count < 1:
         raise ValueError("need at least one selection")
@@ -473,12 +492,17 @@ def hi_not_ci_run(fns: Sequence[int], pair_count: int, target_index: int = 0) ->
         table = spans.setdefault(f, [])
         n = bound + 1
         top = mask.bit_length()
+        stop = len(table) + MAX_SELECTION_BLOCKS
         while True:
             while len(table) <= n:
+                if len(table) == stop:
+                    raise ValueError(f"selection {p + 1} would walk more than {MAX_SELECTION_BLOCKS} blocks")
                 table.append(_h_block(f, len(table), table[-1][1] if table else 0))
             if table[n][0] >= top:
                 break
             n += 1
+        if table[n][1] > MAX_BLOCK_END:
+            raise ValueError(f"selection {p + 1} would take a block ending at bit {table[n][1]}, past {MAX_BLOCK_END}")
         block_n = _block_set(*table[n])
         assert mask & block_n.code == 0
         mask |= block_n.code

@@ -527,14 +527,39 @@ def _gamma(n: int) -> _Bits:
     return m, 2 * length - 1
 
 
-def _head(tag: int, number: int | None) -> list[_Bits]:
-    """The bits a node writes before its children."""
-    return [(tag, _TAG_WIDTH)] if number is None else [(tag, _TAG_WIDTH), _gamma(number)]
+class Splice:
+    """A leaf that only `encode` takes: an existing code, written as it is.
+
+    `encode` copies the bits of `code` below its sentinel where the leaf
+    stands, so a tree built around a code encodes without decoding it.
+    The code must be one `encode` returns, the code of exactly one tree;
+    the result is then `encode` of the tree with that tree in the leaf's
+    place.  No other walk takes a Splice: it is not a Node."""
+
+    __slots__ = ("code",)
+
+    def __init__(self, code: int):
+        self.code = code
 
 
 def encode(tree: Node) -> int:
-    """Injective numbering of syntax trees (inverse of `decode` on its image)."""
-    v, n = _cat(*(part for t, _ in _preorder(tree) for part in _head(t._tag, t._number)))
+    """Injective numbering of syntax trees (inverse of `decode` on its image).
+
+    A `Splice` leaf anywhere in the tree writes its code's bits unchanged."""
+    v, n, todo = 0, 0, [tree]
+    while todo:
+        t = todo.pop()
+        if type(t) is Splice:
+            width = t.code.bit_length() - 1
+            v, n = (v << width) | (t.code ^ (1 << width)), n + width
+            continue
+        if not isinstance(t, Node):
+            raise TypeError(f"not a program node: {t!r}")
+        v, n = (v << _TAG_WIDTH) | t._tag, n + _TAG_WIDTH
+        if t._number is not None:
+            m, width = _gamma(t._number)
+            v, n = (v << width) | m, n + width
+        todo += t._kids[::-1]
     return (1 << n) | v
 
 
@@ -802,9 +827,9 @@ class FixedPoint(NamedTuple):
 #   PRE  = tag(Apply) gamma(1) tag(Apply) gamma(1) tag(Const)
 #   MID  = tag(Const)                      (between the two gamma(u) payloads)
 #   SUF  = tag(Proj) gamma(0)
-_DIAG_PRE = _cat(*_head(Apply._tag, 1), *_head(Apply._tag, 1), (Const._tag, _TAG_WIDTH))
+_DIAG_PRE = _cat((Apply._tag, _TAG_WIDTH), _gamma(1), (Apply._tag, _TAG_WIDTH), _gamma(1), (Const._tag, _TAG_WIDTH))
 _DIAG_MID = (Const._tag, _TAG_WIDTH)
-_DIAG_SUF = _cat(*_head(Proj._tag, 0))
+_DIAG_SUF = _cat((Proj._tag, _TAG_WIDTH), _gamma(0))
 
 
 def _diagonal_code(u: int) -> int:

@@ -8,11 +8,13 @@ coding is provided and requires an explicit scan bound as its infinitude
 witness).  The program is the reservoir's representation in traces; its
 values are read natively, from explicit head values followed by a leaf
 program's values, so a derived reservoir never runs its nested program
-in the interpreter.  Each dense family of conditions is realized as a
-deterministic condition-transformer: meeting the family means applying
-its transformer, and every transformer's output extends its input under
-the three-clause extension order, verified on enumerations truncated at a
-horizon.
+in the interpreter.  A derived reservoir's program is spliced around its
+parent's code (`machine.Splice`) and never decoded, so a chain of n
+conditions costs time linear in n.  Each dense family of conditions is
+realized as a deterministic condition-transformer: meeting the family
+means applying its transformer, and every transformer's output extends
+its input under the three-clause extension order, verified on
+enumerations truncated at a horizon.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import programs as pg
 from . import schnorr
 from .finitesets import FiniteSet, Record, SetPrefix, code_of
 from .machine import (
-    decode,
+    Splice,
     encode,
     eval_total,
     fixed_point,
@@ -56,19 +58,20 @@ class ComputableSet(Record, hidden=("head", "leaf", "offset", "_tail")):
     then the values of the `leaf` code from index `offset` on.  A set built
     from a code is its own leaf; `shifted` and `with_table_prefix` derive the
     child's normal form from the parent's, so only leaf codes ever run in
-    the interpreter, whatever the nesting of the derived program.  Callers
-    pass only `enumerator`; the derivations fill in the other fields, which
-    `==`, `hash` and `repr` leave out.
+    the interpreter, whatever the nesting of the derived program.  They also
+    splice the parent's code into the child's without decoding it, and take
+    the child's totality from the parent's, so a derived code is never
+    parsed.  Callers pass only `enumerator`, whose totality is checked; the
+    derivations fill in the other fields, which `==`, `hash` and `repr`
+    leave out.
     """
 
     __slots__ = ("enumerator", "head", "leaf", "offset", "_tail")
 
-    def __init__(self, enumerator: int, head: tuple[int, ...] = (), leaf: int | None = None, offset: int = 0):
+    def __init__(self, enumerator: int):
         if not is_total_tier(enumerator):
             raise NotTotalTierError("reservoir enumerators must be total-tier")
-        if leaf is None:
-            leaf = enumerator
-        self._fill(enumerator, head, leaf, offset, _enum_values(leaf))
+        self._fill(enumerator, (), enumerator, 0, _enum_values(enumerator))
 
     def _tail_to(self, index: int) -> list[int]:
         """The leaf's value list, evaluated up to `index` inclusive."""
@@ -116,16 +119,23 @@ class ComputableSet(Record, hidden=("head", "leaf", "offset", "_tail")):
     def odds(cls) -> "ComputableSet":
         return cls(encode(pg.succ_(pg.mul_(pg.c_(2), pg.P0))))
 
-    def _derived(self, tree, head: tuple[int, ...], skip: int) -> "ComputableSet":
-        """The set with program `tree` that reads `head`, then this set's
-        values from index len(self.head) + skip on."""
-        return ComputableSet(encode(tree), head, self.leaf, self.offset + skip)
+    def _derived(self, wrap: Callable, head: tuple[int, ...], skip: int) -> "ComputableSet":
+        """The set with program wrap(this set's program) that reads `head`,
+        then this set's values from index len(self.head) + skip on.  This
+        set's code is spliced in, never decoded.  This set is total-tier, so
+        the child is when the wrapper around a total stand-in is, and the
+        child's code is never parsed for `is_total_tier` either."""
+        if not is_total_tier(wrap(pg.P0)):
+            raise NotTotalTierError("reservoir wrappers must be total-tier")
+        child = object.__new__(ComputableSet)
+        child._fill(encode(wrap(Splice(self.enumerator))), head, self.leaf, self.offset + skip, self._tail)
+        return child
 
     def shifted(self, k: int) -> "ComputableSet":
         if k == 0:
             return self
-        tree = pg.comp(decode(self.enumerator), pg.add_(pg.P0, pg.c_(k)))
-        return self._derived(tree, self.head[k:], max(0, k - len(self.head)))
+        at = pg.add_(pg.P0, pg.c_(k))
+        return self._derived(lambda parent: pg.comp(parent, at), self.head[k:], max(0, k - len(self.head)))
 
     def with_table_prefix(self, values: Sequence[int], tail_index: int) -> "ComputableSet":
         """Enumerator taking the given values first, then this enumerator
@@ -135,10 +145,13 @@ class ComputableSet(Record, hidden=("head", "leaf", "offset", "_tail")):
         table = pg.packed_select_(list(values), pg.P0)
         past = pg.le_(pg.c_(count), pg.P0)
         tail_at = pg.add_(pg.monus_(pg.P0, pg.c_(count)), pg.c_(tail_index))
-        tail = pg.comp(decode(self.enumerator), tail_at)
-        tree = pg.add_(pg.mul_(pg.monus_(pg.c_(1), past), table), pg.mul_(past, tail))
+        before = pg.mul_(pg.monus_(pg.c_(1), past), table)
+
+        def wrap(parent):
+            return pg.add_(before, pg.mul_(past, pg.comp(parent, tail_at)))
+
         head = (*values, *self.head[tail_index:])
-        return self._derived(tree, head, max(0, tail_index - len(self.head)))
+        return self._derived(wrap, head, max(0, tail_index - len(self.head)))
 
 
 def computable_set_from_characteristic(chi: int, scan_bound: int, count: int) -> ComputableSet:

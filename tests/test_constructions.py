@@ -63,6 +63,73 @@ def test_delta2_unsettled_entries_are_reported():
     assert prefix.members() == (0, 1, 2)
 
 
+def _delta2_reference(pool, stages, markers):
+    """delta2_prefix with every marker rebuilt from all settled pairs at
+    each event stage, the construction's definition read literally."""
+    settled, unsettled = {}, []
+    for e, code in enumerate(pool[:markers]):
+        for i in range(markers):
+            r = C.eval_bounded(code, (i,), stages)
+            if r.converged:
+                settled[(e, i)] = (r.steps, r.value)
+            else:
+                unsettled.append((e, i))
+    events = [s for s in sorted({0} | {steps for steps, _ in settled.values()}) if s <= stages]
+    trace = C.ConstructionTrace(
+        "delta2",
+        meta={
+            "stages": stages,
+            "markers": markers,
+            "pool": list(pool),
+            "settled": len(settled),
+            "unsettled": sorted(unsettled),
+        },
+    )
+    current = []
+    for s in events:
+        mask, previous, stage_markers = 0, -1, []
+        for n in range(markers):
+            for e, i in C._pairs_at_level(n, len(pool)):
+                hit = settled.get((e, i))
+                if hit is not None and hit[0] <= s and hit[1].bit_count() > i:
+                    mask |= hit[1]
+            previous = C._free_position(mask, previous + 1)
+            stage_markers.append(previous)
+        for n, x in enumerate(stage_markers):
+            if n >= len(current) or current[n] != x:
+                trace.add(s, "set", n, x)
+        current = stage_markers
+    return SetPrefix.from_members(current, current[-1] + 1), trace
+
+
+def _slow_rule(delay, value):
+    """A rule that searches delay * i steps before returning value(i)."""
+    from canimm.machine import Mu
+
+    search = Mu(pg.monus_(pg.mul_(pg.c_(delay), pg.P1), pg.P0))
+    return _rule(pg.add_(pg.mul_(pg.c_(0), search), value))
+
+
+_DELTA2_CODES = [
+    *nb.default_pool().codes(),
+    pg.diverge_code(),
+    _rule(pg.mul_(pg.c_(3), pg.iszero_(pg.P0))),
+    *[_slow_rule(d, pg.interval_code_(pg.c_(a), pg.add_(pg.P0, pg.c_(a + 2)))) for d, a in ((1, 0), (3, 2), (7, 1))],
+    *[_slow_rule(d, pg.c_(c)) for d, c in ((2, 7), (5, 0b111000), (11, 0b1011))],
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.sampled_from(_DELTA2_CODES), max_size=6),
+    st.one_of(st.integers(1, 60), st.integers(1, 3000)),
+    st.integers(1, 9),
+)
+def test_delta2_matches_the_full_rebuild(pool, stages, markers):
+    prefix, trace = C.delta2_prefix(pool, stages, markers)
+    assert (prefix, trace) == _delta2_reference(pool, stages, markers)
+
+
 # ---------------------------------------------------------------- bci
 
 
@@ -306,6 +373,38 @@ def test_hi_not_ci_selects_least_block_clearing_the_mask(fns, max_pairs, target_
             assert all(blocks[m].min_value() < top for m in range(bound + 1, n))
             mask |= block_code
         assert mask == prefix.mask
+
+
+def test_hi_not_ci_eight_selections_fit_the_size_guard():
+    prefix, trace = C.hi_not_ci_run(list(DEFAULT_FNS), 8, target_index=0)
+    assert len(trace.records) == 8
+    assert prefix.length == 4_702_392 <= C.MAX_BLOCK_END
+
+
+DOUBLE_SECOND = (pg.identity_code(), pg.double_code(), pg.succ_code(), pg.zero_code())
+_FAST = encode(pg.pow2_(pg.mul_(pg.c_(5), pg.P0)))  # block 33 of f(n) = 2^(5n) has 2^330 + 1 members
+
+
+@pytest.mark.parametrize(
+    "fns,pair_count,refusal",
+    [
+        (DEFAULT_FNS, 9, "selection 9 would walk more than 16384 blocks"),
+        (DOUBLE_SECOND, 10, "selection 7 would walk more than"),
+        ((_FAST,), 1, "selection 1 would take a block ending at bit"),
+    ],
+    ids=["four-fns-9", "double-second-10", "fast-growing-1"],
+)
+def test_hi_not_ci_refuses_selections_past_the_size_guard(monkeypatch, fns, pair_count, refusal):
+    built = []
+
+    def block_set(start, end):
+        built.append(end)
+        return FiniteSet(((1 << (end - start)) - 1) << start)
+
+    monkeypatch.setattr(C, "_block_set", block_set)
+    with pytest.raises(ValueError, match=refusal):
+        C.hi_not_ci_run(list(fns), pair_count, target_index=0)
+    assert max(built, default=0) <= C.MAX_BLOCK_END
 
 
 def test_hi_not_ci_selections_outrun_target(hinotci):

@@ -273,7 +273,7 @@ def test_record_defaults_are_fresh_per_instance():
 
 
 def test_reservoir_normal_form_stays_out_of_eq_hash_and_repr():
-    derived = ComputableSet(_NATURALS, head=(0, 1), leaf=_NATURALS, offset=2)
+    derived = _RESERVOIR._derived(lambda parent: parent, (0, 1), 2)  # same program, other normal form
     assert derived == _RESERVOIR and hash(derived) == hash(_RESERVOIR)
     assert repr(derived) == repr(_RESERVOIR)
     assert derived.values(4) == _RESERVOIR.values(4)

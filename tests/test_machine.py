@@ -738,6 +738,30 @@ def test_random_trees_round_trip(tree):
     assert M.decode(M.encode(tree)) == tree
 
 
+@given(_shortcut_trees, _shortcut_trees, st.lists(_shortcut_trees, max_size=3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_spliced_code_encodes_as_the_tree_it_codes(inner, func, args, data):
+    at = data.draw(st.integers(0, len(args)), label="at")
+    code = M.encode(inner)
+    spliced = M.Comp(func, (*args[:at], M.Splice(code), *args[at:]))
+    plain = M.Comp(func, (*args[:at], inner, *args[at:]))
+    assert M.encode(spliced) == M.encode(plain)
+    assert M.encode(M.PrimRec(M.Splice(code), M.Splice(code))) == M.encode(M.PrimRec(inner, inner))
+    assert M.encode(M.Splice(code)) == code
+
+
+def test_only_encode_takes_a_splice():
+    spliced = M.Comp(M.Succ(), (M.Splice(M.encode(M.Proj(0))),))
+    for walk in (M.is_total_tier, M.arity_bound, M.disassemble, M._compile, hash):
+        with pytest.raises(TypeError, match="not a program node"):
+            walk(spliced)
+    for leaf in (5, "x", None):
+        with pytest.raises(TypeError, match="not a program node"):
+            M.encode(M.Comp(M.Succ(), (leaf,)))
+    with pytest.raises(TypeError, match="not a program node"):
+        M.encode(7)
+
+
 _DEEP = 10_000
 _LISTED = 2_000  # past the default recursion limit, with a listing of a few MB
 _CHAINS = {

@@ -39,6 +39,10 @@ def test_equal_enumerators_share_one_value_list(monkeypatch):
 def test_reservoir_rejects_partial_enumerators():
     with pytest.raises(mt.NotTotalTierError):
         mt.ComputableSet(pg.diverge_code())
+    # a code spliced around a set's enumerator is checked in full from outside
+    spliced = encode(pg.comp(M.Splice(mt.ComputableSet.evens().enumerator), M.Mu(pg.P0)))
+    with pytest.raises(mt.NotTotalTierError):
+        mt.ComputableSet(spliced)
 
 
 def test_reservoir_increase_check_catches_constants():
@@ -291,3 +295,81 @@ def test_long_size_schedules_do_not_nest_the_interpreter():
     assert final.values(3) == [260, 261, 262]
     with pytest.raises(M.ProgramDepthError):
         eval_total(final.enumerator, (0,))
+
+
+# ---------------------------------------------------------------------------
+# Derived codes are spliced around the parent's code, never decoded
+
+_total_trees = st.recursive(
+    st.one_of(st.builds(M.Proj, st.integers(0, 2)), st.builds(M.Const, st.integers(0, 2**70))),
+    lambda inner: st.one_of(
+        st.builds(pg.comp, st.sampled_from([M.Add(), M.Mul(), M.Monus(), M.PairOp()]), inner, inner),
+        st.builds(M.PrimRec, inner, inner),
+        st.builds(M.Comp, inner, st.lists(inner, max_size=2).map(tuple)),
+    ),
+    max_leaves=8,
+)
+_any_trees = st.one_of(_total_trees, st.builds(M.Mu, _total_trees), st.builds(M.Query, _total_trees))
+
+
+# wrap(parent) puts the parent at one place in a tree of either tier
+_wrappers = st.recursive(
+    st.just(lambda parent: parent),
+    lambda inner: st.one_of(
+        st.builds(
+            lambda f, g, rest: lambda p: M.Comp(f, (g(p), *rest)), _any_trees, inner, st.lists(_any_trees, max_size=2)
+        ),
+        st.builds(lambda g, rest: lambda p: M.Comp(g(p), tuple(rest)), inner, st.lists(_any_trees, max_size=2)),
+        st.builds(lambda g, step: lambda p: M.PrimRec(step, g(p)), inner, _any_trees),
+        st.builds(lambda g: lambda p: M.Mu(g(p)), inner),
+        st.builds(lambda g, f: lambda p: M.Apply(f, (g(p),)), inner, _any_trees),
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_total_trees, st.data())
+def test_derivations_splice_the_parent_code(parent, data):
+    cs = mt.ComputableSet(encode(parent))
+    for _ in range(data.draw(st.integers(1, 4), label="steps")):
+        if data.draw(st.booleans(), label="shift"):
+            k = data.draw(st.integers(0, 6), label="k")
+            expected = _lowered_shift(cs.enumerator, k)
+            cs = cs.shifted(k)
+        else:
+            values = sorted(data.draw(st.sets(st.integers(0, 2**40), max_size=4), label="values"))
+            tail_index = data.draw(st.integers(0, 6), label="tail_index")
+            expected = _lowered_table(cs.enumerator, values, tail_index)
+            cs = cs.with_table_prefix(values, tail_index)
+        assert cs.enumerator == expected
+        assert M.is_total_tier(decode(cs.enumerator))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_total_trees, _wrappers)
+def test_derived_totality_verdict_matches_the_decoded_code(parent, wrap):
+    cs = mt.ComputableSet(encode(parent))
+    expected = encode(wrap(parent))
+    if M.is_total_tier(decode(expected)):
+        assert cs._derived(wrap, (), 0).enumerator == expected
+    else:
+        with pytest.raises(mt.NotTotalTierError):
+            cs._derived(wrap, (), 0)
+
+
+def test_a_size_chain_parses_no_derived_enumerator(monkeypatch):
+    # a leaf no other test decodes, so decode's cache holds none of the chain
+    start = mt.Condition.empty(mt.ComputableSet(encode(pg.add_(pg.P0, pg.c_(4093)))))
+    parsed = set()
+    parse = M._parse
+
+    def recording(bits):
+        parsed.add(int("1" + bits, 2))
+        return parse(bits)
+
+    monkeypatch.setattr(M, "_parse", recording)
+    run = mt.build_generic(start, [mt.size_step(n) for n in range(1, 401)], horizon=5)
+    derived = {cond.reservoir.enumerator for _, cond in run.chain[1:]}
+    assert len(derived) == 400
+    assert not parsed & derived

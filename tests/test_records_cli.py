@@ -269,6 +269,23 @@ def test_build_hi_not_ci_without_blocks_errors():
     _assert_input_error(run_cli("build", "hi-not-ci", "--blocks", "0"))
 
 
+def test_build_hi_not_ci_past_the_size_guard_errors():
+    # unguarded, the 9th selection walks 4.7 million blocks, about 25 s
+    command = [sys.executable, "-m", "canimm", "build", "hi-not-ci", "--blocks", "9"]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=10)
+    _assert_input_error(result)
+    assert "error: --blocks 9: selection 9 would walk more than" in result.stderr
+
+
+def test_build_hi_not_ci_with_double_second_errors(monkeypatch, capsys):
+    # unguarded, this list ran out of memory at 10 selections
+    fns = [pg.identity_code(), pg.double_code(), pg.succ_code(), pg.zero_code()]
+    monkeypatch.setattr(cli, "default_functions", lambda: fns)
+    assert cli.main(["build", "hi-not-ci", "--blocks", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --blocks 10: selection 7 would walk more than") and "Traceback" not in err
+
+
 def test_measure_negative_n_errors():
     _assert_input_error(run_cli("measure", "-1", "3"))
 
