@@ -651,38 +651,28 @@ def effectivize_inside(
     keeps at least half of every initial segment.  The e-th domain comes
     from codes[e]; by default index e is the raw code e itself (the same
     finite surrogate for a universal listing the marker construction uses).
+
+    Whether an index can act does not depend on the stage.  So when stage s
+    begins, every index below s has acted or never will, and index s is
+    the only one the stage examines: its bounded domain is computed once.
     """
     members = prefix.members()
     if len(members) < 2 * stages:
         raise ValueError("prefix must hold at least 2 * stages members")
     if codes is None:
         codes = range(stages)
-    member_mask = prefix.mask
-    tail_masks = {}
-    acted: set[int] = set()
     removed = 0
     trace = ConstructionTrace(
         "effectivize",
         meta={"stages": stages, "budget": budget, "base_mask": prefix.mask, "base_length": prefix.length},
     )
-    domains: dict[int, int] = {}
-    for s in range(stages):
-        for e in range(min(s + 1, len(codes))):
-            if e in acted:
-                continue
-            if e not in domains:
-                domains[e] = we_bounded(codes[e], budget).code
-            if 2 * e >= len(members):
-                continue
-            if 2 * e not in tail_masks:
-                tail_masks[2 * e] = member_mask & ~((1 << members[2 * e]) - 1)
-            hit = domains[e] & tail_masks[2 * e]
-            if hit:
-                y = (hit & -hit).bit_length() - 1
-                removed |= 1 << y
-                acted.add(e)
-                trace.add(s, "act", e, y)
-                break
+    for s in range(min(stages, len(codes))):
+        start = members[2 * s]
+        hit = we_bounded(codes[s], budget).code & (prefix.mask >> start << start)
+        if hit:
+            y = (hit & -hit).bit_length() - 1
+            removed |= 1 << y
+            trace.add(s, "act", s, y)
     q_mask = prefix.mask & ~removed
     return SetPrefix(q_mask, prefix.length), trace
 

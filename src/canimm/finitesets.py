@@ -138,10 +138,7 @@ class FiniteSet(Record):
 
         The empty set yields the empty string.
         """
-        if self.code == 0:
-            return ""
-        top = self.max_value()
-        return "".join("1" if (self.code >> n) & 1 else "0" for n in range(top + 1))
+        return format(self.code, "b")[::-1] if self.code else ""
 
 
 def encode_finite_set(elements: Iterable[int]) -> FiniteSet:
@@ -205,4 +202,4 @@ class SetPrefix(Record):
         return 0 <= x < self.length and (self.mask >> x) & 1 == 1
 
     def complement_members(self) -> tuple[int, ...]:
-        return tuple(n for n in range(self.length) if not (self.mask >> n) & 1)
+        return elements_of(((1 << self.length) - 1) ^ self.mask)

@@ -336,7 +336,7 @@ def _apply(t, kids):
         fuel.left = left
         target = f(args, oracle, fuel)
         vals = gather(args, oracle, fuel)
-        inner, depth = _compiled(target)
+        inner, depth, _ = _compiled(target)
         outer = fuel.nest(depth)
         value = inner(vals, oracle, fuel)
         fuel.nesting = outer
@@ -604,7 +604,9 @@ _CACHE_BIT_LIMIT = 1 << 20
 def memo(fn):
     """lru_cache of the CACHE_ENTRIES latest calls (see ``cache_info()``); a
     call whose leading program code has _CACHE_BIT_LIMIT bits or more skips
-    it, so oversized input cannot pin memory.  Errors are not cached."""
+    it, so oversized input cannot pin memory.  Errors are not cached.  It
+    backs `decode`, `_compiled` (runner, nesting and totality in one entry)
+    and `numberings._rule_value`."""
     cached = lru_cache(maxsize=CACHE_ENTRIES)(fn)
 
     @wraps(fn)
@@ -645,17 +647,22 @@ def arity_bound(program: int | Node) -> int:
 # Evaluation
 
 
-def _compile(tree: Node) -> tuple[_Runner, int]:
-    """The tree's runner and its runner nesting, the height of the tree."""
+def _compile(tree: Node) -> tuple[_Runner, int, bool]:
+    """The tree's runner, its runner nesting (the height of the tree) and
+    whether it is total-tier, in one fold."""
 
     def combine(t, kids):
-        return t._kind.runner(t, [run for run, _ in kids]), 1 + max((depth for _, depth in kids), default=0)
+        return (
+            t._kind.runner(t, [run for run, _, _ in kids]),
+            1 + max((depth for _, depth, _ in kids), default=0),
+            t._kind.total and all(total for _, _, total in kids),
+        )
 
     return _fold(tree, combine)
 
 
 @memo
-def _compiled(code: int) -> tuple[_Runner, int]:
+def _compiled(code: int) -> tuple[_Runner, int, bool]:
     return _compile(decode(code))
 
 
@@ -678,9 +685,9 @@ def _check_budget(budget: int) -> None:
         raise ValueError("budget must be nonnegative")
 
 
-def _exec(compiled: tuple[_Runner, int], args: tuple[int, ...], budget: int, oracle: str | None) -> Outcome:
+def _exec(compiled: tuple[_Runner, int, bool], args: tuple[int, ...], budget: int, oracle: str | None) -> Outcome:
     """One run of a compiled program; the budget is already checked."""
-    run, depth = compiled
+    run, depth, _ = compiled
     fuel = _Fuel(budget)
     fuel.nest(depth)
     try:
@@ -755,12 +762,15 @@ class TotalBudgetExceededError(RuntimeError):
 
 
 _TOTAL_CAP = 1 << 32
-_total_verdict = memo(is_total_tier)
 
 
-def require_total_tier(code: int) -> None:
-    if not _total_verdict(code):
+def require_total_tier(code: int) -> tuple[_Runner, int, bool]:
+    """The compiled entry of a total-tier code; raises NotTotalTierError
+    for any other code."""
+    compiled = _compiled(code)
+    if not compiled[2]:
         raise NotTotalTierError(f"code {code} is not in the total tier")
+    return compiled
 
 
 def eval_total_steps(e: int, args: Sequence[int], max_budget: int = _TOTAL_CAP) -> tuple[int, int]:
@@ -772,9 +782,9 @@ def eval_total_steps(e: int, args: Sequence[int], max_budget: int = _TOTAL_CAP) 
     count at every larger budget.  A program that does not converge there
     raises TotalBudgetExceededError.
     """
-    require_total_tier(e)
+    compiled = require_total_tier(e)
     budget = max(64, 1 << (max_budget - 1).bit_length())
-    r = _run(e, args, budget, None)
+    r = _exec(compiled, tuple(args), budget, None)
     if not r.converged:
         raise TotalBudgetExceededError(f"code {e} needs more than {max_budget} steps")
     return r.value, r.steps

@@ -30,7 +30,6 @@ from .machine import (
     eval_total,
     fixed_point,
     is_total_tier,
-    memo,
     smn,
     we_bounded,
     we_enumeration,
@@ -44,21 +43,17 @@ class ExtensionOrderError(RuntimeError):
     """A schedule step produced a condition that does not extend its input."""
 
 
-@memo
-def _enum_values(enumerator: int) -> list[int]:
-    """The value list of a leaf code, shared by its sets and extended in place."""
-    return []
-
-
 class ComputableSet(Record, hidden=("head", "leaf", "offset", "_tail")):
     """Infinite computable set given by a strictly increasing enumerator.
 
     `enumerator` is the set's program, the form traces record.  Values are
     read natively from a normal form instead: the explicit `head` values,
     then the values of the `leaf` code from index `offset` on.  A set built
-    from a code is its own leaf; `shifted` and `with_table_prefix` derive the
-    child's normal form from the parent's, so only leaf codes ever run in
-    the interpreter, whatever the nesting of the derived program.  They also
+    from a code is its own leaf and owns a fresh value list, extended in
+    place as values are read; `shifted` and `with_table_prefix` derive the
+    child's normal form from the parent's and share its value list, so only
+    leaf codes ever run in the interpreter, whatever the nesting of the
+    derived program, and no value is evaluated twice along a chain.  They also
     splice the parent's code into the child's without decoding it, and take
     the child's totality from the parent's, so a derived code is never
     parsed.  Callers pass only `enumerator`, whose totality is checked; the
@@ -71,7 +66,7 @@ class ComputableSet(Record, hidden=("head", "leaf", "offset", "_tail")):
     def __init__(self, enumerator: int):
         if not is_total_tier(enumerator):
             raise NotTotalTierError("reservoir enumerators must be total-tier")
-        self._fill(enumerator, (), enumerator, 0, _enum_values(enumerator))
+        self._fill(enumerator, (), enumerator, 0, [])
 
     def _tail_to(self, index: int) -> list[int]:
         """The leaf's value list, evaluated up to `index` inclusive."""
@@ -216,9 +211,9 @@ def extends(child: Condition, parent: Condition, horizon: int = 1000) -> bool:
 def _values_inside(values, reservoir: ComputableSet) -> bool:
     idx = 0
     for v in values:
-        while reservoir.value(idx) < v:
+        while (x := reservoir.value(idx)) < v:
             idx += 1
-        if reservoir.value(idx) != v:
+        if x != v:
             return False
     return True
 

@@ -8,7 +8,6 @@ the total tier unless a Mu or Query is introduced explicitly.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from .machine import (
@@ -155,22 +154,18 @@ def packed_select_(values: Sequence[int], key: Node) -> Node:
 # Named programs
 
 
-@lru_cache(maxsize=None)
 def identity_code() -> int:
     return encode(P0)
 
 
-@lru_cache(maxsize=None)
 def succ_code() -> int:
     return encode(Succ())
 
 
-@lru_cache(maxsize=None)
 def zero_code() -> int:
     return encode(Const(0))
 
 
-@lru_cache(maxsize=None)
 def add_code() -> int:
     """add(n, y) = n + y by primitive recursion on the first argument."""
     from .machine import PrimRec
@@ -178,12 +173,10 @@ def add_code() -> int:
     return encode(PrimRec(P0, succ_(P1)))
 
 
-@lru_cache(maxsize=None)
 def double_code() -> int:
     return encode(mul_(c_(2), P0))
 
 
-@lru_cache(maxsize=None)
 def square_code() -> int:
     return encode(mul_(P0, P0))
 
@@ -192,7 +185,6 @@ def diverge_code() -> int:
     return ALWAYS_DIVERGE_CODE
 
 
-@lru_cache(maxsize=None)
 def enumerate_oracle_ones_code() -> int:
     """Converges on input n exactly when the oracle bit at n is one."""
     # inside Mu the argument vector is (y, n)

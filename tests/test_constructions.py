@@ -522,6 +522,73 @@ def test_effectivize_density_and_one_act_per_index():
         assert 2 * sum(1 for m in members[: n + 1] if m in kept) >= n
 
 
+def _effectivize_reference(prefix, stages, budget, codes=None):
+    """effectivize_inside rescanning every index at every stage, each
+    domain and tail mask computed once and kept."""
+    members = prefix.members()
+    if codes is None:
+        codes = range(stages)
+    member_mask = prefix.mask
+    tail_masks = {}
+    acted = set()
+    removed = 0
+    trace = C.ConstructionTrace(
+        "effectivize",
+        meta={"stages": stages, "budget": budget, "base_mask": prefix.mask, "base_length": prefix.length},
+    )
+    domains = {}
+    for s in range(stages):
+        for e in range(min(s + 1, len(codes))):
+            if e in acted:
+                continue
+            if e not in domains:
+                domains[e] = C.we_bounded(codes[e], budget).code
+            if 2 * e not in tail_masks:
+                tail_masks[2 * e] = member_mask & ~((1 << members[2 * e]) - 1)
+            hit = domains[e] & tail_masks[2 * e]
+            if hit:
+                y = (hit & -hit).bit_length() - 1
+                removed |= 1 << y
+                acted.add(e)
+                trace.add(s, "act", e, y)
+                break
+    return SetPrefix(prefix.mask & ~removed, prefix.length), trace
+
+
+_EFFECTIVIZE_CODES = [
+    pg.diverge_code(),
+    pg.identity_code(),
+    *[pg.domain_program(d) for d in ([5], [0, 1], [3, 9, 30], [12, 13, 14, 15], [40, 61])],
+    *range(40),  # raw codes, as the default listing uses
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sets(st.integers(0, 70), min_size=2),
+    st.integers(0, 8),
+    st.integers(0, 64),
+    st.one_of(st.none(), st.lists(st.sampled_from(_EFFECTIVIZE_CODES), max_size=12)),
+    st.data(),
+)
+def test_effectivize_matches_the_rescanning_reference(members, extra, budget, codes, data):
+    stages = data.draw(st.integers(1, len(members) // 2), label="stages")
+    prefix = SetPrefix.from_members(members, max(members) + 1 + extra)
+    scanned = {"construction": [], "reference": []}
+
+    def run(side, construction):
+        def counted(code, b):
+            scanned[side].append(code)
+            return we_bounded(code, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(C, "we_bounded", counted)
+            return construction(prefix, stages, budget, codes)
+
+    assert run("construction", C.effectivize_inside) == run("reference", _effectivize_reference)
+    assert scanned["construction"] == scanned["reference"]
+
+
 def test_effectivize_requires_enough_members():
     with pytest.raises(ValueError):
         C.effectivize_inside(SetPrefix.from_members(range(9), 9), 5, 64)

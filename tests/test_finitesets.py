@@ -86,10 +86,15 @@ def test_set_prefix_rejects_overflow():
         SetPrefix(0b100, 2)
 
 
-# The per-bit loops the linear SetPrefix.bits, SetPrefix.from_bits and
+# The per-bit loops the linear SetPrefix.bits, SetPrefix.from_bits,
+# SetPrefix.complement_members, FiniteSet.characteristic_string and
 # elements_of replaced, kept as their reference.
 def _bits_by_loop(mask, length):
     return "".join("1" if (mask >> n) & 1 else "0" for n in range(length))
+
+
+def _complement_by_loop(mask, length):
+    return tuple(n for n in range(length) if not (mask >> n) & 1)
 
 
 def _from_bits_by_loop(bits):
@@ -117,6 +122,9 @@ def test_prefix_bits_and_elements_match_the_per_bit_loops(mask, extra):
     prefix = SetPrefix(mask, length)
     assert prefix.bits == _bits_by_loop(mask, length)
     assert SetPrefix.from_bits(prefix.bits) == _from_bits_by_loop(prefix.bits) == prefix
+    assert prefix.complement_members() == _complement_by_loop(mask, length)
+    # the characteristic string runs to the largest element: "" for the empty set
+    assert FiniteSet(mask).characteristic_string() == _bits_by_loop(mask, mask.bit_length())
     assert elements_of(mask) == _elements_by_loop(mask)
 
 

@@ -488,20 +488,31 @@ def test_eval_total_requires_total_tier():
         M.eval_total(pg.diverge_code(), [0])
 
 
-def test_eval_total_memoises_both_totality_verdicts():
-    partial = M.encode(M.Mu(M.Comp(M.Add(), (M.Proj(0), M.Const(4321)))))
-    total = M.encode(M.Comp(M.Add(), (M.Const(4321), M.Proj(0))))
+def test_compiled_entry_carries_the_totality_verdict():
+    for code in range(1 << 12):
+        assert M._compiled(code)[2] is M.is_total_tier(code), code
 
-    def both_verdicts():
+
+@given(st.one_of(_shortcut_trees, _word_trees))
+@settings(max_examples=200, deadline=None)
+def test_compiled_totality_matches_the_tree_walk_on_random_trees(tree):
+    assert M._compiled(M.encode(tree))[2] is M.is_total_tier(tree)
+
+
+@pytest.mark.parametrize("total", [True, False], ids=["total", "partial"])
+def test_eval_total_looks_its_code_up_once(total):
+    # the compiled entry answers both the totality check and the run
+    code = M.encode(M.Comp(M.Add(), (M.Proj(0), M.Const(4321))))
+    if not total:
+        code = M.encode(M.Mu(M.decode(code)))
+    before = M._compiled.cache_info()
+    if total:
+        assert M.eval_total(code, [5]) == 4326
+    else:
         with pytest.raises(M.NotTotalTierError):
-            M.eval_total(partial, [0])
-        assert M.eval_total(total, [5]) == 4326
-
-    both_verdicts()
-    before = M._total_verdict.cache_info()
-    both_verdicts()
-    after = M._total_verdict.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+            M.eval_total(code, [0])
+    after = M._compiled.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
 
 
 def test_memo_holds_at_most_cache_entries():
@@ -791,7 +802,7 @@ def test_deep_trees_go_through_every_walk(name):
     listing = M.disassemble(_chain(wrap, _LISTED)).splitlines()
     assert len(listing) == nodes * _LISTED + 1 and listing[-1] == "  " * _LISTED + "proj 0"
     assert repr(tree) == opening * _DEEP + "Proj(index=0)" + closing * _DEEP
-    assert M._compile(tree)[1] == _DEEP + 1
+    assert M._compile(tree)[1:] == (_DEEP + 1, total)
     with pytest.raises(M.ProgramDepthError):
         M.eval_bounded(code, [2], 10**6)
 

@@ -24,16 +24,29 @@ def test_reservoir_constructors_are_increasing():
         cs.check_increasing(64)
 
 
-def test_equal_enumerators_share_one_value_list(monkeypatch):
-    first, second = odds_above(1001), odds_above(1001)
-    assert first.values(5) == [1001, 1003, 1005, 1007, 1009]
+def test_derived_sets_evaluate_nothing_their_parent_did(monkeypatch):
+    parent = odds_above(1001)
+    assert parent.values(20) == [1001 + 2 * n for n in range(20)]
+    evaluated = []
 
-    def no_evaluation(*_):
-        raise AssertionError("value evaluated twice")
+    def record(code, args, *rest):
+        evaluated.append(args[0])
+        return eval_total(code, args, *rest)
 
-    monkeypatch.setattr(mt, "eval_total", no_evaluation)
-    assert second.values(5) == [1001, 1003, 1005, 1007, 1009]
-    assert mt._enum_values(second.enumerator) is mt._enum_values(first.enumerator)
+    monkeypatch.setattr(mt, "eval_total", record)
+    shifted = parent.shifted(3)
+    table = parent.with_table_prefix([0, 5], 4)
+    assert shifted.values(17) == [1007 + 2 * n for n in range(17)]
+    assert table.values(18) == [0, 5, *(1009 + 2 * n for n in range(16))]
+    assert evaluated == []
+    # reading past the parent's values evaluates each new index once, and the
+    # parent then reads them without evaluating
+    assert shifted.value(19) == 1045
+    assert evaluated == [20, 21, 22]
+    assert table.values(22)[18:] == [1041, 1043, 1045, 1047]
+    assert evaluated == [20, 21, 22, 23]
+    assert parent.values(24)[20:] == [1041, 1043, 1045, 1047]
+    assert evaluated == [20, 21, 22, 23]
 
 
 def test_reservoir_rejects_partial_enumerators():
