@@ -30,27 +30,11 @@ from .machine import (
     we_enumeration,
 )
 from .numberings import Numbering, Registry, even_odd_rule_code, witness_rule_from_table
+from .records import ConstructionTrace, TraceRecord  # noqa: F401  (TraceRecord: re-exported)
 
 
 class TruncationError(ValueError):
     """A decode asked for more positions than the prefix holds."""
-
-
-class TraceRecord(Record):
-    __slots__ = ("stage", "rule", "fields")
-
-    def __init__(self, stage: int, rule: str, fields: tuple[int | str, ...] = ()):
-        self._fill(stage, rule, fields)
-
-
-class ConstructionTrace(Record):
-    __slots__ = ("name", "meta", "records")
-
-    def __init__(self, name: str, meta: dict[str, object] | None = None, records: list[TraceRecord] | None = None):
-        self._fill(name, {} if meta is None else meta, [] if records is None else records)
-
-    def add(self, stage: int, rule: str, *fields_: int | str):
-        self.records.append(TraceRecord(stage, rule, tuple(fields_)))
 
 
 def _free_position(mask: int, start: int) -> int:

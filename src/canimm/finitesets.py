@@ -8,8 +8,8 @@ this module imports nothing else from the package.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import compress
-from typing import Iterable, Iterator
 
 
 class Record:

@@ -36,7 +36,7 @@ from .machine import (
     NotTotalTierError,
 )
 from .numberings import Numbering
-from .constructions import ConstructionTrace
+from .records import ConstructionTrace
 
 
 class ExtensionOrderError(RuntimeError):

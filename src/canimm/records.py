@@ -1,15 +1,33 @@
-"""Line-delimited trace and verdict records.
+"""Construction traces and their line-delimited text form.
 
-One record per line, fields separated by tabs.  Integers print as
-decimals, integer lists as sorted bracket lists like [1,2,3], integer
-pairs inside lists as e:i.  The layout is stable so identical runs
-serialize to identical bytes.
+`ConstructionTrace` holds a run's name, meta and `TraceRecord`s; it lives
+here, not in `constructions`, so reading a trace loads no construction.
+In the text form, one record per line, fields separated by tabs.
+Integers print as decimals, integer lists as sorted bracket lists like
+[1,2,3], integer pairs inside lists as e:i.  The layout is stable so
+identical runs serialize to identical bytes.
 """
 
 from __future__ import annotations
 
-from .constructions import ConstructionTrace, TraceRecord
 from .finitesets import Record, SetPrefix
+
+
+class TraceRecord(Record):
+    __slots__ = ("stage", "rule", "fields")
+
+    def __init__(self, stage: int, rule: str, fields: tuple[int | str, ...] = ()):
+        self._fill(stage, rule, fields)
+
+
+class ConstructionTrace(Record):
+    __slots__ = ("name", "meta", "records")
+
+    def __init__(self, name: str, meta: dict[str, object] | None = None, records: list[TraceRecord] | None = None):
+        self._fill(name, {} if meta is None else meta, [] if records is None else records)
+
+    def add(self, stage: int, rule: str, *fields_: int | str):
+        self.records.append(TraceRecord(stage, rule, tuple(fields_)))
 
 
 def render_value(value) -> str:

@@ -165,6 +165,71 @@ def test_cli_import_loads_no_dataclasses():
     assert result.stdout.strip() == "False"
 
 
+def _imports(*argv, cwd=None):
+    """The modules a fresh `python -S -X importtime ARGV` process imports,
+    and the finished process.  -S: no .pth file imports anything first."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    command = [sys.executable, "-S", "-X", "importtime", *argv]
+    result = subprocess.run(command, env=env, capture_output=True, text=True, cwd=cwd)
+    lines = [line for line in result.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines[1:]}, result
+
+
+def _canimm(modules):
+    return {name for name in modules if name.split(".")[0] == "canimm"}
+
+
+def test_measure_loads_only_the_front_and_schnorr():
+    modules, result = _imports("-m", "canimm", "measure", "1", "3")
+    assert result.returncode == 0, result.stderr
+    assert _canimm(modules) == {"canimm", "canimm.command", "canimm.finitesets", "canimm.schnorr"}
+    assert not modules & {"pathlib", "typing"}
+
+
+def test_build_and_check_load_only_the_modules_they_run(tmp_path):
+    modules, result = _imports("-m", "canimm", "build", "delta2", "--stages", "50", "--markers", "8")
+    assert result.returncode == 0, result.stderr
+    assert "canimm.constructions" in modules
+    assert not modules & {"canimm.mathias", "canimm.checkers", "canimm.schnorr"}
+
+    trace = tmp_path / "generic.trace"
+    flags = ["--index-bound", "6", "--blocks", "4", "--markers", "5", "--stages", "120", "--out", str(trace)]
+    assert subprocess.run([sys.executable, "-m", "canimm", "build", "generic", *flags]).returncode == 0
+    modules, result = _imports("-m", "canimm", "check", "schnorr", str(trace))
+    assert result.returncode in (0, 2), result.stderr
+    assert {"canimm.records", "canimm.schnorr"} <= modules
+    assert not modules & {"canimm.constructions", "canimm.checkers", "canimm.mathias"}
+
+
+def test_package_import_loads_no_submodule():
+    code = "import canimm; canimm.__all__"
+    modules, result = _imports("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert _canimm(modules) == {"canimm"}
+
+
+def test_package_names_resolve_to_their_modules():
+    import canimm
+
+    for name in canimm.__all__:
+        value = getattr(canimm, name)
+        assert value is getattr(sys.modules[value.__module__], name)
+    assert set(canimm.__all__) <= set(dir(canimm))
+    with pytest.raises(AttributeError):
+        canimm.no_such_name
+
+
+def test_cli_import_loads_every_module_the_benchmark_tracer_wraps():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from tracer import ENTRY_POINTS; import canimm.cli; "
+        "print(sorted({m for _, m, _ in ENTRY_POINTS if 'canimm.' + m not in sys.modules}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench")], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 _NATURALS = machine.encode(machine.Proj(0))
 _RESERVOIR = ComputableSet(_NATURALS)
 _TRACE = ConstructionTrace("generic")

@@ -1,9 +1,12 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from canimm import checkers, cli
+from canimm import checkers, cli, command
 from canimm import constructions as C
 from canimm import machine as M
 from canimm import mathias
@@ -163,6 +166,41 @@ def test_build_rejects_unknown_construction():
     assert run_cli("build", "nonesuch").returncode == 1
 
 
+def test_bad_modulus_exits_1_with_usage():
+    result = run_cli("check", "schnorr", "x.trace", "--modulus", "nope")
+    assert result.returncode == 1
+    assert result.stderr.startswith("usage: canimm check ")
+    assert "error: argument --modulus: invalid choice: 'nope'" in result.stderr
+
+
+def _choices(parser, dest):
+    return next(action.choices for action in parser._actions if action.dest == dest)
+
+
+def test_parser_choices_are_the_name_tables():
+    verbs = _choices(cli.build_parser(), "command")
+    assert list(_choices(verbs["build"], "construction")) == list(cli.BUILDS)
+    assert list(_choices(verbs["check"], "suite")) == list(cli.CHECKS)
+    assert list(_choices(verbs["check"], "modulus")) == sorted(cli.modulus_catalog())
+
+
+def test_broken_extension_order_exits_2(monkeypatch, capsys):
+    def broken(pool, args):
+        raise mathias.ExtensionOrderError("step 3 (thin) does not extend its input")
+
+    monkeypatch.setitem(cli.BUILDS, "delta2", broken)
+    assert cli.main(["build", "delta2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: step 3 (thin) does not extend its input\n"
+    assert captured.out == ""
+
+
+@given(st.text(alphabet="/.a", max_size=8))
+def test_paths_show_as_pathlib_shows_them(text):
+    # the CLI's messages name a path argument in this form
+    assert command._path(text) == str(Path(text))
+
+
 def test_check_immunity_roundtrip(tmp_path):
     trace = tmp_path / "delta2.trace"
     assert run_cli("build", "delta2", "--stages", "800", "--markers", "16", "--out", str(trace)).returncode == 0
@@ -280,7 +318,7 @@ def test_build_hi_not_ci_past_the_size_guard_errors():
 def test_build_hi_not_ci_with_double_second_errors(monkeypatch, capsys):
     # unguarded, this list ran out of memory at 10 selections
     fns = [pg.identity_code(), pg.double_code(), pg.succ_code(), pg.zero_code()]
-    monkeypatch.setattr(cli, "default_functions", lambda: fns)
+    monkeypatch.setattr(command, "default_functions", lambda: fns)
     assert cli.main(["build", "hi-not-ci", "--blocks", "10"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --blocks 10: selection 7 would walk more than") and "Traceback" not in err
