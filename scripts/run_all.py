@@ -7,7 +7,7 @@ Usage: python scripts/run_all.py [out_dir]
 import sys
 from pathlib import Path
 
-from canimm.cli import main as cli_main
+from canimm.command import main as cli_main
 
 BUILDS = {
     "delta2": ["--stages", "5000", "--markers", "48"],

@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 from .finitesets import Record, SetPrefix
 from .machine import eval_total, we_bounded
 from .numberings import Numbering
+from .records import render_atom
 
 PASS = "pass"
 FAIL = "fail"
@@ -151,5 +152,5 @@ def serialize_verdict(v: Verdict) -> str:
     for key, val in v.horizon:
         lines.append(f"horizon\t{key}\t{val}")
     for viol in v.violations:
-        lines.append("violation\t" + "\t".join(str(x) for x in viol))
+        lines.append("violation\t" + "\t".join(render_atom(x) for x in viol))
     return "\n".join(lines) + "\n"

@@ -37,13 +37,6 @@ def default_functions() -> list[int]:
     return [pg.identity_code(), pg.zero_code(), pg.succ_code(), pg.double_code()]
 
 
-def _path(text: str) -> str:
-    """`str(pathlib.Path(text))` on POSIX, the form in which every message
-    has shown a path argument, without importing pathlib."""
-    root = "//" if text[:2] == "//" and text[2:3] != "/" else "/" * text.startswith("/")
-    return root + "/".join(part for part in text.split("/") if part not in ("", ".")) or "."
-
-
 def _read(path: str) -> str:
     with open(path) as fh:
         return fh.read()
@@ -56,7 +49,7 @@ def _load_pool(path: str | None):
     if path is None:
         return default_pool()
     try:
-        return Registry.deserialize(_read(_path(path)))
+        return Registry.deserialize(_read(path))
     except (OSError, ValueError, IndexError) as err:
         raise ValueError(f"cannot read pool file {path}: {err}") from err
 
@@ -65,7 +58,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(_path(out), "w") as fh:
+        with open(out, "w") as fh:
             fh.write(text)
 
 
@@ -141,36 +134,12 @@ BUILDS = {
 }
 
 
-# The flag whose smaller values shrink the largest integer in a
-# construction's trace, for each construction whose trace is known to pass
-# Python's int->str digit limit (tests/test_records_cli.py shows each).
-TRACE_SIZE_FLAGS = {
-    "effectivize": "--markers",
-    "hi-not-ci": "--blocks",
-    "2generic-witness": "--index-bound",
-    "generic": "--index-bound",
-}
-
-
-def _digit_limit_error(output: str, shrink: str | None) -> ValueError:
-    hint = f"; a smaller {shrink} shrinks it" if shrink else ""
-    return ValueError(
-        f"{output} has an integer of more than {sys.get_int_max_str_digits()} decimal digits, "
-        f"Python's int->str limit{hint}"
-    )
-
-
 def cmd_build(args) -> int:
     from . import records
 
     pool = _load_pool(args.pool)
     trace, prefixes = BUILDS[args.construction](pool, args)
-    try:
-        text = records.render_trace(trace, prefixes)
-    except ValueError as err:  # str() of an integer past the digit limit
-        shrink = TRACE_SIZE_FLAGS.get(args.construction)
-        raise _digit_limit_error(f"the {args.construction} trace", shrink) from err
-    _emit(text, args.out)
+    _emit(records.render_trace(trace, prefixes), args.out)
     return 0
 
 
@@ -265,13 +234,12 @@ def cmd_check(args) -> int:
 
     from . import programs, records
 
-    path = _path(args.trace)
-    if not os.path.exists(path):
-        raise ValueError(f"no such trace file: {path}")
+    if not os.path.exists(args.trace):
+        raise ValueError(f"no such trace file: {args.trace}")
     try:
-        parsed = records.parse_trace(_read(path))
+        parsed = records.parse_trace(_read(args.trace))
     except (OSError, ValueError, IndexError) as err:
-        raise ValueError(f"cannot read trace file {path}: {err}") from err
+        raise ValueError(f"cannot read trace file {args.trace}: {err}") from err
     pool = _load_pool(args.pool)
     lines, found_fail = CHECKS[args.suite](parsed, pool, MODULI[args.modulus](programs), args)
     _emit("".join(lines), args.out)
@@ -289,8 +257,11 @@ def cmd_measure(args) -> int:
     try:
         text = value.serialize()
     except ValueError as err:  # str() of an integer past the digit limit
-        output = f"the measure of U_{args.n} truncated at m = {args.m}"
-        raise _digit_limit_error(output, "m (the second argument)") from err
+        raise ValueError(
+            f"the measure of U_{args.n} truncated at m = {args.m} has an integer of more than "
+            f"{sys.get_int_max_str_digits()} decimal digits, Python's int->str limit; "
+            "a smaller m (the second argument) shrinks it"
+        ) from err
     print(f"{text} ≤ {bound.serialize()}: {'true' if ok else 'false'}")
     return 0 if ok else 2
 

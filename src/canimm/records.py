@@ -3,9 +3,9 @@
 `ConstructionTrace` holds a run's name, meta and `TraceRecord`s; it lives
 here, not in `constructions`, so reading a trace loads no construction.
 In the text form, one record per line, fields separated by tabs.
-Integers print as decimals, integer lists as sorted bracket lists like
-[1,2,3], integer pairs inside lists as e:i.  The layout is stable so
-identical runs serialize to identical bytes.
+Integers print as decimals, or as `0x` hex from 10**4300 up, integer lists
+as sorted bracket lists like [1,2,3], integer pairs inside lists as e:i.
+The layout is stable so identical runs serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -30,29 +30,44 @@ class ConstructionTrace(Record):
         self.records.append(TraceRecord(stage, rule, tuple(fields_)))
 
 
+# Integers from here up print in hex: CPython's int->str is quadratic and
+# refuses more than 4,300 digits.  A constant, not sys.get_int_max_str_digits(),
+# so that trace bytes do not depend on the environment.
+DECIMAL_LIMIT = 10**4300
+
+
+def render_atom(value) -> str:
+    """One trace field: an int in decimal, or in hex from DECIMAL_LIMIT up."""
+    if isinstance(value, int) and abs(value) >= DECIMAL_LIMIT:
+        return format(value, "#x")
+    return str(value)
+
+
 def render_value(value) -> str:
     if isinstance(value, bool):
         return str(int(value))
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return value
+    if isinstance(value, (int, str)):
+        return render_atom(value)
     if isinstance(value, (list, tuple)):
         parts = []
         for item in value:
             if isinstance(item, tuple):
-                parts.append(":".join(str(x) for x in item))
+                parts.append(":".join(render_atom(x) for x in item))
             else:
-                parts.append(str(item))
+                parts.append(render_atom(item))
         return "[" + ",".join(parts) + "]"
     raise TypeError(f"cannot render {value!r}")
 
 
 def _parse_atom(text: str):
-    try:
+    """An int for decimal digits (ValueError past the runtime digit limit) or
+    `0x` hex, either after an optional `-`; the text itself otherwise."""
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isdigit() and digits.isascii():
         return int(text)
-    except ValueError:
-        return text
+    if digits[:2] == "0x":
+        return int(text, 16)
+    return text
 
 
 def parse_value(text: str):
@@ -75,7 +90,7 @@ def render_trace(trace: ConstructionTrace, prefixes: dict[str, SetPrefix]) -> st
     for key in sorted(trace.meta):
         lines.append(f"meta\t{key}\t{render_value(trace.meta[key])}")
     for rec in trace.records:
-        fields = "\t".join(str(x) for x in rec.fields)
+        fields = "\t".join(render_atom(x) for x in rec.fields)
         line = f"rec\t{rec.stage}\t{rec.rule}"
         if fields:
             line += "\t" + fields

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from canimm import cli
+from canimm import command
 from canimm import machine as M
 from canimm import programs as pg
 from canimm.numberings import adversarial_rule_code, default_pool
@@ -358,7 +358,7 @@ def test_run_matches_reference_on_word_operations(tree, args):
 def _named_programs():
     codes = {name: getattr(pg, name)() for name in dir(pg) if name.endswith("_code") and name != "query_at_code"}
     codes["query_at_code"] = pg.query_at_code(2)
-    codes.update({f"adversarial-{name}": adversarial_rule_code(f) for name, f in cli.modulus_catalog().items()})
+    codes.update({f"adversarial-{name}": adversarial_rule_code(f) for name, f in command.modulus_catalog().items()})
     codes.update({f"pool-{number.label}": number.rule for number in default_pool()})
     return codes
 

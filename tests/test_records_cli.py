@@ -1,6 +1,6 @@
+import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -14,16 +14,52 @@ from canimm import programs as pg
 from canimm import schnorr
 from canimm.finitesets import SetPrefix
 from canimm.numberings import default_pool, witness_rule_from_table
-from canimm.records import parse_trace, parse_value, render_trace, render_value
+from canimm.records import DECIMAL_LIMIT, ConstructionTrace, parse_trace, parse_value, render_trace, render_value
 
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "canimm", *args], capture_output=True, text=True)
 
 
-def test_value_codec_roundtrip():
-    for value in (0, 12345, "case2", [1, 2, 3], [], [(0, 4), (2, 9)], ["thin-D0", "size-8"]):
+# integers on both sides of the codec's switch from decimal to hex
+_near_the_limit = st.integers(-3, 3).map(lambda d: DECIMAL_LIMIT + d) | st.integers(-(10**4400), 10**4400)
+
+
+@given(_near_the_limit, st.lists(_near_the_limit | st.tuples(_near_the_limit, _near_the_limit)))
+def test_value_codec_roundtrip(number, items):
+    for value in (0, 12345, "case2", [1, 2, 3], [], [(0, 4), (2, 9)], ["thin-D0", "size-8"], number, items):
         assert parse_value(render_value(value)) == value
+    trace = ConstructionTrace("x", {"items": items})
+    trace.add(0, "r", number)
+    parsed = parse_trace(render_trace(trace, {}))
+    assert parsed.meta["items"] == items and parsed.records[0].fields == (number,)
+
+
+def test_codec_switches_to_hex_at_the_decimal_limit():
+    assert render_value(DECIMAL_LIMIT - 1) == "9" * 4300
+    assert render_value(DECIMAL_LIMIT) == format(DECIMAL_LIMIT, "#x")
+    assert render_value(-DECIMAL_LIMIT) == "-" + format(DECIMAL_LIMIT, "#x")
+    assert parse_value("0x1f") == 31 and parse_value("-0x1f") == -31
+
+
+def test_long_decimal_atoms_raise_instead_of_parsing_as_text():
+    # past the runtime int->str limit a decimal atom used to come back as a str
+    for text in ("7" * 5000, "-" + "7" * 5000):
+        with pytest.raises(ValueError):
+            parse_value(text)
+        with pytest.raises(ValueError):
+            parse_trace(f"trace\tx\nrec\t0\tr\t{text}\n")
+    assert [parse_value(text) for text in ("-3", "+3", "3a", "-", "")] == [-3, "+3", "3a", "-", ""]
+    with pytest.raises(ValueError):
+        parse_value("0xg")
+
+
+def test_check_rejects_a_trace_with_a_long_decimal_atom(tmp_path):
+    trace = tmp_path / "long.trace"
+    trace.write_text(f"trace\tdelta2\nmeta\tstages\t{'7' * 5000}\nprefix\tR\t0101\n")
+    result = run_cli("check", "immunity", str(trace))
+    _assert_input_error(result)
+    assert f"cannot read trace file {trace}:" in result.stderr
 
 
 def test_trace_file_roundtrip(pool):
@@ -108,7 +144,7 @@ BUILD_FLAGS = [
 def test_build_commands_are_deterministic(tmp_path, name, flags):
     """Every build the CLI offers gives the same bytes twice, and each of
     its prefixes replays through the library."""
-    assert {n for n, _ in BUILD_FLAGS} == set(cli.BUILDS) == set(REPLAYS)
+    assert {n for n, _ in BUILD_FLAGS} == set(command.BUILDS) == set(REPLAYS)
     first = tmp_path / "a.trace"
     second = tmp_path / "b.trace"
     assert run_cli("build", name, "--out", str(first), *flags).returncode == 0
@@ -121,20 +157,29 @@ def test_build_commands_are_deterministic(tmp_path, name, flags):
     }
 
 
-def _generic_run(pool):
-    schedule = mathias.default_schedule(list(pool), thin_count=6, avoid_count=4, stem_target=5)
-    run = mathias.build_generic(mathias.Condition.empty(), schedule, horizon=120)
+def _generic_run(pool, index_bound=6, blocks=4, markers=5, stages=120):
+    schedule = mathias.default_schedule(list(pool), thin_count=index_bound, avoid_count=blocks, stem_target=markers)
+    run = mathias.build_generic(mathias.Condition.empty(), schedule, horizon=stages)
     return run.trace, {"R": run.prefix}
 
 
-def _hi_not_ci_run(pool):
-    prefix, trace = C.hi_not_ci_run(cli.default_functions(), 6, target_index=0)
+def _hi_not_ci_run(pool, blocks=6):
+    prefix, trace = C.hi_not_ci_run(command.default_functions(), blocks, target_index=0)
     return trace, {"R": prefix}
 
 
-def _2generic_witness_run(pool):
-    _, _, trace = C.build_2generic_witness("", pg.enumerate_oracle_ones_code(), pg.zero_code(), 1, 1)
+def _2generic_witness_run(pool, index_bound=1):
+    _, _, trace = C.build_2generic_witness(
+        "", pg.enumerate_oracle_ones_code(), pg.zero_code(), index_bound, index_bound
+    )
     return trace, {}
+
+
+def _effectivize_run(pool, stages, markers, budget):
+    base, _ = C.delta2_prefix(pool.codes(), stages, markers)
+    quotient, trace = C.effectivize_inside(base, markers // 2, budget)
+    trace.meta["base_stages"] = stages  # the one meta key the CLI adds
+    return trace, {"Q": quotient, "R": base}
 
 
 @pytest.mark.parametrize(
@@ -178,27 +223,21 @@ def _choices(parser, dest):
 
 
 def test_parser_choices_are_the_name_tables():
-    verbs = _choices(cli.build_parser(), "command")
-    assert list(_choices(verbs["build"], "construction")) == list(cli.BUILDS)
-    assert list(_choices(verbs["check"], "suite")) == list(cli.CHECKS)
-    assert list(_choices(verbs["check"], "modulus")) == sorted(cli.modulus_catalog())
+    verbs = _choices(command.build_parser(), "command")
+    assert list(_choices(verbs["build"], "construction")) == list(command.BUILDS)
+    assert list(_choices(verbs["check"], "suite")) == list(command.CHECKS)
+    assert list(_choices(verbs["check"], "modulus")) == sorted(command.modulus_catalog())
 
 
 def test_broken_extension_order_exits_2(monkeypatch, capsys):
     def broken(pool, args):
         raise mathias.ExtensionOrderError("step 3 (thin) does not extend its input")
 
-    monkeypatch.setitem(cli.BUILDS, "delta2", broken)
-    assert cli.main(["build", "delta2"]) == 2
+    monkeypatch.setitem(command.BUILDS, "delta2", broken)
+    assert command.main(["build", "delta2"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: step 3 (thin) does not extend its input\n"
     assert captured.out == ""
-
-
-@given(st.text(alphabet="/.a", max_size=8))
-def test_paths_show_as_pathlib_shows_them(text):
-    # the CLI's messages name a path argument in this form
-    assert command._path(text) == str(Path(text))
 
 
 def test_check_immunity_roundtrip(tmp_path):
@@ -257,43 +296,62 @@ def test_check_malformed_trace_errors(tmp_path):
     _assert_input_error(run_cli("check", "immunity", str(trace)))
 
 
-def test_build_past_the_int_digit_limit_errors():
-    result = run_cli("build", "hi-not-ci", "--blocks", "7")
-    _assert_input_error(result)
-    assert "the hi-not-ci trace has an integer of more than" in result.stderr
-    assert "a smaller --blocks shrinks it" in result.stderr
-
-
-# (construction, its size flag, a value whose trace passes the digit limit,
-# a smaller value whose trace does not)
-TRACE_SIZE_CASES = [
-    ("effectivize", "--markers", "64", "32"),
-    ("hi-not-ci", "--blocks", "7", "6"),
-    ("2generic-witness", "--index-bound", "20", "16"),
-    ("generic", "--index-bound", "64", "48"),
+# (construction, flags whose trace holds an integer of more than 4,300
+# decimal digits, the library run with the same parameters)
+LARGE_TRACE_CASES = [
+    ("effectivize", ("--markers", "64"), lambda pool: _effectivize_run(pool, 1000, 64, 256)),
+    ("hi-not-ci", ("--blocks", "7"), lambda pool: _hi_not_ci_run(pool, 7)),
+    ("hi-not-ci", ("--blocks", "8"), lambda pool: _hi_not_ci_run(pool, 8)),
+    ("2generic-witness", ("--index-bound", "20"), lambda pool: _2generic_witness_run(pool, 20)),
+    ("generic", ("--index-bound", "64"), lambda pool: _generic_run(pool, 64, 6, 32, 1000)),
 ]
 
 
-def test_trace_size_cases_cover_the_flag_table():
-    assert {case[:2] for case in TRACE_SIZE_CASES} == set(cli.TRACE_SIZE_FLAGS.items())
+@pytest.mark.parametrize(
+    "name,flags,library_run", LARGE_TRACE_CASES, ids=[f"{name}{flags[1]}" for name, flags, _ in LARGE_TRACE_CASES]
+)
+def test_build_writes_integers_past_the_decimal_limit_in_hex(pool, tmp_path, name, flags, library_run):
+    """These builds once failed on Python's int->str digit limit: their
+    traces now hold hex atoms, replay through the library, and match a
+    rendered library run byte for byte."""
+    out = tmp_path / "big.trace"
+    result = run_cli("build", name, *flags, "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    text = out.read_text()
+    assert "\t0x" in text
+    parsed = parse_trace(text)
+    replayed = REPLAYS[name](parsed)
+    assert {label: (p.mask, p.length) for label, p in parsed.prefixes.items()} == {
+        label: (p.mask, p.length) for label, p in replayed.items()
+    }
+    assert render_trace(*library_run(pool)) == text
 
 
-@pytest.mark.parametrize("construction, flag, too_big, fits", TRACE_SIZE_CASES, ids=[c[0] for c in TRACE_SIZE_CASES])
-def test_build_names_the_flag_that_shrinks_an_oversized_trace(construction, flag, too_big, fits):
-    result = run_cli("build", construction, flag, too_big)
-    _assert_input_error(result)
-    assert f"the {construction} trace has an integer of more than" in result.stderr
-    assert f"a smaller {flag} shrinks it" in result.stderr
-    assert run_cli("build", construction, flag, fits).returncode == 0
+def test_check_immunity_refutes_the_eight_block_trace(tmp_path):
+    trace = tmp_path / "h8.trace"
+    assert run_cli("build", "hi-not-ci", "--blocks", "8", "--out", str(trace)).returncode == 0
+    result = run_cli("check", "immunity", str(trace), "--expect-fail")
+    assert result.returncode == 0, result.stderr
+    assert "violation\t" in result.stdout
 
 
-def test_build_without_a_size_flag_names_only_the_trace(monkeypatch, capsys):
-    oversized = C.ConstructionTrace("delta2", {"code": 1 << 20000})
-    monkeypatch.setitem(cli.BUILDS, "delta2", lambda pool, args: (oversized, {}))
-    assert cli.main(["build", "delta2"]) == 1
-    err = capsys.readouterr().err
-    assert "the delta2 trace has an integer of more than" in err
-    assert "shrinks it" not in err
+def test_verdict_violations_past_the_decimal_limit_print_in_hex():
+    code = 1 << 20000
+    verdict = checkers.Verdict(checkers.FAIL, ((0, 7, code, 3),))
+    assert checkers.serialize_verdict(verdict) == f"verdict\tfail\nviolation\t0\t7\t{code:#x}\t3\n"
+
+
+def test_trace_bytes_do_not_depend_on_the_runtime_digit_limit():
+    """A lower int->str limit may make a build fail, never change its bytes."""
+    flags = ("build", "hi-not-ci", "--blocks", "6")
+    default = run_cli(*flags)
+    assert default.returncode == 0
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640"}
+    limited = subprocess.run([sys.executable, "-m", "canimm", *flags], capture_output=True, text=True, env=env)
+    if limited.returncode == 0:
+        assert limited.stdout == default.stdout
+    else:
+        _assert_input_error(limited)
 
 
 def test_measure_past_the_int_digit_limit_errors():
@@ -319,13 +377,22 @@ def test_build_hi_not_ci_with_double_second_errors(monkeypatch, capsys):
     # unguarded, this list ran out of memory at 10 selections
     fns = [pg.identity_code(), pg.double_code(), pg.succ_code(), pg.zero_code()]
     monkeypatch.setattr(command, "default_functions", lambda: fns)
-    assert cli.main(["build", "hi-not-ci", "--blocks", "10"]) == 1
+    assert command.main(["build", "hi-not-ci", "--blocks", "10"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --blocks 10: selection 7 would walk more than") and "Traceback" not in err
 
 
 def test_measure_negative_n_errors():
     _assert_input_error(run_cli("measure", "-1", "3"))
+
+
+def test_measure_past_the_size_guard_errors_before_computing():
+    # unguarded, m = 3000 took 19 s and m = 10000 more than 40 s
+    for m in ("3000", "10000"):
+        command_line = [sys.executable, "-m", "canimm", "measure", "0", m]
+        result = subprocess.run(command_line, capture_output=True, text=True, timeout=10)
+        _assert_input_error(result)
+        assert f"error: m = {m} would give a measure with denominator 2^" in result.stderr
 
 
 def test_check_witness_trace_without_witness_rule_errors(tmp_path):
@@ -434,7 +501,9 @@ def test_cli_pool_file_roundtrip(tmp_path):
 
 
 def test_main_entrypoint_callable():
+    # the benchmark runs the command line through the canimm.cli shim
     assert cli.main(["measure", "1", "3"]) == 0
+    assert cli.modulus_catalog() == command.modulus_catalog()
 
 
 # name -> the library function (module, attribute) its BUILDS entry reaches
@@ -477,18 +546,18 @@ def test_build_entry_calls_the_library_through_its_module(monkeypatch, tmp_path,
     """A wrapper installed on the module after import (the benchmark
     tracer's, say) sees the call; an entry that captured the function at
     import would bypass it."""
-    assert set(BUILD_ENTRY_POINTS) == set(cli.BUILDS)
+    assert set(BUILD_ENTRY_POINTS) == set(command.BUILDS)
     calls = _count_calls(monkeypatch, *BUILD_ENTRY_POINTS[name])
-    assert cli.main(["build", name, *flags, "--out", str(tmp_path / "t.trace")]) == 0
+    assert command.main(["build", name, *flags, "--out", str(tmp_path / "t.trace")]) == 0
     assert calls
 
 
 @pytest.mark.parametrize("suite", sorted(CHECK_ENTRY_POINTS))
 def test_check_entry_calls_the_library_through_its_module(monkeypatch, tmp_path, suite):
-    assert set(CHECK_ENTRY_POINTS) == set(cli.CHECKS)
+    assert set(CHECK_ENTRY_POINTS) == set(command.CHECKS)
     entry_point, build, flags = CHECK_ENTRY_POINTS[suite]
     trace = str(tmp_path / "t.trace")
-    assert cli.main(["build", build, *dict(BUILD_FLAGS)[build], "--out", trace]) == 0
+    assert command.main(["build", build, *dict(BUILD_FLAGS)[build], "--out", trace]) == 0
     calls = _count_calls(monkeypatch, *entry_point)
-    assert cli.main(["check", suite, trace, *flags, "--out", str(tmp_path / "verdicts")]) == 0
+    assert command.main(["check", suite, trace, *flags, "--out", str(tmp_path / "verdicts")]) == 0
     assert calls
