@@ -19,7 +19,7 @@ import itertools
 from typing import Sequence
 
 from . import programs as pg
-from .finitesets import FiniteSet, Record, SetPrefix, subset_of_string
+from .finitesets import FiniteSet, Record, SetPrefix, code_of, subset_of_string
 from .machine import (
     eval_bounded,
     eval_total,
@@ -135,14 +135,28 @@ def replay_delta2(trace: ConstructionTrace) -> SetPrefix:
 # Two-sided construction over the pair blocks I_p = {2p, 2p+1}
 
 
+# The most pair blocks a two-sided run fills up to a pool value ceiling;
+# each of its prefix lines is then at most about 8 MB.
+MAX_FILL_PAIRS = 1 << 22
+
+
 def pool_value_ceiling(pool: Sequence[Numbering], index_bound: int) -> int:
-    """Largest element any pool numbering mentions up to the index bound."""
+    """Largest element any pool numbering mentions up to the index bound.
+
+    Raises ValueError as soon as a value reaches an element in pair block
+    MAX_FILL_PAIRS or later, before evaluating any further value: the
+    default pool's big-interval value at index i has about 8 i**2 bits."""
     top = 0
     for position, numbering in enumerate(pool):
         for i in range(position, index_bound + 1):
             value = numbering.value(i)
             if not value.is_empty:
                 top = max(top, value.max_value())
+                if top // 2 >= MAX_FILL_PAIRS:
+                    raise ValueError(
+                        f"--index-bound {index_bound}: numbering {numbering.id} reaches element {top} at index {i},"
+                        f" past the {MAX_FILL_PAIRS} pair blocks a fill may cover"
+                    )
     return top
 
 
@@ -182,10 +196,9 @@ def bci_run(
 
     if fill_pairs is None:
         fill_pairs = (max(used_pairs) + 1) if used_pairs else 1
-    for p in range(fill_pairs):
-        if p not in used_pairs:
-            r_mask |= 1 << (2 * p)
-            q_mask |= 1 << (2 * p + 1)
+    fill = _unused_pair_evens(fill_pairs, used_pairs)
+    r_mask |= fill
+    q_mask |= fill << 1
     trace.meta["fill_pairs"] = fill_pairs
     length = max(2 * fill_pairs, r_mask.bit_length(), q_mask.bit_length())
     return SetPrefix(r_mask, length), SetPrefix(q_mask, length), trace
@@ -211,6 +224,14 @@ def _partner(x: int) -> int:
     return x ^ 1
 
 
+def _unused_pair_evens(fill_pairs: int, used: set[int]) -> int:
+    """Bit 2p for every pair block p < fill_pairs outside `used`: the
+    alternating mask 0b0101... of width 2 * fill_pairs less the used pairs'
+    bits, in time linear in the width."""
+    evens = ((1 << 2 * fill_pairs) - 1) // 3
+    return evens ^ code_of(2 * p for p in used if 0 <= p < fill_pairs)
+
+
 def replay_bci(trace: ConstructionTrace) -> tuple[SetPrefix, SetPrefix]:
     r_mask = q_mask = 0
     used: set[int] = set()
@@ -221,10 +242,9 @@ def replay_bci(trace: ConstructionTrace) -> tuple[SetPrefix, SetPrefix]:
             q_mask |= (1 << x) | (1 << w)
             used.update((p_s, q_s))
     fill_pairs = trace.meta["fill_pairs"]
-    for p in range(fill_pairs):
-        if p not in used:
-            r_mask |= 1 << (2 * p)
-            q_mask |= 1 << (2 * p + 1)
+    fill = _unused_pair_evens(fill_pairs, used)
+    r_mask |= fill
+    q_mask |= fill << 1
     length = max(2 * fill_pairs, r_mask.bit_length(), q_mask.bit_length())
     return SetPrefix(r_mask, length), SetPrefix(q_mask, length)
 
@@ -361,9 +381,7 @@ def ci_not_hi_run(
 
     if fill_pairs is None:
         fill_pairs = (max(used_pairs) + 1) if used_pairs else 1
-    for p in range(fill_pairs):
-        if p not in used_pairs:
-            r_mask |= 1 << (2 * p)
+    r_mask |= _unused_pair_evens(fill_pairs, used_pairs)
     trace.meta["fill_pairs"] = fill_pairs
     return SetPrefix(r_mask, 2 * fill_pairs), trace
 
@@ -377,9 +395,7 @@ def replay_ci_not_hi(trace: ConstructionTrace) -> SetPrefix:
             r_mask |= 1 << _partner(x)
             used.add(p_s)
     fill_pairs = trace.meta["fill_pairs"]
-    for p in range(fill_pairs):
-        if p not in used:
-            r_mask |= 1 << (2 * p)
+    r_mask |= _unused_pair_evens(fill_pairs, used)
     return SetPrefix(r_mask, 2 * fill_pairs)
 
 

@@ -59,12 +59,18 @@ class Record:
 
 
 def code_of(elements: Iterable[int]) -> int:
-    code = 0
-    for n in elements:
-        if n < 0:
-            raise ValueError(f"negative element {n}")
-        code |= 1 << n
-    return code
+    """The canonical code of the elements (repeats allowed).  The bits are
+    set in a byte buffer, so the time is linear in the element count plus
+    the largest element."""
+    members = list(elements)
+    if not members:
+        return 0
+    if min(members) < 0:
+        raise ValueError(f"negative element {next(n for n in members if n < 0)}")
+    buf = bytearray(max(members) // 8 + 1)
+    for n in members:
+        buf[n >> 3] |= 1 << (n & 7)
+    return int.from_bytes(buf, "little")
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")

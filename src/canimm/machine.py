@@ -39,6 +39,17 @@ A search on a nonzero constant, such as the canonical diverger, is answered
 as diverged without spending fuel: it would test that constant forever, and
 a diverged run reports no step count, so no outcome changes.
 
+A PrimRec whose subtree is total-tier keeps one resume point: the trailing
+arguments, count, accumulator and fuel spent (entry step, base and steps)
+of its last converged run.  A run with the same trailing arguments and a
+count at least as large charges that spend as one step and continues the
+loop from there; every other run starts from 0 and replaces the point, and
+an accumulator of _CACHE_BIT_LIMIT bits or more is not kept.  No outcome
+changes: the subtree reads no oracle and runs no other program, so its
+loop repeats the stored run exactly, and fuel only falls within a run, so
+that prefix diverges exactly when the stored spend exceeds the fuel left.
+So a scan over i = 0, 1, 2, ... of a rule recursing on i // 2 is linear.
+
 A run nests one runner per level of its program's tree, and each Apply
 adds the height of the program it runs.  A run that would nest past
 MAX_NESTING levels raises ProgramDepthError, at every caller stack depth
@@ -139,7 +150,7 @@ def _read(t: Node) -> tuple[int, int]:
     return (t._number, 0) if type(t) is Proj else (sys.maxsize, t._number)
 
 
-def _leaf(t, kids):
+def _leaf(t, kids, total):
     i, c = _read(t)
 
     def run(args, oracle, fuel):
@@ -238,7 +249,7 @@ def _word_runner(kind: _Kind, operands: list, pre: int, k: int) -> _Runner:
     return run
 
 
-def _word(t, kids):
+def _word(t, kids, total):
     # a bare operation reads its operands from argument positions 0 and 1
     return _word_runner(t._kind, [(0, 0), (1, 0)][: _operands(t._kind)], 0, 1)
 
@@ -255,7 +266,7 @@ def _gather(gs: tuple[_Runner, ...]):
     return lambda args, oracle, fuel: tuple([g(args, oracle, fuel) for g in gs])
 
 
-def _comp(t, kids):
+def _comp(t, kids, total):
     f, gs = kids[0], kids[1:]
     func, nodes = t._kids[0], t._kids[1:]
     if func._kind.op and len(gs) == _operands(func._kind):
@@ -279,23 +290,36 @@ def _comp(t, kids):
     return run
 
 
-def _primrec(t, kids):
+def _primrec(t, kids, total):
     base, step = kids
+    # A total-tier subtree's last run that converged: (rest, count,
+    # accumulator, fuel spent from entry to the end of its loop).
+    point = None
 
     def run(args, oracle, fuel):
-        if (left := fuel.left - 1) < 0:
-            raise _Diverge
-        fuel.left = left
-        rest = args[1:]
-        acc = base(rest, oracle, fuel)
-        for k in range(args[0] if args else 0):
+        nonlocal point
+        start = fuel.left
+        rest, count = args[1:], args[0] if args else 0
+        if point is not None and point[1] <= count and point[0] == rest:
+            _, k, acc, spent = point
+            if (left := start - spent) < 0:
+                raise _Diverge
+            fuel.left = left
+        else:
+            if (left := start - 1) < 0:
+                raise _Diverge
+            fuel.left = left
+            k, acc = 0, base(rest, oracle, fuel)
+        for k in range(k, count):
             acc = step((k, acc) + rest, oracle, fuel)
+        if total and acc.bit_length() < _CACHE_BIT_LIMIT:
+            point = rest, count, acc, start - fuel.left
         return acc
 
     return run
 
 
-def _mu(t, kids):
+def _mu(t, kids, total):
     if type(t.pred) is Const and t.pred.value:
         return _never
     (p,) = kids
@@ -312,7 +336,7 @@ def _mu(t, kids):
     return run
 
 
-def _query(t, kids):
+def _query(t, kids, total):
     (pos,) = kids
 
     def run(args, oracle, fuel):
@@ -327,7 +351,7 @@ def _query(t, kids):
     return run
 
 
-def _apply(t, kids):
+def _apply(t, kids, total):
     f, gather = kids[0], _gather(kids[1:])
 
     def run(args, oracle, fuel):
@@ -353,9 +377,10 @@ def _apply(t, kids):
 # or two), _CALL holds a function child and an argument tuple.  The int
 # payload or the argument count is the node's header number (None for
 # _TREE).  The arity rule maps it and the children's arity bounds to the
-# node's; the runner factory maps the node and its children's runners to
-# its own.  Children are always taken in code order.  The ten word kinds
-# also give (value function, charge rule); the others give None.
+# node's; the runner factory maps the node, its children's runners and
+# whether its subtree is total-tier to its own runner.  Children are always
+# taken in code order.  The ten word kinds also give (value function,
+# charge rule); the others give None.
 
 _INT, _TREE, _CALL = "int", "tree", "call"
 
@@ -652,11 +677,9 @@ def _compile(tree: Node) -> tuple[_Runner, int, bool]:
     whether it is total-tier, in one fold."""
 
     def combine(t, kids):
-        return (
-            t._kind.runner(t, [run for run, _, _ in kids]),
-            1 + max((depth for _, depth, _ in kids), default=0),
-            t._kind.total and all(total for _, _, total in kids),
-        )
+        total = t._kind.total and all(total for _, _, total in kids)
+        run = t._kind.runner(t, [run for run, _, _ in kids], total)
+        return run, 1 + max((depth for _, depth, _ in kids), default=0), total
 
     return _fold(tree, combine)
 

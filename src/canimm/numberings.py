@@ -14,6 +14,7 @@ from __future__ import annotations
 from . import programs as pg
 from .finitesets import FiniteSet, Record, decode_finite_set, encode_finite_set
 from .machine import (
+    _CACHE_BIT_LIMIT,
     Node,
     PrimRec,
     decode,
@@ -43,9 +44,25 @@ __all__ = [
     "default_pool",
 ]
 
+
+class _Oversized(Exception):
+    """Carries a rule value of _CACHE_BIT_LIMIT bits or more past the memo,
+    which keeps no call that raises."""
+
+
 @memo
+def _kept_rule_value(rule: int, i: int) -> FiniteSet:
+    code = eval_total(rule, (i,))
+    if code.bit_length() >= _CACHE_BIT_LIMIT:
+        raise _Oversized(code)
+    return FiniteSet(code)
+
+
 def _rule_value(rule: int, i: int) -> FiniteSet:
-    return FiniteSet(eval_total(rule, (i,)))
+    try:
+        return _kept_rule_value(rule, i)
+    except _Oversized as big:
+        return FiniteSet(big.args[0])
 
 
 class Numbering(Record):

@@ -188,6 +188,12 @@ def test_bci_replay_and_partition(pool):
     assert r.mask | q.mask == (1 << 1200) - 1  # R and Q partition the horizon
 
 
+@given(st.integers(0, 200), st.sets(st.integers(-3, 250)))
+def test_fill_mask_has_the_even_bit_of_every_unused_pair(fill_pairs, used):
+    expected = sum(1 << (2 * p) for p in range(fill_pairs) if p not in used)
+    assert C._unused_pair_evens(fill_pairs, used) == expected
+
+
 # ---------------------------------------------------------------- cofinal
 
 

@@ -13,6 +13,7 @@ from canimm.constructions import ConstructionTrace, PumpResult, TraceRecord, Wit
 from canimm.finitesets import (
     FiniteSet,
     SetPrefix,
+    code_of,
     decode_finite_set,
     elements_of,
     encode_finite_set,
@@ -32,6 +33,17 @@ from canimm.records import ParsedTrace
 from canimm.schnorr import DyadicRational
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+@given(st.lists(st.integers(0, 300)))
+def test_code_of_sets_one_bit_per_distinct_element(elements):
+    assert code_of(elements) == sum(1 << n for n in set(elements))
+    assert code_of(iter(elements)) == code_of(elements)
+
+
+def test_code_of_refuses_negative_elements():
+    with pytest.raises(ValueError, match="negative element -2"):
+        code_of([5, -2, -1])
 
 
 def test_canonical_code_examples():

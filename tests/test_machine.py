@@ -355,6 +355,39 @@ def test_run_matches_reference_on_word_operations(tree, args):
         assert M._run(code, args, budget, None) == _ref_outcome(tree, args, budget), budget
 
 
+# -- PrimRec resume points: one compiled entry across a sequence of calls ------
+
+_primrec_nodes = st.builds(M.PrimRec, _word_trees, _word_trees)
+_primrec_trees = st.one_of(
+    _primrec_nodes,
+    st.builds(M.Comp, _primrec_nodes, st.lists(_word_trees, min_size=1, max_size=3).map(tuple)),
+)
+# (count, rest): the counts of a sequence rise, fall and repeat, and rest changes
+_primrec_calls = st.lists(
+    st.tuples(st.integers(0, 6), st.lists(st.integers(0, 3), max_size=2)), min_size=1, max_size=8
+)
+_RESUME_CAP = 2000
+_add_rest = M.PrimRec(M.Proj(0), M.Comp(M.Add(), (M.Proj(1), M.Proj(2))))
+
+
+@given(_primrec_trees, _primrec_calls)
+@example(_add_rest, [(1, [5]), (4, [5]), (2, [5]), (2, [5]), (6, [5]), (0, [5])])
+@example(_add_rest, [(3, [1]), (3, [2]), (5, [1]), (5, [])])
+@settings(max_examples=150, deadline=None)
+def test_primrec_resume_points_change_no_outcome(tree, calls):
+    shared = M._compiled(M.encode(tree))
+    for count, rest in calls:
+        args = (count, *rest)
+        full = _ref_outcome(tree, args, _RESUME_CAP)
+        # the converging budget stores a resume point; one step less is the
+        # divergence edge with that point in place
+        budgets = [full.steps, full.steps - 1, 0] if full.converged else [_RESUME_CAP, 0]
+        for budget in budgets:
+            expected = _ref_outcome(tree, args, budget)
+            assert M._exec(shared, args, budget, None) == expected, (args, budget)
+            assert M._exec(M._compile(tree), args, budget, None) == expected, (args, budget)
+
+
 def _named_programs():
     codes = {name: getattr(pg, name)() for name in dir(pg) if name.endswith("_code") and name != "query_at_code"}
     codes["query_at_code"] = pg.query_at_code(2)

@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 
@@ -371,6 +372,20 @@ def test_build_hi_not_ci_past_the_size_guard_errors():
     result = subprocess.run(command, capture_output=True, text=True, timeout=10)
     _assert_input_error(result)
     assert "error: --blocks 9: selection 9 would walk more than" in result.stderr
+
+
+@pytest.mark.parametrize("name", ["bci", "ci-not-hi"])
+def test_build_past_the_fill_horizon_errors(name):
+    # unguarded, bci ran to 7.6 GB of memory and was killed; the 1 GB
+    # address-space cap is set in the child only
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    command = [sys.executable, "-m", "canimm", "build", name, "--stages", "100", "--index-bound", "10000"]
+    result = subprocess.run(command, capture_output=True, text=True, timeout=10, preexec_fn=cap)
+    _assert_input_error(result)
+    assert "error: --index-bound 10000: numbering 3 reaches element" in result.stderr
+    assert f"past the {C.MAX_FILL_PAIRS} pair blocks a fill may cover" in result.stderr
 
 
 def test_build_hi_not_ci_with_double_second_errors(monkeypatch, capsys):
