@@ -55,6 +55,13 @@ adds the height of the program it runs.  A run that would nest past
 MAX_NESTING levels raises ProgramDepthError, at every caller stack depth
 alike.
 
+Every run goes through one run loop, `_runs`, which runs a compiled
+program on a sequence of argument tuples and re-arms one _Fuel per input.
+A single run is its one-input case, the bounded scans loop through it, and
+`eval_total_run` is its total-tier form: the code is looked up and its tier
+checked once for a whole sequence, and each input yields or raises exactly
+what a run on it alone would.
+
 Codes serialize as decimal integers; `disassemble` renders one
 instruction per line for traces.
 """
@@ -66,7 +73,8 @@ import operator
 import sys
 from collections import namedtuple
 from functools import lru_cache, wraps
-from typing import Callable, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 WORD_BITS = 64
 
@@ -708,16 +716,46 @@ def _check_budget(budget: int) -> None:
         raise ValueError("budget must be nonnegative")
 
 
-def _exec(compiled: tuple[_Runner, int, bool], args: tuple[int, ...], budget: int, oracle: str | None) -> Outcome:
-    """One run of a compiled program; the budget is already checked."""
+def _runs(
+    compiled: tuple[_Runner, int, bool],
+    inputs: Iterable[tuple[int, ...]],
+    budget: int,
+    oracle: str | None,
+    stop: bool = False,
+) -> Iterator[tuple[int | None, int | None]]:
+    """The run loop: one run of a compiled program per argument tuple of
+    `inputs`, in order, each at the full budget (already checked).  Yields
+    (value, steps) for a run that converges; a run that diverges yields
+    (None, None), or with `stop` raises _Diverge from the loop.
+
+    One _Fuel serves every run and is re-armed before each: its steps left,
+    and its nesting too, since a run that diverges inside an Apply leaves
+    that Apply's nesting behind.  Whatever a run raises, such as
+    ProgramDepthError, the loop raises at that run's input, after yielding
+    the values of the inputs before it.  Every other run path is a case of
+    this loop."""
     run, depth, _ = compiled
     fuel = _Fuel(budget)
-    fuel.nest(depth)
-    try:
-        v = run(args, oracle, fuel)
-    except _Diverge:
-        return DIVERGED
-    return Outcome(v, budget - fuel.left)
+    for args in inputs:
+        fuel.left = budget
+        if fuel.nesting != depth:  # the first run, or one after an Apply diverged
+            fuel.nesting = 0
+            fuel.nest(depth)
+        try:
+            value = run(args, oracle, fuel)
+        except _Diverge:
+            if stop:
+                raise
+            yield None, None
+        else:
+            yield value, budget - fuel.left
+
+
+def _exec(compiled: tuple[_Runner, int, bool], args: tuple[int, ...], budget: int, oracle: str | None) -> Outcome:
+    """One run of a compiled program, the budget already checked: the run
+    loop's one-input case."""
+    value, steps = next(_runs(compiled, (args,), budget, oracle))
+    return DIVERGED if value is None else Outcome(value, steps)
 
 
 def _run(code: int, args: Sequence[int], budget: int, oracle: str | None) -> Outcome:
@@ -752,8 +790,8 @@ def we_bounded(e: int, budget: int, oracle: str | None = None):
     if compiled[0] is _never:
         return FiniteSet(0)
     mask = 0
-    for n in range(budget):
-        if _exec(compiled, (n,), budget, oracle).converged:
+    for n, (value, _) in enumerate(_runs(compiled, zip(range(budget)), budget, oracle)):
+        if value is not None:
             mask |= 1 << n
     return FiniteSet(mask)
 
@@ -761,14 +799,8 @@ def we_bounded(e: int, budget: int, oracle: str | None = None):
 def we_enumeration(e: int, budget: int, oracle: str | None = None) -> list[tuple[int, int]]:
     """Bounded domain in enumeration order: (steps, n) pairs, sorted."""
     _check_budget(budget)
-    compiled = _compiled(e)
-    out = []
-    for n in range(budget):
-        r = _exec(compiled, (n,), budget, oracle)
-        if r.converged:
-            out.append((r.steps, n))
-    out.sort()
-    return out
+    runs = _runs(_compiled(e), zip(range(budget)), budget, oracle)
+    return sorted((steps, n) for n, (value, steps) in enumerate(runs) if value is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -796,21 +828,41 @@ def require_total_tier(code: int) -> tuple[_Runner, int, bool]:
     return compiled
 
 
-def eval_total_steps(e: int, args: Sequence[int], max_budget: int = _TOTAL_CAP) -> tuple[int, int]:
-    """Evaluate a total-tier program, returning (value, steps used).
+def _total_budget(max_budget: int) -> int:
+    """The budget of a total-tier run: the smallest 64 * 2**k >= max_budget."""
+    return max(64, 1 << (max_budget - 1).bit_length())
 
-    The program runs once, at the smallest budget 64 * 2**k >= max_budget.
-    Budget monotonicity (see the module docstring) makes that one run
-    exact: a program converging within it has the same value and step
-    count at every larger budget.  A program that does not converge there
-    raises TotalBudgetExceededError.
+
+def eval_total_run(e: int, inputs: Iterable[tuple[int, ...]], max_budget: int = _TOTAL_CAP) -> Iterator[tuple[int, int]]:
+    """Evaluate a total-tier program on each argument tuple of `inputs`, in
+    order, yielding (value, steps used) for each.
+
+    Each run is made at `_total_budget(max_budget)`.  Budget monotonicity
+    (see the module docstring) makes that one run exact: a program
+    converging within it has the same value and step count at every larger
+    budget.  A run that does not converge there raises
+    TotalBudgetExceededError at its input.  The code is looked up and its
+    tier checked once, when the first input is taken, so a run over no input
+    raises nothing; from there one run loop serves every input, and each
+    input yields or raises exactly what `eval_total_steps` on it alone would.
     """
+    inputs = iter(inputs)
+    for first in inputs:  # the loop below takes every further input
+        compiled = require_total_tier(e)
+        try:
+            yield from _runs(compiled, chain((first,), inputs), _total_budget(max_budget), None, stop=True)
+        except _Diverge:
+            raise TotalBudgetExceededError(f"code {e} needs more than {max_budget} steps") from None
+
+
+def eval_total_steps(e: int, args: Sequence[int], max_budget: int = _TOTAL_CAP) -> tuple[int, int]:
+    """Evaluate a total-tier program, returning (value, steps used): the
+    one-input case of the run loop, as `eval_total_run` describes it."""
     compiled = require_total_tier(e)
-    budget = max(64, 1 << (max_budget - 1).bit_length())
-    r = _exec(compiled, tuple(args), budget, None)
-    if not r.converged:
+    value, steps = next(_runs(compiled, (tuple(args),), _total_budget(max_budget), None))
+    if value is None:
         raise TotalBudgetExceededError(f"code {e} needs more than {max_budget} steps")
-    return r.value, r.steps
+    return value, steps
 
 
 def eval_total(e: int, args: Sequence[int], max_budget: int = _TOTAL_CAP) -> int:

@@ -10,16 +10,22 @@ values are read natively, from explicit head values followed by a leaf
 program's values, so a derived reservoir never runs its nested program
 in the interpreter.  A derived reservoir's program is spliced around its
 parent's code (`machine.Splice`) and never decoded, so a chain of n
-conditions costs time linear in n.  Each dense family of conditions is
-realized as a deterministic condition-transformer: meeting the family
-means applying its transformer, and every transformer's output extends
-its input under the three-clause extension order, verified on
+conditions costs time linear in n.  Reservoirs are read in runs, through
+the machine's one run loop (`eval_total_run`): a range of values is one
+run of the leaf, and the walks over a reservoir read its values in order,
+running the leaf for a stretch of indices at a time but for no index that
+reading one value at a time would not evaluate.  Each dense family of
+conditions is realized as a deterministic condition-transformer: meeting
+the family means applying its transformer, and every transformer's output
+extends its input under the three-clause extension order, verified on
 enumerations truncated at a horizon.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import itertools
+from bisect import bisect_right
+from typing import Callable, Iterator, Sequence
 
 from . import programs as pg
 from . import schnorr
@@ -28,6 +34,7 @@ from .machine import (
     Splice,
     encode,
     eval_total,
+    eval_total_run,
     fixed_point,
     is_total_tier,
     smn,
@@ -69,11 +76,33 @@ class ComputableSet(Record, hidden=("head", "leaf", "offset", "_tail")):
         self._fill(enumerator, (), enumerator, 0, [])
 
     def _tail_to(self, index: int) -> list[int]:
-        """The leaf's value list, evaluated up to `index` inclusive."""
+        """The leaf's value list, evaluated up to `index` inclusive in one
+        run of the leaf."""
         tail = self._tail
-        while len(tail) <= index:
-            tail.append(eval_total(self.leaf, (len(tail),)))
+        if len(tail) <= index:
+            tail += (x for x, _ in eval_total_run(self.leaf, zip(range(len(tail), index + 1))))
         return tail
+
+    def _walk(self, n: int = 0) -> Iterator[int]:
+        """The values from index n on, in order.  The leaf runs for a tail
+        index only when the walk reaches it (the indices below it too, as
+        `value` would), in one run loop per stretch of missing values."""
+        head = self.head
+        yield from head[n:]
+        tail = self._tail
+        i = self.offset + max(0, n - len(head))
+        if i > len(tail):
+            self._tail_to(i - 1)
+        while True:
+            # the values read already, and those appended while this walk reads
+            yield from itertools.islice(tail, i, None)
+            i = len(tail)
+            for x, _ in eval_total_run(self.leaf, zip(itertools.count(i))):
+                tail.append(x)
+                i += 1
+                yield x
+                if i < len(tail):
+                    break  # another reader extended the shared list meanwhile
 
     def values(self, count: int) -> list[int]:
         head = self.head
@@ -97,10 +126,20 @@ class ComputableSet(Record, hidden=("head", "leaf", "offset", "_tail")):
                 raise ValueError(f"enumerator {self.enumerator} not strictly increasing at {a}")
 
     def first_index_with_value_above(self, x: int) -> int:
-        idx = 0
-        while self.value(idx) <= x:
-            idx += 1
-        return idx
+        """The least index whose value exceeds x.  Values strictly increase,
+        so the head and the materialized tail are bisected; past them the
+        walk evaluates the indices up to the answer."""
+        head, tail, start = self.head, self._tail, self.offset
+        found = bisect_right(head, x)
+        if found < len(head):
+            return found
+        if len(tail) > start and tail[-1] > x:
+            return found + bisect_right(tail, x, start) - start
+        n = found + max(0, len(tail) - start)
+        for value in self._walk(n):
+            if value > x:
+                return n
+            n += 1
 
     @classmethod
     def naturals(cls) -> "ComputableSet":
@@ -209,10 +248,10 @@ def extends(child: Condition, parent: Condition, horizon: int = 1000) -> bool:
 
 
 def _values_inside(values, reservoir: ComputableSet) -> bool:
-    idx = 0
+    x, walk = -1, reservoir._walk()
     for v in values:
-        while (x := reservoir.value(idx)) < v:
-            idx += 1
+        while x < v:
+            x = next(walk)
         if x != v:
             return False
     return True
@@ -251,6 +290,10 @@ class ThinCertificate(Record):
         return True
 
 
+_WINDOW = 1 << 12
+_WINDOW_MASK = (1 << _WINDOW) - 1
+
+
 def thin_for_numbering(cond: Condition, numbering: Numbering, count: int) -> tuple[Condition, ThinCertificate]:
     """Thin the reservoir so the numbering cannot fit oversized values.
 
@@ -269,17 +312,22 @@ def thin_for_numbering(cond: Condition, numbering: Numbering, count: int) -> tup
         if not value.is_empty:
             ceiling = max(ceiling, value.max_value())
     kept: list[int] = []
-    idx = 0
+    walk = cond.reservoir._walk()
     union = numbering.value(base).code
+    # Membership in union is read from `window`, its bits [low, low + _WINDOW),
+    # so a test costs O(1) instead of a shift of the whole union.  The walk
+    # only rises, so the window moves up to the value that leaves it, and an
+    # OR rebuilds it where it stands.
+    low, window = 0, union & _WINDOW_MASK
     for i in range(base + 1, bound + 1):
-        while True:
-            x = cond.reservoir.value(idx)
-            if (union >> x) & 1 == 0:
+        for x in walk:
+            if not 0 <= x - low < _WINDOW:
+                low, window = x, (union >> x) & _WINDOW_MASK
+            if not (window >> (x - low)) & 1:
                 break
-            idx += 1
         kept.append(x)
-        idx += 1
         union |= numbering.value(i).code
+        window = (union >> low) & _WINDOW_MASK
     tail_index = cond.reservoir.first_index_with_value_above(max(ceiling, kept[-1] if kept else 0))
     thinned = cond.reservoir.with_table_prefix(kept, tail_index)
     cert = ThinCertificate(
@@ -316,18 +364,17 @@ def meet_avoidance(cond: Condition, count: int) -> tuple[Condition, AvoidanceRec
         block_index += 1
     missed: list[int] = []
     kept: list[int] = []
-    idx = 0
+    walk = enumerate(cond.reservoir._walk(), start=1)  # (values read, value)
     for _ in range(count):
         missed.append(block_index)
         block_top = schnorr.block(block_index).max_value()
-        while cond.reservoir.value(idx) <= block_top:
-            idx += 1
-        x = cond.reservoir.value(idx)
+        for read, x in walk:
+            if x > block_top:
+                break
         kept.append(x)
-        idx += 1
         while schnorr.block(block_index).min_value() <= x:
             block_index += 1
-    thinned = cond.reservoir.with_table_prefix(kept, idx)
+    thinned = cond.reservoir.with_table_prefix(kept, read)
     return Condition(cond.stem, thinned), AvoidanceRecord(tuple(missed), tuple(kept))
 
 

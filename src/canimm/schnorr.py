@@ -123,24 +123,28 @@ def in_U_n(prefix: SetPrefix, n: int, m: int) -> tuple[bool, int | None]:
 
 
 # Size guard of measure_U_trunc: its largest exponent, block_span(m) -
-# block_span(n).  The numerator has about as many bits and the product loop
-# costs about m times that: unguarded, m = 3000 at n = 0 took 19 s on a
-# 2-vCPU VM.
+# block_span(n).  The numerator has about as many bits, and each of the
+# m - n loop steps shifts it once: unguarded, m = 3000 at n = 0 takes 0.6 s
+# on a 2-vCPU VM, for a result whose decimal form no trace can hold.
 MAX_MEASURE_EXPONENT = 1 << 18
 
 
 def measure_U_trunc(n: int, m: int) -> DyadicRational:
     """Exact measure of the truncation of U_n to witnesses in (n, m]; raises
     ValueError before computing one whose exponent passes MAX_MEASURE_EXPONENT."""
+    if n < 0:
+        raise ValueError("need n >= 0")
     if m <= n:
         raise ValueError("need m > n")
     exponent = block_span(m) - block_span(n)
     if exponent > MAX_MEASURE_EXPONENT:
         raise ValueError(f"m = {m} would give a measure with denominator 2^{exponent}, past 2^{MAX_MEASURE_EXPONENT}")
-    prod = DyadicRational.one()
+    # prod (1 - 2^-i) = prod (2^i - 1) / 2^exponent; the numerator is odd, so
+    # 1 minus it, (2^exponent - numerator) / 2^exponent, is in lowest terms
+    numerator = 1
     for i in range(n + 1, m + 1):
-        prod = prod * (DyadicRational.one() - DyadicRational.power(i))
-    return DyadicRational.one() - prod
+        numerator = (numerator << i) - numerator
+    return DyadicRational((1 << exponent) - numerator, exponent)
 
 
 def check_schnorr_bound(n: int, m: int) -> bool:

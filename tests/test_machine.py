@@ -302,8 +302,8 @@ def test_we_bounded_answers_the_diverger_without_running_it(monkeypatch):
     def refuse(*args):
         raise AssertionError("a program was run")
 
-    # _exec is the per-input path of the bounded scans
-    monkeypatch.setattr(M, "_exec", refuse)
+    # _runs is the run loop of the bounded scans
+    monkeypatch.setattr(M, "_runs", refuse)
     with pytest.raises(AssertionError, match="a program was run"):
         M.we_bounded(pg.identity_code(), 1)
     assert M.we_bounded(pg.diverge_code(), 10**6).is_empty
@@ -894,3 +894,116 @@ def test_negative_budgets_raise_everywhere(budget):
             run(code, budget)
     with pytest.raises(ValueError):
         M.we_bounded(pg.diverge_code(), budget)
+
+
+# -- the run loop: one compiled entry and one _Fuel across many inputs ---------
+
+_RUN_ERRORS = (M.TotalBudgetExceededError, M.NotTotalTierError, M.ProgramDepthError)
+
+
+def _collect(items):
+    """The items up to the first run error, and that error's type (or None)."""
+    out = []
+    try:
+        for item in items:
+            out.append(item)
+    except _RUN_ERRORS as err:
+        return out, type(err)
+    return out, None
+
+
+def _per_input(call, inputs):
+    """call(args) for each input in turn, up to the first run error."""
+    return _collect(call(args) for args in inputs)
+
+
+# counts rise, fall and repeat with the trailing arguments, so PrimRec resume
+# points carry across the runs of one loop
+_run_inputs = st.lists(
+    st.tuples(st.integers(0, 6), st.lists(st.sampled_from([0, 1, 3, 64, 2**64]), max_size=2)).map(
+        lambda t: (t[0], *t[1])
+    ),
+    max_size=8,
+)
+
+
+# caps far below _TOTAL_CAP: fuel bounds the size of the values a run builds
+@given(st.one_of(_primrec_trees, _word_trees), _run_inputs, st.sampled_from([1, 64, 100, 300, _RESUME_CAP]))
+@example(_add_rest, [(1, 5), (4, 5), (2, 5), (20, 5), (21, 5), (3, 5)], 64)
+@example(M.Comp(M.Pow2(), (M.Proj(0),)), [(3,), (2**64,), (5,)], _RESUME_CAP)
+@settings(max_examples=150, deadline=None)
+def test_total_run_loop_matches_per_input_calls(tree, inputs, max_budget):
+    code = M.encode(tree)
+    expected = _per_input(lambda args: M.eval_total_steps(code, args, max_budget), inputs)
+    assert _collect(M.eval_total_run(code, inputs, max_budget)) == expected
+    # both match the tree-walking reference at the budget the runs are made at
+    budget = max(64, 1 << (max_budget - 1).bit_length())
+    values, error = expected
+    for args, (value, steps) in zip(inputs, values):
+        assert _ref_outcome(tree, args, budget) == M.Outcome(value, steps), args
+    if error is not None:
+        assert error is M.TotalBudgetExceededError
+        assert _ref_outcome(tree, inputs[len(values)], budget) == M.DIVERGED
+
+
+def test_total_run_loop_keeps_the_values_before_an_overflow():
+    add = pg.add_code()  # add(n, 0) takes 2 + 3n steps: n = 21 needs 65
+    assert _collect(M.eval_total_run(add, [(20, 0), (1, 0), (21, 0), (2, 0)], 64)) == (
+        [(20, 62), (1, 5)],
+        M.TotalBudgetExceededError,
+    )
+
+
+@pytest.mark.parametrize(
+    "tree,error",
+    [(M.Mu(M.Proj(0)), M.NotTotalTierError), (_chain(_CHAINS["comp"][0], M.MAX_NESTING), M.ProgramDepthError)],
+    ids=["partial", "too-deep"],
+)
+def test_total_run_loop_raises_what_the_first_input_raises(tree, error):
+    code = M.encode(tree)
+    with pytest.raises(error):
+        M.eval_total_steps(code, [1])
+    assert _collect(M.eval_total_run(code, [(1,), (2,)])) == ([], error)
+    # like a loop of per-input calls, a run over no input raises nothing
+    assert _collect(M.eval_total_run(code, [])) == ([], None)
+
+
+_arg_tuples = st.lists(st.lists(st.integers(0, 6), max_size=3).map(tuple), max_size=6)
+
+
+@given(_shortcut_trees, _arg_tuples, st.one_of(st.none(), st.text(alphabet="01", max_size=6)), st.integers(0, 300))
+@settings(max_examples=150, deadline=None)
+def test_partial_run_loop_matches_per_input_runs(tree, inputs, oracle, budget):
+    compiled = M._compiled(M.encode(tree))
+    expected = _per_input(lambda args: M._exec(compiled, args, budget, oracle), inputs)
+    assert _collect(M.Outcome(*r) for r in M._runs(compiled, inputs, budget, oracle)) == expected
+    values, error = expected
+    assert error is None
+    for args, outcome in zip(inputs, values):
+        assert outcome == _ref_outcome(tree, args, budget, oracle), args
+
+
+def test_run_loop_re_arms_the_nesting_after_a_diverged_apply():
+    # Input 0 applies a diverger 248 levels high, so the run is 250 levels
+    # deep, the limit, when it diverges.  Input 1 applies Succ: from a nesting
+    # left at 250 its Apply would pass the limit.
+    deep = M.ALWAYS_DIVERGE
+    for _ in range(246):
+        deep = M.Comp(M.Succ(), (deep,))
+    diverger = M.encode(deep)
+    assert M._compiled(diverger)[1] == 248
+    compiled = M._compiled(M.encode(M.Apply(M.Proj(0), (M.Proj(1),))))
+    inputs = [(diverger, 7), (M.encode(M.Succ()), 7), (diverger, 1), (M.encode(M.Succ()), 9)]
+    runs = [M.Outcome(*r) for r in M._runs(compiled, inputs, 10**4, None)]
+    assert [r.value for r in runs] == [None, 8, None, 10]
+    assert runs == [M._exec(compiled, args, 10**4, None) for args in inputs]
+
+
+@pytest.mark.parametrize("code", [M.encode(M.Query(M.Proj(0))), pg.enumerate_oracle_ones_code()], ids=["query", "ones"])
+def test_an_oracle_run_loop_matches_per_input_runs(code):
+    compiled = M._compiled(code)
+    inputs = [(n,) for n in range(6)]
+    for oracle in (None, "", "01", "0110", "111"):
+        runs = [M.Outcome(*r) for r in M._runs(compiled, inputs, 200, oracle)]
+        assert runs == [M._exec(compiled, args, 200, oracle) for args in inputs]
+        assert runs == [_ref_outcome(M.decode(code), args, 200, oracle) for args in inputs]

@@ -28,12 +28,18 @@ def test_derived_sets_evaluate_nothing_their_parent_did(monkeypatch):
     parent = odds_above(1001)
     assert parent.values(20) == [1001 + 2 * n for n in range(20)]
     evaluated = []
+    run = M.eval_total_run
 
-    def record(code, args, *rest):
-        evaluated.append(args[0])
-        return eval_total(code, args, *rest)
+    def record(code, inputs, *rest):
+        # an input is noted when the run loop takes it, just before running it
+        def noted():
+            for args in inputs:
+                evaluated.append(args[0])
+                yield args
 
-    monkeypatch.setattr(mt, "eval_total", record)
+        return run(code, noted(), *rest)
+
+    monkeypatch.setattr(mt, "eval_total_run", record)
     shifted = parent.shifted(3)
     table = parent.with_table_prefix([0, 5], 4)
     assert shifted.values(17) == [1007 + 2 * n for n in range(17)]
@@ -283,13 +289,17 @@ def test_native_values_match_the_lowered_program(leaf, data):
 def test_build_generic_runs_only_leaf_codes(monkeypatch, pool):
     leaf = mt.ComputableSet(encode(pg.add_(pg.P0, pg.c_(5))))
     codes = set()
-    run_total = M.eval_total_steps
 
-    def counting(e, args, *rest):
-        codes.add(e)
-        return run_total(e, args, *rest)
+    def counting(run_total):
+        def run(e, args, *rest):
+            codes.add(e)
+            return run_total(e, args, *rest)
 
-    monkeypatch.setattr(M, "eval_total_steps", counting)
+        return run
+
+    # reservoirs read their leaf values in runs, numberings one value a call
+    monkeypatch.setattr(mt, "eval_total_run", counting(M.eval_total_run))
+    monkeypatch.setattr(M, "eval_total_steps", counting(M.eval_total_steps))
     schedule = mt.default_schedule(list(pool), thin_count=12, avoid_count=6, stem_target=8)
     run = mt.build_generic(mt.Condition.empty(leaf), schedule, horizon=200)
     derived = {cond.reservoir.enumerator for _, cond in run.chain} - {leaf.enumerator}
@@ -386,3 +396,156 @@ def test_a_size_chain_parses_no_derived_enumerator(monkeypatch):
     derived = {cond.reservoir.enumerator for _, cond in run.chain[1:]}
     assert len(derived) == 400
     assert not parsed & derived
+
+
+# ---------------------------------------------------------------------------
+# Walks evaluate exactly the leaf indices that element-wise reads evaluate
+
+
+def _first_above_elementwise(cs, x):
+    idx = 0
+    while cs.value(idx) <= x:
+        idx += 1
+    return idx
+
+
+def _inside_elementwise(values, cs):
+    idx = 0
+    for v in values:
+        while (x := cs.value(idx)) < v:
+            idx += 1
+        if x != v:
+            return False
+    return True
+
+
+def _thin_elementwise(cond, numbering, count):
+    """(kept values, tail index, ceiling) of thin_for_numbering, one value read at a time."""
+    base = cond.stem_size()
+    values = [numbering.value(i) for i in range(base, base + count + 1)]
+    ceiling = max((value.max_value() for value in values if not value.is_empty), default=0)
+    kept, idx, union = [], 0, numbering.value(base).code
+    for i in range(base + 1, base + count + 1):
+        while (union >> (x := cond.reservoir.value(idx))) & 1:
+            idx += 1
+        kept.append(x)
+        idx += 1
+        union |= numbering.value(i).code
+    return kept, _first_above_elementwise(cond.reservoir, max(ceiling, kept[-1] if kept else 0)), ceiling
+
+
+def _avoid_elementwise(cond, count):
+    """(missed blocks, kept values, values read) of meet_avoidance, one value read at a time."""
+    from canimm import schnorr
+
+    top = cond.stem.max_value() if not cond.stem.is_empty else -1
+    block_index = 1
+    while schnorr.block(block_index).min_value() <= top:
+        block_index += 1
+    missed, kept, idx = [], [], 0
+    for _ in range(count):
+        missed.append(block_index)
+        while cond.reservoir.value(idx) <= schnorr.block(block_index).max_value():
+            idx += 1
+        kept.append(cond.reservoir.value(idx))
+        idx += 1
+        while schnorr.block(block_index).min_value() <= kept[-1]:
+            block_index += 1
+    return missed, kept, idx
+
+
+_WALK_LEAVES = (
+    pg.identity_code(),
+    encode(pg.add_(pg.mul_(pg.c_(2), pg.P0), pg.c_(3))),
+    encode(pg.add_(pg.P0, pg.c_(5))),
+)
+_WALK_POOL = list(nb.default_pool())
+_walk_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("shift"), st.integers(0, 5)),
+        st.tuples(st.just("table"), st.sets(st.integers(0, 40), max_size=3), st.integers(0, 5)),
+    ),
+    max_size=4,
+)
+
+
+def _derive(leaf, read, steps):
+    """A set over a fresh leaf set: `read` leaf values read first, then the
+    derivation steps."""
+    cs = mt.ComputableSet(leaf)
+    cs.values(read)
+    for step in steps:
+        if step[0] == "shift":
+            cs = cs.shifted(step[1])
+        else:
+            _, values, tail_index = step
+            below = cs.value(tail_index)
+            cs = cs.with_table_prefix(sorted(v for v in values if v < below), tail_index)
+    return cs
+
+
+def _with_stem(cs, size):
+    """A condition on cs whose stem is the least `size` numbers below its values."""
+    return mt.Condition(FiniteSet(code_of(range(min(size, cs.value(0))))), cs)
+
+
+def _evaluated(call):
+    """call()'s result and the leaf indices it evaluated, in order."""
+    evaluated = []
+    run = M.eval_total_run
+
+    def record(code, inputs, *rest):
+        def noted():
+            for args in inputs:
+                evaluated.append(args[0])
+                yield args
+
+        return run(code, noted(), *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mt, "eval_total_run", record)
+        return call(), evaluated
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_WALK_LEAVES), st.integers(0, 12), _walk_steps, st.integers(0, 3), st.data())
+def test_walks_evaluate_exactly_the_elementwise_indices(leaf, read, steps, stem_size, data):
+    walked, reference = _derive(leaf, read, steps), _derive(leaf, read, steps)
+    kind = data.draw(st.sampled_from(["first-above", "inside", "thin", "avoid"]), label="kind")
+    if kind == "first-above":
+        x = data.draw(st.integers(-1, 60), label="x")
+        got = _evaluated(lambda: walked.first_index_with_value_above(x))
+        expected = _evaluated(lambda: _first_above_elementwise(reference, x))
+    elif kind == "inside":
+        values = sorted(data.draw(st.sets(st.integers(0, 40), max_size=6), label="values"))
+        got = _evaluated(lambda: mt._values_inside(values, walked))
+        expected = _evaluated(lambda: _inside_elementwise(values, reference))
+    else:
+        # a condition reads its reservoir's first value
+        walked, reference = _with_stem(walked, stem_size), _with_stem(reference, stem_size)
+    if kind == "thin":
+        numbering = data.draw(st.sampled_from(_WALK_POOL), label="numbering")
+        count = data.draw(st.integers(0, 5), label="count")
+        (thinned, cert), evaluated = _evaluated(lambda: mt.thin_for_numbering(walked, numbering, count))
+        got = (thinned.reservoir.enumerator, cert.visible_mask, cert.ceiling), evaluated
+        (kept, tail_index, ceiling), reference_evaluated = _evaluated(lambda: _thin_elementwise(reference, numbering, count))
+        table = reference.reservoir.with_table_prefix(kept, tail_index).enumerator
+        expected = (table, reference.stem.code | code_of(kept), ceiling), reference_evaluated
+    elif kind == "avoid":
+        count = data.draw(st.integers(0, 4), label="count")
+        (thinned, record), evaluated = _evaluated(lambda: mt.meet_avoidance(walked, count))
+        got = (list(record.missed_blocks), list(record.kept_values), thinned.reservoir.enumerator), evaluated
+        (missed, kept, read_count), reference_evaluated = _evaluated(lambda: _avoid_elementwise(reference, count))
+        table = reference.reservoir.with_table_prefix(kept, read_count).enumerator if count else reference.reservoir.enumerator
+        expected = (missed, kept, table), reference_evaluated
+    assert got == expected
+
+
+def test_interleaved_walks_evaluate_each_shared_index_once():
+    parent = odds_above(1)
+    child = parent.shifted(2)  # reads the parent's list from index 2 on
+    whole, tail = parent._walk(), child._walk()
+    order = [whole, whole, tail, whole, whole, tail, tail, whole, tail]
+    values, evaluated = _evaluated(lambda: [next(walk) for walk in order])
+    assert values == [1, 3, 5, 5, 7, 7, 9, 9, 11]
+    assert evaluated == [0, 1, 2, 3, 4, 5]

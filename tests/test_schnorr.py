@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canimm.finitesets import SetPrefix
@@ -100,6 +100,28 @@ def test_measure_agrees_with_brute_force_cylinders():
     for n in range(0, 5):
         for m in range(n + 1, 6):
             assert brute_force_measure(n, m) == measure_U_trunc(n, m)
+
+
+def _folded_measure(n, m):
+    """Reference: 1 minus the product of the factors 1 - 2^-i in dyadic arithmetic."""
+    prod = DyadicRational.one()
+    for i in range(n + 1, m + 1):
+        prod = prod * (DyadicRational.one() - DyadicRational.power(i))
+    return DyadicRational.one() - prod
+
+
+@given(st.integers(0, 60), st.integers(1, 80))
+@settings(max_examples=150, deadline=None)
+def test_closed_form_measure_matches_the_dyadic_fold(n, width):
+    m = n + width
+    value = measure_U_trunc(n, m)
+    assert value == _folded_measure(n, m)
+    assert value.serialize() == _folded_measure(n, m).serialize()
+
+
+def test_measure_rejects_negative_n():
+    with pytest.raises(ValueError, match="need n >= 0"):
+        measure_U_trunc(-1, 3)
 
 
 def test_in_U_n_examples():
