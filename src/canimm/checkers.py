@@ -69,8 +69,8 @@ def check_canonical_immunity(
             if not value.is_empty and value.max_value() >= prefix.length:
                 skipped.append((numbering.id, i))
                 continue
-            if value.issubset_mask(prefix.mask) and len(value) > eval_total(h, (i,)):
-                violations.append((numbering.id, i, value.code, eval_total(h, (i,))))
+            if value.issubset_mask(prefix.mask) and len(value) > (bound := eval_total(h, (i,))):
+                violations.append((numbering.id, i, value.code, bound))
     status = FAIL if violations else PASS
     return Verdict(
         status,
@@ -124,8 +124,8 @@ def check_effective_immunity(prefix: SetPrefix, h: int, e_range: range, budget: 
             continue
         if w.max_value() >= prefix.length:
             continue
-        if w.issubset_mask(prefix.mask) and len(w) > eval_total(h, (e,)):
-            violations.append((e, w.code, eval_total(h, (e,))))
+        if w.issubset_mask(prefix.mask) and len(w) > (bound := eval_total(h, (e,))):
+            violations.append((e, w.code, bound))
     status = FAIL if violations else PASS
     return Verdict(
         status,

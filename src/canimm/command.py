@@ -249,8 +249,6 @@ def cmd_check(args) -> int:
 def cmd_measure(args) -> int:
     from . import schnorr
 
-    if args.n < 0:
-        raise ValueError("need n >= 0")
     value = schnorr.measure_U_trunc(args.n, args.m)
     bound = schnorr.DyadicRational.power(args.n)
     ok = value <= bound

@@ -117,8 +117,7 @@ def delta2_prefix(pool: Sequence[int], stages: int, markers: int) -> tuple[SetPr
                 trace.add(s, "set", n, previous)
         low = markers
 
-    prefix = SetPrefix.from_members(current, current[-1] + 1)
-    return prefix, trace
+    return SetPrefix.from_members(current), trace
 
 
 def replay_delta2(trace: ConstructionTrace) -> SetPrefix:
@@ -128,7 +127,7 @@ def replay_delta2(trace: ConstructionTrace) -> SetPrefix:
             n, x = rec.fields
             markers[n] = x
     values = [markers[n] for n in sorted(markers)]
-    return SetPrefix.from_members(values, values[-1] + 1)
+    return SetPrefix.from_members(values)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +282,7 @@ def cofinal_encode(pool: Sequence[Numbering], bits: str) -> tuple[SetPrefix, Con
         member = 2 * p if bit == "1" else 2 * p + 1
         members.append(member)
         trace.add(n, "pick", p, member)
-    length = (members[-1] + 1) if members else 0
-    return SetPrefix.from_members(members, length), trace
+    return SetPrefix.from_members(members), trace
 
 
 def cofinal_decode(prefix: SetPrefix, expected_length: int | None = None) -> str:
@@ -300,13 +298,12 @@ def cofinal_carrier(pool: Sequence[Numbering], count: int) -> SetPrefix:
     positions = choose_cofinal_positions(pool, count)
     members = [2 * p for p in positions] + [2 * p + 1 for p in positions]
     members.sort()
-    return SetPrefix.from_members(members, members[-1] + 1 if members else 0)
+    return SetPrefix.from_members(members)
 
 
 def replay_cofinal(trace: ConstructionTrace) -> SetPrefix:
     members = [rec.fields[1] for rec in trace.records if rec.rule == "pick"]
-    length = (members[-1] + 1) if members else 0
-    return SetPrefix.from_members(members, length)
+    return SetPrefix.from_members(members)
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +334,12 @@ def ci_hi_run(
         members.append(x)
         trace.add(s, "pick", x, bound)
         previous = x
-    return SetPrefix.from_members(members, members[-1] + 1), trace
+    return SetPrefix.from_members(members), trace
 
 
 def replay_ci_hi(trace: ConstructionTrace) -> SetPrefix:
     members = [rec.fields[0] for rec in trace.records if rec.rule == "pick"]
-    return SetPrefix.from_members(members, members[-1] + 1)
+    return SetPrefix.from_members(members)
 
 
 # ---------------------------------------------------------------------------

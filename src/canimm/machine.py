@@ -26,14 +26,8 @@ budget and the step count of a converging run is a pure function of
 * an oracle query at a position >= the oracle length (or with no oracle
   at all) makes the whole run diverge.
 
-Each node compiles to a closure, its runner, that charges its own steps
-inline.  A Comp of a word operation (Succ ... UnpairR) with as many
-arguments as the operation reads is one runner: it charges the Comp step,
-evaluates the operands in order, reads a Const or Proj operand in place
-and charges the operation.  Two charges with nothing evaluated between
-them are taken as one, which changes no outcome: the run diverges exactly
-when the sum does, and Pow2 still charges before it allocates.  So step
-counts are those of the node-by-node rules above.
+Each node compiles to a closure, its runner, which charges its own node's
+step rule inline.
 
 A search on a nonzero constant, such as the canonical diverger, is answered
 as diverged without spending fuel: it would test that constant forever, and
@@ -78,9 +72,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 WORD_BITS = 64
 
-# A runner level takes one or two Python frames, so a run at this limit
-# stays inside Python's default recursion limit of 1000 frames even when
-# its caller is 300 frames deep.
+# A runner level takes one Python frame, or two for a Comp or an Apply:
+# its runner and its argument gather.  So a run at this limit stays inside
+# Python's default recursion limit of 1000 frames even when its caller is
+# 300 frames deep.
 MAX_NESTING = 250
 
 # ---------------------------------------------------------------------------
@@ -151,15 +146,10 @@ def _never(args, oracle, fuel):
     raise _Diverge
 
 
-def _read(t: Node) -> tuple[int, int]:
-    """A Const or Proj node as (position, default): its value is
-    args[position] if that exists, else default.  A constant reads past
-    every argument tuple; an absent argument position reads as zero."""
-    return (t._number, 0) if type(t) is Proj else (sys.maxsize, t._number)
-
-
 def _leaf(t, kids, total):
-    i, c = _read(t)
+    # a constant reads past every argument tuple; an absent argument
+    # position reads as zero
+    i, c = (t._number, 0) if type(t) is Proj else (sys.maxsize, t._number)
 
     def run(args, oracle, fuel):
         if (left := fuel.left - 1) < 0:
@@ -178,88 +168,30 @@ _BY_SIZE = int.bit_length
 _BY_VALUE = operator.index
 
 
-def _operands(kind: _Kind) -> int:
-    return kind.arity(None, ())  # a word kind reads a fixed number of positions
-
-
-def _word_runner(kind: _Kind, operands: list, pre: int, k: int) -> _Runner:
-    """A runner that charges `pre` steps, evaluates the operands in order,
-    each a runner or a `_read` pair, then charges k steps plus the charge
-    rule of each operand and applies the value function.  `pre` is
-    charged only when a runner operand follows it."""
-    value, rule = kind.op
-    runs = [x for x in operands if not isinstance(x, tuple)]
-    if len(operands) == 1 and not runs:
-        ((i, c),) = operands
+def _word(t, kids, total):
+    # a word operation reads its operands from argument positions 0 and 1
+    value, rule = t._kind.op
+    if t._kind.arity(None, ()) == 1:
 
         def run(args, oracle, fuel):
-            x = args[i] if i < len(args) else c
-            if (left := fuel.left - k - rule(x) // WORD_BITS) < 0:
+            x = args[0] if args else 0
+            if (left := fuel.left - 1 - rule(x) // WORD_BITS) < 0:
                 raise _Diverge
             fuel.left = left
             return value(x)
 
-    elif len(operands) == 1:
-        (g,) = runs
-
-        def run(args, oracle, fuel):
-            if (left := fuel.left - pre) < 0:
-                raise _Diverge
-            fuel.left = left
-            x = g(args, oracle, fuel)
-            if (left := fuel.left - k - rule(x) // WORD_BITS) < 0:
-                raise _Diverge
-            fuel.left = left
-            return value(x)
-
-    elif not runs:
-        (i, c), (j, d) = operands
+    else:
 
         def run(args, oracle, fuel):
             n = len(args)
-            x = args[i] if i < n else c
-            y = args[j] if j < n else d
-            if (left := fuel.left - k - rule(x) // WORD_BITS - rule(y) // WORD_BITS) < 0:
+            x = args[0] if n else 0
+            y = args[1] if n > 1 else 0
+            if (left := fuel.left - 1 - rule(x) // WORD_BITS - rule(y) // WORD_BITS) < 0:
                 raise _Diverge
             fuel.left = left
             return value(x, y)
-
-    elif len(runs) == 2:
-        g, h = runs
-
-        def run(args, oracle, fuel):
-            if (left := fuel.left - pre) < 0:
-                raise _Diverge
-            fuel.left = left
-            x = g(args, oracle, fuel)
-            y = h(args, oracle, fuel)
-            if (left := fuel.left - k - rule(x) // WORD_BITS - rule(y) // WORD_BITS) < 0:
-                raise _Diverge
-            fuel.left = left
-            return value(x, y)
-
-    else:
-        (g,) = runs
-        first = operands[0] is g
-        (i, c) = operands[first]
-
-        def run(args, oracle, fuel):
-            if (left := fuel.left - pre) < 0:
-                raise _Diverge
-            fuel.left = left
-            x = g(args, oracle, fuel)
-            y = args[i] if i < len(args) else c
-            if (left := fuel.left - k - rule(x) // WORD_BITS - rule(y) // WORD_BITS) < 0:
-                raise _Diverge
-            fuel.left = left
-            return value(x, y) if first else value(y, x)
 
     return run
-
-
-def _word(t, kids, total):
-    # a bare operation reads its operands from argument positions 0 and 1
-    return _word_runner(t._kind, [(0, 0), (1, 0)][: _operands(t._kind)], 0, 1)
 
 
 def _gather(gs: tuple[_Runner, ...]):
@@ -275,19 +207,7 @@ def _gather(gs: tuple[_Runner, ...]):
 
 
 def _comp(t, kids, total):
-    f, gs = kids[0], kids[1:]
-    func, nodes = t._kids[0], t._kids[1:]
-    if func._kind.op and len(gs) == _operands(func._kind):
-        # One runner for the Comp step, the operands and the operation.  A
-        # constant or projection operand is read in place; its step merges
-        # with the Comp step when no runner operand comes before it, else
-        # with the operation's charge.  With no runner operand the whole
-        # node is one charge.
-        operands = [_read(g) if type(g) in (Const, Proj) else run for g, run in zip(nodes, gs)]
-        at = [n for n, x in enumerate(operands) if not isinstance(x, tuple)]
-        pre, k = (1 + at[0], len(operands) - at[-1]) if at else (0, 2 + len(operands))
-        return _word_runner(func._kind, operands, pre, k)
-    gather = _gather(gs)
+    f, gather = kids[0], _gather(kids[1:])
 
     def run(args, oracle, fuel):
         if (left := fuel.left - 1) < 0:

@@ -227,9 +227,7 @@ class Condition(Record):
         return len(self.stem)
 
     def prefix(self) -> SetPrefix:
-        members = self.stem.elements
-        length = (members[-1] + 1) if members else 0
-        return SetPrefix(self.stem.code, length)
+        return SetPrefix(self.stem.code, self.stem.code.bit_length())
 
 
 def extends(child: Condition, parent: Condition, horizon: int = 1000) -> bool:

@@ -318,7 +318,7 @@ def test_a_bounded_scan_looks_its_code_up_once(scan):
     assert after.hits + after.misses == before.hits + before.misses + 1
 
 
-# -- word operations: fused and generic Comp shapes against the reference ------
+# -- word operations: Comps of every argument count against the reference ------
 
 _WORD_CONSTANTS = [0, 1, 3, 64, 130, 2**63 - 1, 2**63, 2**64, 2**130 + 7]
 _word_trees = st.recursive(
@@ -328,8 +328,8 @@ _word_trees = st.recursive(
         st.sampled_from(_NULLARY_NODES),
     ),
     lambda inner: st.one_of(
-        # a word operation fuses with its Comp at its arity and runs the
-        # generic Comp with too few or too many arguments
+        # a word operation reads argument positions 0 and 1 of its Comp's
+        # tuple, which may hold too few or too many arguments
         st.builds(M.Comp, st.sampled_from(_NULLARY_NODES), st.lists(inner, max_size=3).map(tuple)),
         st.builds(M.Comp, inner, st.lists(inner, max_size=3).map(tuple)),
         st.builds(M.PrimRec, inner, inner),
@@ -864,11 +864,12 @@ _SELF_APPLY = M.encode(M.Apply(M.Proj(0), (M.Proj(0),)))
 @pytest.mark.parametrize(
     "code,args,budget,expected",
     [
-        # a chain of fused Comps takes one Python frame per level
+        # a chain of Comps of Succ takes two Python frames per level, the
+        # Comp's and its argument gather's
         (M.encode(_chain(_CHAINS["comp"][0], M.MAX_NESTING - 1)), [2], 10**6, M.Outcome(M.MAX_NESTING + 1, 2 * M.MAX_NESTING - 1)),
         (M.encode(_chain(_CHAINS["comp"][0], M.MAX_NESTING)), [2], 10**6, "too deep"),
-        # a chain of generic Comps takes two, the Comp's and its argument
-        # tuple's; the function of each is two levels high
+        # so does a chain of Comps whose function is itself a Comp, two
+        # levels high
         (M.encode(_chain(_generic_comp, M.MAX_NESTING - 2)), [2], 10**6, M.Outcome(M.MAX_NESTING, 4 * M.MAX_NESTING - 7)),
         (M.encode(_chain(_generic_comp, M.MAX_NESTING - 1)), [2], 10**6, "too deep"),
         (_SELF_APPLY, [_SELF_APPLY], 300, M.DIVERGED),
