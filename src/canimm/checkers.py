@@ -137,7 +137,9 @@ def check_effective_immunity(prefix: SetPrefix, h: int, e_range: range, budget: 
 def reverify_immunity_violation(prefix: SetPrefix, violation: tuple, pool: Sequence[Numbering], h: int) -> bool:
     """Re-check a reported immunity violation by direct evaluation."""
     numbering_id, i, value_code, h_value = violation
-    numbering = next(n for n in pool if n.id == numbering_id)
+    numbering = next((n for n in pool if n.id == numbering_id), None)
+    if numbering is None:
+        return False
     value = numbering.value(i)
     return (
         value.code == value_code

@@ -2,9 +2,10 @@
 
 Each run is a pure function of its inputs and horizons, emits a set prefix
 together with a trace, and ties are always broken toward the least
-admissible value so that traces replay bit-for-bit.  None of the emitted
-prefixes is claimed to have any infinite-horizon property; the runs
-guarantee exactly the per-stage invariants the checkers re-verify.
+admissible value so that traces replay bit-for-bit.  A run's prefix is
+the replay of its own trace.  None of the emitted prefixes is claimed to
+have any infinite-horizon property; the runs guarantee exactly the
+per-stage invariants the checkers re-verify.
 
 Index conventions: pools are ordered, and the pool position e plays the
 role of the index of the e-th numbering, with claims starting "from e" in
@@ -117,7 +118,7 @@ def delta2_prefix(pool: Sequence[int], stages: int, markers: int) -> tuple[SetPr
                 trace.add(s, "set", n, previous)
         low = markers
 
-    return SetPrefix.from_members(current), trace
+    return replay_delta2(trace), trace
 
 
 def replay_delta2(trace: ConstructionTrace) -> SetPrefix:
@@ -159,9 +160,7 @@ def pool_value_ceiling(pool: Sequence[Numbering], index_bound: int) -> int:
     return top
 
 
-def bci_run(
-    pool: Sequence[Numbering], stages: int, fill_pairs: int | None = None
-) -> tuple[SetPrefix, SetPrefix, ConstructionTrace]:
+def bci_run(pool: Sequence[Numbering], stages: int, fill_pairs: int) -> tuple[SetPrefix, SetPrefix, ConstructionTrace]:
     """Two disjoint sets, each dodging every oversized pool value.
 
     Stage s = pair(e, i) acts only when i >= e and the e-th pool value at i
@@ -171,7 +170,6 @@ def bci_run(
     """
     if stages < 1:
         raise ValueError("stage horizon must be positive")
-    r_mask = q_mask = 0
     used_pairs: set[int] = set()
     trace = ConstructionTrace("bci", meta={"stages": stages, "pool_ids": [n.id for n in pool]})
     for s in range(stages):
@@ -186,21 +184,11 @@ def bci_run(
         p_s, q_s = itertools.islice(_free_pairs(value, used_pairs), 2)
         x = _least_in_pair(value, p_s)
         z = _least_in_pair(value, q_s)
-        y = _partner(x)
-        w = _partner(z)
-        r_mask |= (1 << y) | (1 << z)
-        q_mask |= (1 << x) | (1 << w)
         used_pairs.update((p_s, q_s))
-        trace.add(s, "case2", e, i, p_s, q_s, x, y, z, w)
+        trace.add(s, "case2", e, i, p_s, q_s, x, _partner(x), z, _partner(z))
 
-    if fill_pairs is None:
-        fill_pairs = (max(used_pairs) + 1) if used_pairs else 1
-    fill = _unused_pair_evens(fill_pairs, used_pairs)
-    r_mask |= fill
-    q_mask |= fill << 1
     trace.meta["fill_pairs"] = fill_pairs
-    length = max(2 * fill_pairs, r_mask.bit_length(), q_mask.bit_length())
-    return SetPrefix(r_mask, length), SetPrefix(q_mask, length), trace
+    return (*replay_bci(trace), trace)
 
 
 def _free_pairs(value: FiniteSet, used: set[int]):
@@ -276,13 +264,10 @@ def cofinal_encode(pool: Sequence[Numbering], bits: str) -> tuple[SetPrefix, Con
     if any(c not in "01" for c in bits):
         raise ValueError("bits must be over {0,1}")
     positions = choose_cofinal_positions(pool, len(bits))
-    members = []
     trace = ConstructionTrace("cofinal", meta={"bits": bits, "pool_ids": [n.id for n in pool]})
     for n, (p, bit) in enumerate(zip(positions, bits)):
-        member = 2 * p if bit == "1" else 2 * p + 1
-        members.append(member)
-        trace.add(n, "pick", p, member)
-    return SetPrefix.from_members(members), trace
+        trace.add(n, "pick", p, 2 * p if bit == "1" else 2 * p + 1)
+    return replay_cofinal(trace), trace
 
 
 def cofinal_decode(prefix: SetPrefix, expected_length: int | None = None) -> str:
@@ -323,7 +308,6 @@ def ci_hi_run(
     )
     mask = 0
     previous = -1
-    members = []
     for s in range(stages):
         for e, i in _pairs_at_level(s, len(pool)):
             value = pool[e].value(i)
@@ -331,10 +315,9 @@ def ci_hi_run(
                 mask |= value.code
         bound = eval_total(fns[s], (s,)) if s < len(fns) else 0
         x = _free_position(mask, max(previous, bound) + 1)
-        members.append(x)
         trace.add(s, "pick", x, bound)
         previous = x
-    return SetPrefix.from_members(members), trace
+    return replay_ci_hi(trace), trace
 
 
 def replay_ci_hi(trace: ConstructionTrace) -> SetPrefix:
@@ -346,19 +329,17 @@ def replay_ci_hi(trace: ConstructionTrace) -> SetPrefix:
 # Canonically immune but dominated on both sides
 
 
-def ci_not_hi_run(
-    pool: Sequence[Numbering], stages: int, fill_pairs: int | None = None
-) -> tuple[SetPrefix, ConstructionTrace]:
+def ci_not_hi_run(pool: Sequence[Numbering], stages: int, fill_pairs: int) -> tuple[SetPrefix, ConstructionTrace]:
     """One element from every pair block I_p, spoiling oversized values.
 
     Stage s = pair(e, i) with i >= e and the e-th value at i larger than
     2 f(i) withholds one element of that value from the set and inserts its
     pair partner; unused blocks contribute their even element, so both the
-    set and its complement meet every block exactly once.
+    set and its complement meet every block exactly once.  A stage that
+    would spoil a block at or past the fill horizon raises ValueError.
     """
     if stages < 1:
         raise ValueError("stage horizon must be positive")
-    r_mask = 0
     used_pairs: set[int] = set()
     trace = ConstructionTrace("ci-not-hi", meta={"stages": stages, "pool_ids": [n.id for n in pool]})
     for s in range(stages):
@@ -371,16 +352,13 @@ def ci_not_hi_run(
             trace.add(s, "case1", e, i)
             continue
         p_s = next(_free_pairs(value, used_pairs))
-        x = _least_in_pair(value, p_s)
-        r_mask |= 1 << _partner(x)
+        if p_s >= fill_pairs:
+            raise ValueError(f"stage {s} spoils pair block {p_s}, outside the {fill_pairs} pair blocks of the fill")
         used_pairs.add(p_s)
-        trace.add(s, "case2", e, i, p_s, x)
+        trace.add(s, "case2", e, i, p_s, _least_in_pair(value, p_s))
 
-    if fill_pairs is None:
-        fill_pairs = (max(used_pairs) + 1) if used_pairs else 1
-    r_mask |= _unused_pair_evens(fill_pairs, used_pairs)
     trace.meta["fill_pairs"] = fill_pairs
-    return SetPrefix(r_mask, 2 * fill_pairs), trace
+    return replay_ci_not_hi(trace), trace
 
 
 def replay_ci_not_hi(trace: ConstructionTrace) -> SetPrefix:
@@ -510,7 +488,7 @@ def hi_not_ci_run(fns: Sequence[int], pair_count: int, target_index: int = 0) ->
 
     trace.meta["witness_rule"] = even_odd_rule_code(h_even_rule_tree(fns[target_index]))
     trace.meta["witness_positions"] = [2 * n for n in sorted(chosen)]
-    return SetPrefix(mask, mask.bit_length()), trace
+    return replay_hi_not_ci(trace), trace
 
 
 def replay_hi_not_ci(trace: ConstructionTrace) -> SetPrefix:
@@ -591,7 +569,6 @@ def build_2generic_witness(
     its rule is the trace's meta witness_rule.
     """
     entries = []
-    table: dict[int, int] = {}
     trace = ConstructionTrace(
         "2generic-witness",
         meta={"sigma": sigma, "e": e, "f": f, "i_max": i_max, "n_max": n_max},
@@ -610,11 +587,10 @@ def build_2generic_witness(
             order = we_enumeration(e, PUMP_FUEL_PER_BIT * len(rho), rho)
             first = [pos for _, pos in order[: target + 1]]
             witness = FiniteSet.from_elements(first)
-            table[key] = witness.code
             beta = rho[len(tau):]
             entries.append(WitnessEntry(i, n, key, target, beta, witness))
             trace.add(key, "entry", i, n, target, witness.code)
-    trace.meta["witness_rule"] = witness_rule_from_table(table)
+    trace.meta["witness_rule"] = witness_rule_from_table(replay_2generic(trace))
     numbering = Registry().register(trace.meta["witness_rule"], surjective=True, label="2generic-witness")
     return entries, numbering, trace
 
@@ -658,7 +634,6 @@ def effectivize_inside(
         raise ValueError("prefix must hold at least 2 * stages members")
     if codes is None:
         codes = range(stages)
-    removed = 0
     trace = ConstructionTrace(
         "effectivize",
         meta={"stages": stages, "budget": budget, "base_mask": prefix.mask, "base_length": prefix.length},
@@ -667,11 +642,8 @@ def effectivize_inside(
         start = members[2 * s]
         hit = we_bounded(codes[s], budget).code & (prefix.mask >> start << start)
         if hit:
-            y = (hit & -hit).bit_length() - 1
-            removed |= 1 << y
-            trace.add(s, "act", s, y)
-    q_mask = prefix.mask & ~removed
-    return SetPrefix(q_mask, prefix.length), trace
+            trace.add(s, "act", s, (hit & -hit).bit_length() - 1)
+    return replay_effectivize(trace), trace
 
 
 def replay_effectivize(trace: ConstructionTrace) -> SetPrefix:

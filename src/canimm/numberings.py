@@ -25,6 +25,7 @@ from .machine import (
     memo,
     NotTotalTierError,
 )
+from .records import parse_value, render_atom
 
 __all__ = [
     "FiniteSet",
@@ -111,7 +112,7 @@ class Registry:
         return [n.rule for n in self.entries]
 
     def serialize(self) -> str:
-        lines = [f"{n.id}\t{n.rule}\t{int(n.surjective)}\t{n.label}" for n in self.entries]
+        lines = [f"{n.id}\t{render_atom(n.rule)}\t{int(n.surjective)}\t{n.label}" for n in self.entries]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
@@ -121,7 +122,9 @@ class Registry:
             if not line.strip():
                 continue
             parts = line.split("\t")
-            _, rule, flag = parts[0], int(parts[1]), bool(int(parts[2]))
+            rule, flag = parse_value(parts[1]), bool(int(parts[2]))
+            if not isinstance(rule, int):
+                raise ValueError(f"numbering rule {parts[1]!r} is not an integer")
             label = parts[3] if len(parts) > 3 else ""
             reg.register(rule, surjective=flag, label=label)
         return reg

@@ -27,6 +27,14 @@ def test_all_ones_prefix_fails_on_intervals(pool):
         assert ck.reverify_immunity_violation(prefix, violation, list(pool), pg.identity_code())
 
 
+def test_reverify_refuses_a_violation_of_a_numbering_outside_the_pool(pool):
+    prefix = SetPrefix((1 << 40) - 1, 40)
+    singleton_id = next(n.id for n in pool if n.label == "singleton")
+    # D(1) = {1} of the singleton rule outgrows the zero modulus inside the prefix
+    assert ck.reverify_immunity_violation(prefix, (singleton_id, 1, 2, 0), list(pool), pg.zero_code())
+    assert ck.reverify_immunity_violation(prefix, (99, 1, 2, 0), list(pool), pg.zero_code()) is False
+
+
 def test_indices_beyond_prefix_are_skipped_on_record(pool):
     prefix = SetPrefix(0b10, 2)
     verdict = ck.check_canonical_immunity(prefix, pg.identity_code(), list(pool), 6)

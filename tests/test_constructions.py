@@ -176,7 +176,7 @@ def _bci_invariants(trace):
 
 
 def test_bci_per_stage_invariants(pool):
-    _, _, trace = C.bci_run(list(pool), 400, fill_pairs=None)
+    _, _, trace = C.bci_run(list(pool), 400, fill_pairs=1)
     _bci_invariants(trace)
 
 
@@ -320,6 +320,12 @@ def test_ci_not_hi_case2_withholds_an_element(pool):
         value = pool[e].value(i)
         assert x in value and x // 2 == p_s
         assert len(value) > 2 * C.pair_bound(i)
+
+
+def test_ci_not_hi_refuses_a_spoiled_block_outside_the_fill(pool):
+    # `build ci-not-hi --stages 42 --index-bound 1` fills 2 pair blocks
+    with pytest.raises(ValueError, match="stage 41 spoils pair block 2, outside the 2 pair blocks of the fill"):
+        C.ci_not_hi_run(list(pool), 42, fill_pairs=2)
 
 
 # ---------------------------------------------------------------- hi-not-ci

@@ -55,6 +55,14 @@ def test_registry_serialization_roundtrip(pool):
     assert [n.label for n in reloaded] == [n.label for n in pool]
 
 
+def test_registry_reads_hex_rules_and_refuses_other_atoms():
+    reloaded = nb.Registry.deserialize(f"0\t{pg.identity_code():#x}\t1\tstandard\n")
+    assert reloaded.codes() == [pg.identity_code()]
+    for rule in ("[5]", "0:1", "five", "", "7" * 5000):
+        with pytest.raises(ValueError):
+            nb.Registry.deserialize(f"0\t{rule}\t1\tx\n")
+
+
 def test_adversarial_numbering_inequalities():
     reg = nb.Registry()
     adv = nb.adversarial_numbering(reg, pg.identity_code())

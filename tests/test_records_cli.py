@@ -1,10 +1,12 @@
+import contextlib
+import io
 import os
 import resource
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canimm import checkers, cli, command
@@ -14,7 +16,7 @@ from canimm import mathias
 from canimm import programs as pg
 from canimm import schnorr
 from canimm.finitesets import SetPrefix
-from canimm.numberings import default_pool, witness_rule_from_table
+from canimm.numberings import Registry, default_pool, witness_rule_from_table
 from canimm.records import DECIMAL_LIMIT, ConstructionTrace, parse_trace, parse_value, render_trace, render_value
 
 
@@ -156,6 +158,57 @@ def test_build_commands_are_deterministic(tmp_path, name, flags):
     assert {label: (p.mask, p.length) for label, p in parsed.prefixes.items()} == {
         label: (p.mask, p.length) for label, p in replayed.items()
     }
+
+
+# rules a drawn pool adds to the default pool: i -> {i + a} and i -> [i + a, i + a + w)
+_EXTRA_RULES = st.one_of(
+    st.integers(0, 4).map(lambda a: pg.encode(pg.pow2_(pg.add_(pg.P0, pg.c_(a))))),
+    st.tuples(st.integers(0, 4), st.integers(1, 6)).map(
+        lambda aw: pg.encode(pg.interval_code_(pg.add_(pg.P0, pg.c_(aw[0])), pg.add_(pg.P0, pg.c_(sum(aw)))))
+    ),
+)
+
+_DRAWN_FLAGS = st.fixed_dictionaries(
+    {
+        "--stages": st.integers(1, 60),
+        "--markers": st.integers(1, 8),
+        "--index-bound": st.integers(1, 6),
+        "--budget": st.integers(1, 64),
+        "--blocks": st.integers(1, 6),
+    }
+)
+
+
+@pytest.mark.parametrize("name", list(command.BUILDS))
+@given(flags=_DRAWN_FLAGS, extra_rules=st.lists(_EXTRA_RULES, max_size=2))
+@settings(max_examples=20, deadline=None)
+def test_drawn_builds_replay_and_round_trip(tmp_path_factory, name, flags, extra_rules):
+    """Over drawn flags and pools, a build gives the same bytes twice (the
+    second time from warm memos), its text renders back to itself, and its
+    trace replays to its prefixes.  ci-not-hi may refuse flags whose stages
+    spoil a pair block outside the fill that --index-bound sets."""
+    pool = default_pool()
+    for rule in extra_rules:
+        pool.register(rule)
+    work = tmp_path_factory.mktemp("drawn")
+    pool_file = work / "pool.tsv"
+    pool_file.write_text(pool.serialize())
+    argv = ["build", name, *(str(x) for item in flags.items() for x in item), "--pool", str(pool_file)]
+    builds = []
+    for run in range(2):
+        out = work / f"{run}.trace"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = command.main([*argv, "--out", str(out)])
+        builds.append((code, err.getvalue(), b"" if code else out.read_bytes()))
+    assert builds[0] == builds[1]
+    code, err, data = builds[0]
+    if code:
+        assert name == "ci-not-hi" and code == 1 and "pair blocks of the fill" in err
+        return
+    text = data.decode()
+    parsed = parse_trace(text)
+    assert render_trace(parsed.trace(), parsed.prefixes) == text
+    assert REPLAYS[name](parsed) == parsed.prefixes
 
 
 def _generic_run(pool, index_bound=6, blocks=4, markers=5, stages=120):
@@ -513,6 +566,23 @@ def test_cli_pool_file_roundtrip(tmp_path):
     default_trace = tmp_path / "default.trace"
     assert run_cli("build", "delta2", "--stages", "300", "--markers", "8", "--out", str(default_trace)).returncode == 0
     assert trace.read_bytes() == default_trace.read_bytes()
+
+
+def test_pool_file_holds_a_rule_past_the_decimal_limit(tmp_path):
+    """Pool files write rules through the trace integer codec: the
+    20,660-bit witness rule of `build 2generic-witness --index-bound 20`
+    goes out as hex, reads back, and feeds a build."""
+    _, witness, _ = C.build_2generic_witness("", pg.enumerate_oracle_ones_code(), pg.zero_code(), 20, 20)
+    assert witness.rule >= DECIMAL_LIMIT
+    pool = default_pool()
+    pool.register(witness.rule, surjective=True, label="2generic-witness")
+    text = pool.serialize()
+    assert f"\t{witness.rule:#x}\t" in text
+    assert Registry.deserialize(text).codes() == pool.codes()
+    pool_file = tmp_path / "pool.tsv"
+    pool_file.write_text(text)
+    result = run_cli("build", "delta2", "--stages", "50", "--markers", "8", "--pool", str(pool_file))
+    assert result.returncode == 0, result.stderr
 
 
 def test_main_entrypoint_callable():
