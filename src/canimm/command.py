@@ -150,6 +150,8 @@ def _index_list(value) -> bool:
 def _verdict_lines(parsed, verdict_of):
     from . import checkers
 
+    if not parsed.prefixes:
+        raise ValueError(f"the {parsed.name} trace has no prefix line to check")
     lines = []
     found_fail = False
     for label, prefix in sorted(parsed.prefixes.items()):

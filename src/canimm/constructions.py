@@ -31,11 +31,7 @@ from .machine import (
     we_enumeration,
 )
 from .numberings import Numbering, Registry, even_odd_rule_code, witness_rule_from_table
-from .records import ConstructionTrace, TraceRecord  # noqa: F401  (TraceRecord: re-exported)
-
-
-class TruncationError(ValueError):
-    """A decode asked for more positions than the prefix holds."""
+from .records import ConstructionTrace
 
 
 def _free_position(mask: int, start: int) -> int:
@@ -167,6 +163,8 @@ def bci_run(pool: Sequence[Numbering], stages: int, fill_pairs: int) -> tuple[Se
     has more than 4 f(i) + 3 elements; it then spoils that value for both
     sides by splitting two fresh pair blocks between them.  Unused pair
     blocks are finally split evens-to-R, odds-to-Q up to the fill horizon.
+    A stage that would spoil a block at or past the fill horizon raises
+    ValueError.
     """
     if stages < 1:
         raise ValueError("stage horizon must be positive")
@@ -182,6 +180,8 @@ def bci_run(pool: Sequence[Numbering], stages: int, fill_pairs: int) -> tuple[Se
             trace.add(s, "case1", e, i)
             continue
         p_s, q_s = itertools.islice(_free_pairs(value, used_pairs), 2)
+        if q_s >= fill_pairs:
+            raise ValueError(f"stage {s} spoils pair block {q_s}, outside the {fill_pairs} pair blocks of the fill")
         x = _least_in_pair(value, p_s)
         z = _least_in_pair(value, q_s)
         used_pairs.update((p_s, q_s))
@@ -232,8 +232,7 @@ def replay_bci(trace: ConstructionTrace) -> tuple[SetPrefix, SetPrefix]:
     fill = _unused_pair_evens(fill_pairs, used)
     r_mask |= fill
     q_mask |= fill << 1
-    length = max(2 * fill_pairs, r_mask.bit_length(), q_mask.bit_length())
-    return SetPrefix(r_mask, length), SetPrefix(q_mask, length)
+    return SetPrefix(r_mask, 2 * fill_pairs), SetPrefix(q_mask, 2 * fill_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +269,9 @@ def cofinal_encode(pool: Sequence[Numbering], bits: str) -> tuple[SetPrefix, Con
     return replay_cofinal(trace), trace
 
 
-def cofinal_decode(prefix: SetPrefix, expected_length: int | None = None) -> str:
+def cofinal_decode(prefix: SetPrefix) -> str:
     """Read the coded bits back off the member parities."""
-    members = prefix.members()
-    if expected_length is not None and len(members) < expected_length:
-        raise TruncationError(f"prefix holds {len(members)} members, wanted {expected_length}")
-    return "".join("1" if m % 2 == 0 else "0" for m in members)
+    return "".join("1" if m % 2 == 0 else "0" for m in prefix.members())
 
 
 def cofinal_carrier(pool: Sequence[Numbering], count: int) -> SetPrefix:

@@ -147,18 +147,6 @@ class FiniteSet(Record):
         return format(self.code, "b")[::-1] if self.code else ""
 
 
-def encode_finite_set(elements: Iterable[int]) -> FiniteSet:
-    """Canonical code of a finite set given by its (distinct) elements."""
-    return FiniteSet.from_elements(elements)
-
-
-def decode_finite_set(code: int) -> FiniteSet:
-    """The finite set whose canonical code is ``code``."""
-    if code < 0:
-        raise ValueError("codes are nonnegative")
-    return FiniteSet(code)
-
-
 def subset_of_string(fs: FiniteSet, sigma: str) -> bool:
     """Whether every element n of fs has sigma[n] == '1'.
 

@@ -888,11 +888,11 @@ def fixed_point(g: int) -> FixedPoint:
 # Disassembly
 
 
-def disassemble(program: int | Node, indent: int = 0) -> str:
+def disassemble(program: int | Node) -> str:
     """Human-readable listing, one instruction per line."""
     tree = decode(program) if isinstance(program, int) else program
     lines = []
     for t, depth in _preorder(tree):
-        line = "  " * (indent + depth) + t._kind.listing
+        line = "  " * depth + t._kind.listing
         lines.append(line if t._kind.shape != _INT else f"{line} {t._number}")
     return "\n".join(lines)

@@ -2,13 +2,11 @@
 
 A condition is a finite stem plus an infinite reservoir.  Reservoirs are
 represented by total-tier programs enumerating them in strictly increasing
-order, which makes infinitude structural (the characteristic-function
-coding would leave it a two-quantifier question; a converter from that
-coding is provided and requires an explicit scan bound as its infinitude
-witness).  The program is the reservoir's representation in traces; its
-values are read natively, from explicit head values followed by a leaf
-program's values, so a derived reservoir never runs its nested program
-in the interpreter.  A derived reservoir's program is spliced around its
+order, which makes infinitude structural (a characteristic-function coding
+would leave it a two-quantifier question).  The program is the
+reservoir's representation in traces; its values are read natively, from
+explicit head values followed by a leaf program's values, so a derived
+reservoir never runs its nested program in the interpreter.  A derived reservoir's program is spliced around its
 parent's code (`machine.Splice`) and never decoded, so a chain of n
 conditions costs time linear in n.  Reservoirs are read in runs, through
 the machine's one run loop (`eval_total_run`): a range of values is one
@@ -119,12 +117,6 @@ class ComputableSet(Record, hidden=("head", "leaf", "offset", "_tail")):
         index = n - len(head) + self.offset
         return self._tail_to(index)[index]
 
-    def check_increasing(self, horizon: int = 16) -> None:
-        vals = self.values(horizon + 1)
-        for a, b in zip(vals, vals[1:]):
-            if b <= a:
-                raise ValueError(f"enumerator {self.enumerator} not strictly increasing at {a}")
-
     def first_index_with_value_above(self, x: int) -> int:
         """The least index whose value exceeds x.  Values strictly increase,
         so the head and the materialized tail are bisected; past them the
@@ -186,27 +178,6 @@ class ComputableSet(Record, hidden=("head", "leaf", "offset", "_tail")):
 
         head = (*values, *self.head[tail_index:])
         return self._derived(wrap, head, max(0, tail_index - len(self.head)))
-
-
-def computable_set_from_characteristic(chi: int, scan_bound: int, count: int) -> ComputableSet:
-    """Convert a 0/1-valued total program into an enumerator-backed set.
-
-    scan_bound is the explicit infinitude witness: the characteristic
-    program must show at least `count` ones below it.  The result is only
-    trustworthy for the first `count` positions; past them it continues
-    arithmetically above the scanned region.
-    """
-    if not is_total_tier(chi):
-        raise NotTotalTierError("characteristic programs must be total-tier")
-    ones = [n for n in range(scan_bound) if eval_total(chi, (n,)) == 1]
-    if len(ones) < count:
-        raise ValueError(f"only {len(ones)} ones below {scan_bound}, wanted {count}")
-    prefix = ones[:count]
-    tail_tree = pg.add_(pg.monus_(pg.P0, pg.c_(count)), pg.c_(prefix[-1] + 1))
-    table = pg.packed_select_(prefix, pg.P0)
-    past = pg.le_(pg.c_(count), pg.P0)
-    tree = pg.add_(pg.mul_(pg.monus_(pg.c_(1), past), table), pg.mul_(past, tail_tree))
-    return ComputableSet(encode(tree))
 
 
 class Condition(Record):
@@ -303,12 +274,6 @@ def thin_for_numbering(cond: Condition, numbering: Numbering, count: int) -> tup
     """
     base = cond.stem_size()
     bound = base + count
-    avoid = 0
-    ceiling = 0
-    for i in range(base, bound + 1):
-        value = numbering.value(i)
-        if not value.is_empty:
-            ceiling = max(ceiling, value.max_value())
     kept: list[int] = []
     walk = cond.reservoir._walk()
     union = numbering.value(base).code
@@ -326,6 +291,8 @@ def thin_for_numbering(cond: Condition, numbering: Numbering, count: int) -> tup
         kept.append(x)
         union |= numbering.value(i).code
         window = (union >> low) & _WINDOW_MASK
+    # the largest element any value with index in [base, bound] mentions
+    ceiling = max(0, union.bit_length() - 1)
     tail_index = cond.reservoir.first_index_with_value_above(max(ceiling, kept[-1] if kept else 0))
     thinned = cond.reservoir.with_table_prefix(kept, tail_index)
     cert = ThinCertificate(

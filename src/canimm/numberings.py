@@ -1,10 +1,11 @@
-"""Canonical numberings: registry, stage approximations, special builders.
+"""Canonical numberings: the registry and the rule builders.
 
 A numbering here is a registered total-tier program mapping an index i to
 the canonical code of a finite set.  A finite registry stands in for "all
 canonical numberings"; the universal stage approximation D_{e,s} over raw
-program codes covers the rest, exactly as the limit-computable marker
-construction uses it.  Surjectivity is tracked as an evidence flag: the
+program codes covers the rest: the limit-computable marker construction
+reads it as `machine.eval_bounded(e, (i,), s)`, the empty set where that
+run does not converge.  Surjectivity is tracked as an evidence flag: the
 builders that interleave the standard numbering on a residue class set it,
 arbitrary registered rules do not.
 """
@@ -12,38 +13,19 @@ arbitrary registered rules do not.
 from __future__ import annotations
 
 from . import programs as pg
-from .finitesets import FiniteSet, Record, decode_finite_set, encode_finite_set
+from .finitesets import FiniteSet, Record
 from .machine import (
     _CACHE_BIT_LIMIT,
     Node,
     PrimRec,
     decode,
     encode,
-    eval_bounded,
     eval_total,
     is_total_tier,
     memo,
     NotTotalTierError,
 )
 from .records import parse_value, render_atom
-
-__all__ = [
-    "FiniteSet",
-    "encode_finite_set",
-    "decode_finite_set",
-    "Numbering",
-    "Registry",
-    "standard_numbering",
-    "stage_approx",
-    "standard_rule_code",
-    "singleton_rule_code",
-    "interval_rule_code",
-    "big_interval_rule_code",
-    "adversarial_rule_code",
-    "even_odd_rule_code",
-    "witness_rule_from_table",
-    "default_pool",
-]
 
 
 class _Oversized(Exception):
@@ -76,14 +58,6 @@ class Numbering(Record):
 
     def value(self, i: int) -> FiniteSet:
         return _rule_value(self.rule, i)
-
-    def membership_program(self) -> int:
-        """Total program deciding (x, i) -> whether x is in the i-th set."""
-        return encode(pg.bit_(pg.P0, pg.comp(decode(self.rule), pg.P1)))
-
-    def max_program(self) -> int:
-        """Total program for i -> max of the i-th set (0 on the empty set)."""
-        return encode(pg.log2_(pg.comp(decode(self.rule), pg.P0)))
 
 
 class Registry:
@@ -128,29 +102,6 @@ class Registry:
             label = parts[3] if len(parts) > 3 else ""
             reg.register(rule, surjective=flag, label=label)
         return reg
-
-
-def standard_numbering(i: int) -> FiniteSet:
-    """The standard surjective numbering: the set canonically coded by i."""
-    return decode_finite_set(i)
-
-
-def stage_approx(e: int, i: int, budget: int) -> FiniteSet:
-    """Stage approximation over a raw code: the coded set if e converges on i
-    within `budget` steps, else the empty set.  Pointwise eventually constant
-    whenever e is total."""
-    r = eval_bounded(e, (i,), budget)
-    if r.converged:
-        return FiniteSet(r.value)
-    return FiniteSet(0)
-
-
-def stage_settling(e: int, i: int, horizon: int) -> tuple[int, FiniteSet] | None:
-    """(first convergence budget, value) within the horizon, or None."""
-    r = eval_bounded(e, (i,), horizon)
-    if not r.converged:
-        return None
-    return r.steps, FiniteSet(r.value)
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +186,6 @@ def witness_rule_from_table(table: dict[int, int]) -> int:
 def adversarial_numbering(registry: Registry, f_code: int, label: str = "adversarial") -> Numbering:
     """Register the adversarial rule for modulus f; see adversarial_rule_code."""
     return registry.register(adversarial_rule_code(f_code), surjective=True, label=label)
-
-
-def witness_numbering(registry: Registry, table: dict[int, int], label: str = "witness") -> Numbering:
-    """Register a numbering with D(2*pair(i,n)) = H(i,n) from a finite table
-    keyed by pair(i,n); odd indices carry the standard numbering."""
-    return registry.register(witness_rule_from_table(table), surjective=True, label=label)
 
 
 def default_pool() -> Registry:

@@ -16,7 +16,6 @@ from .machine import (
     Comp,
     Const,
     Div,
-    Log2,
     Monus,
     Mu,
     Mul,
@@ -66,10 +65,6 @@ def pow2_(a: Node) -> Node:
     return comp(Pow2(), a)
 
 
-def log2_(a: Node) -> Node:
-    return comp(Log2(), a)
-
-
 def pair_(a: Node, b: Node) -> Node:
     return comp(PairOp(), a, b)
 
@@ -107,11 +102,6 @@ def parity_(a: Node) -> Node:
 
 def half_(a: Node) -> Node:
     return div_(a, c_(2))
-
-
-def bit_(n: Node, code: Node) -> Node:
-    """Bit n of code, i.e. membership in the canonically coded set."""
-    return parity_(div_(code, pow2_(n)))
 
 
 def interval_code_(lo: Node, hi: Node) -> Node:
@@ -177,10 +167,6 @@ def double_code() -> int:
     return encode(mul_(c_(2), P0))
 
 
-def square_code() -> int:
-    return encode(mul_(P0, P0))
-
-
 def diverge_code() -> int:
     return ALWAYS_DIVERGE_CODE
 
@@ -203,8 +189,3 @@ def domain_program(elements: Sequence[int]) -> int:
         return ALWAYS_DIVERGE_CODE
     hit = balanced_sum([eq_(P1, c_(x)) for x in members])
     return encode(Mu(monus_(c_(1), hit)))
-
-
-def table_program(values: Sequence[int]) -> int:
-    """Total program returning values[n] for n < len(values), else 0."""
-    return encode(packed_select_(list(values), P0))

@@ -42,55 +42,18 @@ class DyadicRational(Record):
         return cls(numerator, exponent)
 
     @classmethod
-    def one(cls) -> "DyadicRational":
-        return cls(1, 0)
-
-    @classmethod
     def power(cls, n: int) -> "DyadicRational":
         """2^{-n}."""
         return cls.make(1, n)
 
-    def __add__(self, other: "DyadicRational") -> "DyadicRational":
-        e = max(self.exponent, other.exponent)
-        num = (self.numerator << (e - self.exponent)) + (other.numerator << (e - other.exponent))
-        return DyadicRational.make(num, e)
-
-    def __sub__(self, other: "DyadicRational") -> "DyadicRational":
-        e = max(self.exponent, other.exponent)
-        a = self.numerator << (e - self.exponent)
-        b = other.numerator << (e - other.exponent)
-        if a < b:
-            raise ValueError("subtraction would go negative")
-        return DyadicRational.make(a - b, e)
-
-    def __mul__(self, other: "DyadicRational") -> "DyadicRational":
-        return DyadicRational.make(self.numerator * other.numerator, self.exponent + other.exponent)
-
-    def _cmp_key(self, other: "DyadicRational") -> tuple[int, int]:
-        e = max(self.exponent, other.exponent)
-        return self.numerator << (e - self.exponent), other.numerator << (e - other.exponent)
-
     def __le__(self, other: "DyadicRational") -> bool:
-        a, b = self._cmp_key(other)
-        return a <= b
-
-    def __lt__(self, other: "DyadicRational") -> bool:
-        a, b = self._cmp_key(other)
-        return a < b
+        e = max(self.exponent, other.exponent)
+        return self.numerator << (e - self.exponent) <= other.numerator << (e - other.exponent)
 
     def serialize(self) -> str:
         if self.exponent == 0:
             return str(self.numerator)
         return f"{self.numerator}/2^{self.exponent}"
-
-    @classmethod
-    def parse(cls, text: str) -> "DyadicRational":
-        if "/" not in text:
-            return cls.make(int(text), 0)
-        num, denom = text.split("/")
-        if not denom.startswith("2^"):
-            raise ValueError(f"bad dyadic literal {text!r}")
-        return cls.make(int(num), int(denom[2:]))
 
 
 def block(i: int) -> FiniteSet:

@@ -6,7 +6,7 @@ from canimm import checkers as ck
 from canimm import command
 from canimm import numberings as nb
 from canimm import programs as pg
-from canimm.finitesets import SetPrefix
+from canimm.finitesets import FiniteSet, SetPrefix
 from canimm.machine import eval_bounded, eval_total
 
 
@@ -94,7 +94,7 @@ def test_effective_immunity_finds_crafted_violation():
     assert verdict.failed
     code, domain, bound = verdict.violations[0]
     assert code == e and bound == 0
-    assert nb.decode_finite_set(domain).elements == (1, 2, 3)
+    assert FiniteSet(domain).elements == (1, 2, 3)
 
 
 def test_fail_requires_violations():

@@ -176,7 +176,8 @@ def _bci_invariants(trace):
 
 
 def test_bci_per_stage_invariants(pool):
-    _, _, trace = C.bci_run(list(pool), 400, fill_pairs=1)
+    # the 400 stages read no index past 26, so this fill covers every spoiled block
+    _, _, trace = C.bci_run(list(pool), 400, fill_pairs=C.pool_value_ceiling(list(pool), 28) // 2 + 2)
     _bci_invariants(trace)
 
 
@@ -228,10 +229,12 @@ def test_cofinal_positions_avoid_oversized_values(pool):
 
 
 def test_cofinal_decode_truncation_signal():
-    prefix, _ = C.cofinal_encode([], "111")
-    with pytest.raises(C.TruncationError):
-        C.cofinal_decode(prefix, expected_length=4)
-    assert C.cofinal_decode(prefix, expected_length=3) == "111"
+    # a prefix cut before a coded member decodes to fewer bits, never to wrong ones
+    prefix, _ = C.cofinal_encode([], "101")
+    assert C.cofinal_decode(prefix) == "101"
+    last = prefix.members()[-1]
+    cut = SetPrefix(prefix.mask & ((1 << last) - 1), last)
+    assert C.cofinal_decode(cut) == "10"
 
 
 def test_cofinal_carrier_immune_with_linear_modulus(pool):
@@ -326,6 +329,12 @@ def test_ci_not_hi_refuses_a_spoiled_block_outside_the_fill(pool):
     # `build ci-not-hi --stages 42 --index-bound 1` fills 2 pair blocks
     with pytest.raises(ValueError, match="stage 41 spoils pair block 2, outside the 2 pair blocks of the fill"):
         C.ci_not_hi_run(list(pool), 42, fill_pairs=2)
+
+
+def test_bci_refuses_a_spoiled_block_outside_the_fill(pool):
+    # `build bci --stages 42 --index-bound 1` fills the same 2 pair blocks
+    with pytest.raises(ValueError, match="stage 32 spoils pair block 3, outside the 2 pair blocks of the fill"):
+        C.bci_run(list(pool), 42, fill_pairs=2)
 
 
 # ---------------------------------------------------------------- hi-not-ci

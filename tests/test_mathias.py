@@ -19,9 +19,13 @@ def odds_above(k):
     return mt.ComputableSet(encode(pg.add_(pg.mul_(pg.c_(2), pg.P0), pg.c_(k))))
 
 
+def _increasing(values):
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
 def test_reservoir_constructors_are_increasing():
     for cs in (mt.ComputableSet.naturals(), mt.ComputableSet.evens(), mt.ComputableSet.odds()):
-        cs.check_increasing(64)
+        assert _increasing(cs.values(65))
 
 
 def test_derived_sets_evaluate_nothing_their_parent_did(monkeypatch):
@@ -62,11 +66,6 @@ def test_reservoir_rejects_partial_enumerators():
     spliced = encode(pg.comp(M.Splice(mt.ComputableSet.evens().enumerator), M.Mu(pg.P0)))
     with pytest.raises(mt.NotTotalTierError):
         mt.ComputableSet(spliced)
-
-
-def test_reservoir_increase_check_catches_constants():
-    with pytest.raises(ValueError):
-        mt.ComputableSet(pg.zero_code()).check_increasing(4)
 
 
 def test_condition_requires_stem_below_reservoir():
@@ -127,6 +126,20 @@ def test_thin_tail_clears_checked_values(pool):
     cond, cert = mt.thin_for_numbering(mt.Condition.empty(), big, 8)
     tail_values = cond.reservoir.values(9)
     assert tail_values[-1] > cert.ceiling
+
+
+def test_thin_reads_each_numbering_value_once(monkeypatch, pool):
+    read = []
+    value = nb.Numbering.value
+
+    def counting(self, i):
+        read.append(i)
+        return value(self, i)
+
+    monkeypatch.setattr(nb.Numbering, "value", counting)
+    cond = mt.Condition(_set(0, 1), mt.ComputableSet.naturals().shifted(2))
+    mt.thin_for_numbering(cond, pool[2], 7)
+    assert read == list(range(2, 10))  # the count + 1 indices from the stem size on
 
 
 def test_avoidance_example_blocks():
@@ -224,16 +237,6 @@ def test_generic_stem_persistence(generic_run):
     assert previous == generic_run.prefix.mask
 
 
-def test_characteristic_converter():
-    chi = encode(pg.parity_(pg.P0))  # the odd numbers
-    converted = mt.computable_set_from_characteristic(chi, 40, 10)
-    assert converted.values(10) == [1, 3, 5, 7, 9, 11, 13, 15, 17, 19]
-    with pytest.raises(ValueError):
-        mt.computable_set_from_characteristic(chi, 6, 10)  # witness too weak
-    with pytest.raises(mt.NotTotalTierError):
-        mt.computable_set_from_characteristic(pg.diverge_code(), 10, 2)
-
-
 # ---------------------------------------------------------------------------
 # Native reservoir values against the programs that traces record
 
@@ -259,7 +262,8 @@ _LEAVES = (
     mt.ComputableSet.naturals,
     mt.ComputableSet.evens,
     mt.ComputableSet.odds,
-    lambda: mt.computable_set_from_characteristic(encode(pg.parity_(pg.P0)), 40, 10),
+    # a leaf whose own program starts with a table: 1, 3, 5, then n from 6 on
+    lambda: mt.ComputableSet(_lowered_table(pg.identity_code(), [1, 3, 5], 6)),
 )
 
 
@@ -283,7 +287,7 @@ def test_native_values_match_the_lowered_program(leaf, data):
     native = [cs.value(n) for n in range(horizon)]
     assert native == cs.values(horizon)
     assert native == [eval_total(cs.enumerator, (n,)) for n in range(horizon)]
-    cs.check_increasing(horizon)
+    assert _increasing(native)
 
 
 def test_build_generic_runs_only_leaf_codes(monkeypatch, pool):

@@ -185,8 +185,8 @@ _DRAWN_FLAGS = st.fixed_dictionaries(
 def test_drawn_builds_replay_and_round_trip(tmp_path_factory, name, flags, extra_rules):
     """Over drawn flags and pools, a build gives the same bytes twice (the
     second time from warm memos), its text renders back to itself, and its
-    trace replays to its prefixes.  ci-not-hi may refuse flags whose stages
-    spoil a pair block outside the fill that --index-bound sets."""
+    trace replays to its prefixes.  bci and ci-not-hi may refuse flags whose
+    stages spoil a pair block outside the fill that --index-bound sets."""
     pool = default_pool()
     for rule in extra_rules:
         pool.register(rule)
@@ -203,7 +203,7 @@ def test_drawn_builds_replay_and_round_trip(tmp_path_factory, name, flags, extra
     assert builds[0] == builds[1]
     code, err, data = builds[0]
     if code:
-        assert name == "ci-not-hi" and code == 1 and "pair blocks of the fill" in err
+        assert name in ("bci", "ci-not-hi") and code == 1 and "pair blocks of the fill" in err
         return
     text = data.decode()
     parsed = parse_trace(text)
@@ -521,6 +521,19 @@ def test_check_schnorr_without_prefix_errors(tmp_path):
     stripped = tmp_path / "no-prefix.trace"
     stripped.write_text("".join(kept))
     _assert_input_error(run_cli("check", "schnorr", str(stripped)))
+
+
+@pytest.mark.parametrize("suite", ["immunity", "domination", "effective"])
+def test_check_of_a_trace_without_prefix_errors(tmp_path, suite):
+    witness = tmp_path / "witness.trace"
+    assert command.main(["build", "2generic-witness", "--index-bound", "1", "--out", str(witness)]) == 0
+    bare = tmp_path / "bare.trace"
+    bare.write_text("trace\tdelta2\n")
+    for trace in (witness, bare):
+        for expect_fail in ([], ["--expect-fail"]):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert command.main(["check", suite, str(trace), *expect_fail]) == 1
+            assert "no prefix line" in err.getvalue()
 
 
 def test_build_with_a_too_deep_pool_rule_errors(tmp_path):

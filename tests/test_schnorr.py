@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,16 +40,12 @@ def test_blocks_partition_initial_segment(m):
     assert union == (1 << block_span(m)) - 1
 
 
-def _frac(d: DyadicRational):
-    from fractions import Fraction
-
+def _frac(d: DyadicRational) -> Fraction:
     return Fraction(d.numerator, 1 << d.exponent)
 
 
 @given(dyadics, dyadics)
-def test_dyadic_add_mul_are_exact(a, b):
-    assert _frac(a + b) == _frac(a) + _frac(b)
-    assert _frac(a * b) == _frac(a) * _frac(b)
+def test_dyadic_order_matches_the_fractions(a, b):
     assert (a <= b) == (_frac(a) <= _frac(b))
 
 
@@ -56,17 +54,10 @@ def test_dyadic_canonical_form(a):
     assert a.numerator == 0 or a.exponent == 0 or a.numerator % 2 == 1
 
 
-@given(dyadics, dyadics)
-def test_dyadic_subtraction_inverts_addition(a, b):
-    assert (a + b) - b == a
-
-
 def test_dyadic_serialization():
     assert DyadicRational.make(4, 4).serialize() == "1/2^2"
     assert DyadicRational.make(5, 3).serialize() == "5/2^3"
-    assert DyadicRational.one().serialize() == "1"
-    assert DyadicRational.parse("11/2^5") == DyadicRational.make(11, 5)
-    assert DyadicRational.parse("1") == DyadicRational.one()
+    assert DyadicRational.make(1, 0).serialize() == "1"
 
 
 def test_measure_examples():
@@ -86,7 +77,7 @@ def test_measure_monotone_in_horizon_and_below_budget():
         for m in range(n + 1, n + 24):
             value = measure_U_trunc(n, m)
             assert previous <= value
-            assert value < DyadicRational.power(n)  # strictly below the budget
+            assert not DyadicRational.power(n) <= value  # strictly below the budget
             previous = value
 
 
@@ -103,11 +94,11 @@ def test_measure_agrees_with_brute_force_cylinders():
 
 
 def _folded_measure(n, m):
-    """Reference: 1 minus the product of the factors 1 - 2^-i in dyadic arithmetic."""
-    prod = DyadicRational.one()
+    """Reference: 1 minus the product of the factors 1 - 2^-i, in exact fractions."""
+    prod = Fraction(1)
     for i in range(n + 1, m + 1):
-        prod = prod * (DyadicRational.one() - DyadicRational.power(i))
-    return DyadicRational.one() - prod
+        prod *= 1 - Fraction(1, 1 << i)
+    return 1 - prod
 
 
 @given(st.integers(0, 60), st.integers(1, 80))
@@ -115,8 +106,9 @@ def _folded_measure(n, m):
 def test_closed_form_measure_matches_the_dyadic_fold(n, width):
     m = n + width
     value = measure_U_trunc(n, m)
-    assert value == _folded_measure(n, m)
-    assert value.serialize() == _folded_measure(n, m).serialize()
+    folded = _folded_measure(n, m)
+    # both are in lowest terms, so equal fractions have equal fields
+    assert (value.numerator, 1 << value.exponent) == (folded.numerator, folded.denominator)
 
 
 def test_measure_rejects_negative_n():
