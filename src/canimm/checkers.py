@@ -32,10 +32,6 @@ class Verdict(Record):
         self._fill(status, violations, horizon)
 
     @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
-    @property
     def failed(self) -> bool:
         return self.status == FAIL
 

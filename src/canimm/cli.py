@@ -2,8 +2,11 @@
 
 `canimm.command` holds the command line and imports each library module
 only when a verb runs it.  Importing this module instead loads every
-module up front: the benchmark runs `main` and `modulus_catalog` from here,
-and its tracer wraps the entry points it finds in `sys.modules`.
+library module up front: the benchmark runs `main` and `modulus_catalog`
+from here, and its tracer wraps the entry points it finds in `sys.modules`.
+The build and check glue, `canimm.handlers`, still loads when a build or
+check runs; it reads each library function off its module at call time,
+so the tracer's wrappers see the call.
 """
 
 import sys

@@ -544,10 +544,6 @@ class WitnessEntry(Record):
     def __init__(self, i: int, n: int, key: int, target: int, beta: str | None, witness: FiniteSet | None):
         self._fill(i, n, key, target, beta, witness)
 
-    @property
-    def resolved(self) -> bool:
-        return self.beta is not None
-
 
 def build_2generic_witness(
     sigma: str,

@@ -351,10 +351,6 @@ class MeetOutcome(Record):
     def __init__(self, condition: Condition | None, clause: str | None, evidence: dict):
         self._fill(condition, clause, evidence)
 
-    @property
-    def met(self) -> bool:
-        return self.condition is not None
-
 
 def _stem_string(stem_code: int) -> str:
     return FiniteSet(stem_code).characteristic_string()

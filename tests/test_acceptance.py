@@ -49,7 +49,7 @@ def test_delta2_criterion(pool):
     assert trace.meta["unsettled"] == []  # every pool entry settled by the horizon
 
     verdict = ck.check_canonical_immunity(prefix, pg.identity_code(), list(pool), index_bound)
-    assert verdict.passed, verdict.violations
+    assert verdict.status == ck.PASS, verdict.violations
 
     # independent oracle: exhaustive (D, i) scan with plain set arithmetic
     member_set = set(members)
@@ -96,7 +96,7 @@ def test_bci_criterion(pool):
     modulus = _bci_modulus()
     for label, side in (("R", r), ("Q", q)):
         verdict = ck.check_canonical_immunity(side, modulus, list(pool), index_bound)
-        assert verdict.passed, (label, verdict.violations)
+        assert verdict.status == ck.PASS, (label, verdict.violations)
         assert dict(verdict.horizon)["skipped"] == ()
     replay_r, replay_q = C.replay_bci(trace)
     assert (replay_r.mask, replay_q.mask) == (r.mask, q.mask)
@@ -115,7 +115,7 @@ def test_cofinal_criterion(pool):
 
     carrier = C.cofinal_carrier(list(pool), 66)
     verdict = ck.check_canonical_immunity(carrier, _linear_modulus(), list(pool), 64)
-    assert verdict.passed, verdict.violations
+    assert verdict.status == ck.PASS, verdict.violations
     _report("cofinal", "100/100 random 64-bit roundtrips, carrier immune at h=2i+1")
 
 
@@ -132,7 +132,7 @@ def test_ci_hi_criterion(pool):
         assert evidence.failed, j  # member at position j exceeds f_j(j)
 
     verdict = ck.check_canonical_immunity(prefix, pg.identity_code(), list(pool), 64)
-    assert verdict.passed, verdict.violations
+    assert verdict.status == ck.PASS, verdict.violations
     _report("ci-hi", f"evidence against {len(fns)} functions at their positions, immune at h=identity")
 
 
@@ -147,11 +147,11 @@ def test_ci_not_hi_criterion(pool):
     double = pg.double_code()
     members = prefix.members()
     complement = prefix.complement_members()
-    assert ck.refute_domination(members, double, range(1, len(members) + 1)).passed
-    assert ck.refute_domination(complement, double, range(1, len(complement) + 1)).passed
+    assert ck.refute_domination(members, double, range(1, len(members) + 1)).status == ck.PASS
+    assert ck.refute_domination(complement, double, range(1, len(complement) + 1)).status == ck.PASS
 
     verdict = ck.check_canonical_immunity(prefix, _twof_modulus(), list(pool), index_bound)
-    assert verdict.passed, verdict.violations
+    assert verdict.status == ck.PASS, verdict.violations
     assert dict(verdict.horizon)["skipped"] == ()
     _report("ci-not-hi", f"{fill} pairs split one-per-block, both sides dominated by 2k, immune at h=2f")
 
@@ -236,7 +236,7 @@ def test_mathias_criterion(pool, generic_run):
 
     ones = pg.enumerate_oracle_ones_code()
     outcome = mt.meet_D_eh(mt.Condition.empty(), ones, pg.zero_code(), budget=256)
-    assert outcome.met and outcome.clause == "clause1"
+    assert outcome.condition is not None and outcome.clause == "clause1"
     j = outcome.evidence["j"]
     w_j = M.we_bounded(j, outcome.evidence["inner_budget"])
     chi = outcome.condition.stem.characteristic_string()

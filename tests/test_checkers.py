@@ -12,7 +12,7 @@ from canimm.machine import eval_bounded, eval_total
 
 def test_empty_prefix_passes_identity(pool):
     verdict = ck.check_canonical_immunity(SetPrefix(0, 40), pg.zero_code(), list(pool), 8)
-    assert verdict.passed
+    assert verdict.status == ck.PASS
 
 
 def test_all_ones_prefix_fails_on_intervals(pool):
@@ -40,7 +40,7 @@ def test_indices_beyond_prefix_are_skipped_on_record(pool):
     verdict = ck.check_canonical_immunity(prefix, pg.identity_code(), list(pool), 6)
     skipped = dict(verdict.horizon)["skipped"]
     assert skipped  # interval and block values reach past two bits
-    assert verdict.passed
+    assert verdict.status == ck.PASS
 
 
 def test_k_map_controls_scan_start():
@@ -52,7 +52,7 @@ def test_k_map_controls_scan_start():
     from_zero = ck.check_canonical_immunity(prefix, zero, [singleton], 4, k_map={singleton.id: 0})
     from_one = ck.check_canonical_immunity(prefix, zero, [singleton], 4, k_map={singleton.id: 1})
     assert from_zero.failed and from_zero.violations[0][:2] == (singleton.id, 0)
-    assert from_one.passed
+    assert from_one.status == ck.PASS
 
 
 def test_verdicts_are_reproducible(pool):
@@ -66,7 +66,7 @@ def test_refute_domination_rank_conventions():
     principal = [0, 1, 2, 3, 4, 5]
     double = pg.double_code()
     dominated = ck.refute_domination(principal, double, range(1, 7))
-    assert dominated.passed
+    assert dominated.status == ck.PASS
     exceeds = ck.refute_domination([9, 10], pg.zero_code(), range(1, 3))
     assert exceeds.failed and exceeds.violations[0] == (1, 9, 0)
     # position semantics: rank_base 0 compares members[n] against f(n)
@@ -83,7 +83,7 @@ def test_effective_immunity_scan():
     # all bounded domains of tiny codes are empty: pass at horizon
     prefix = SetPrefix.from_members(range(10), 10)
     verdict = ck.check_effective_immunity(prefix, pg.zero_code(), range(8), 64)
-    assert verdict.passed
+    assert verdict.status == ck.PASS
 
 
 def test_effective_immunity_finds_crafted_violation():

@@ -241,7 +241,7 @@ def test_cofinal_carrier_immune_with_linear_modulus(pool):
     carrier = C.cofinal_carrier(list(pool), 40)
     h = encode(pg.succ_(pg.mul_(pg.c_(2), pg.P0)))  # 2i + 1
     verdict = ck.check_canonical_immunity(carrier, h, list(pool), 24)
-    assert verdict.passed
+    assert verdict.status == ck.PASS
 
 
 # ---------------------------------------------------------------- ci-hi
@@ -481,7 +481,7 @@ def test_alpha_enumeration_is_length_lex():
 def test_2generic_witness_postconditions():
     ones = pg.enumerate_oracle_ones_code()
     entries, numbering, trace = C.build_2generic_witness("", ones, pg.zero_code(), 2, 2)
-    assert len(entries) == 9 and all(e.resolved for e in entries)
+    assert len(entries) == 9 and all(e.beta is not None for e in entries)
     for entry in entries:
         assert len(entry.witness) == entry.target + 1  # strictly beats the target
         rho = C.alpha_string(entry.i) + entry.beta
@@ -493,7 +493,7 @@ def test_2generic_witness_postconditions():
 
 def test_2generic_witness_propagates_unresolved():
     entries, numbering, _ = C.build_2generic_witness("", pg.diverge_code(), pg.zero_code(), 1, 1, max_candidates=20)
-    assert all(not e.resolved for e in entries)
+    assert all(e.beta is None for e in entries)
     assert all(numbering.value(2 * e.key).is_empty for e in entries)
 
 

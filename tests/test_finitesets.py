@@ -26,7 +26,7 @@ from canimm.mathias import (
     ScheduleStep,
     ThinCertificate,
 )
-from canimm.numberings import Numbering
+from canimm.numberings import Numbering, default_pool
 from canimm.records import ConstructionTrace, ParsedTrace, TraceRecord
 from canimm.schnorr import DyadicRational
 
@@ -192,6 +192,7 @@ def _canimm(modules):
 def test_measure_loads_only_the_front_and_schnorr():
     modules, result = _imports("-m", "canimm", "measure", "1", "3")
     assert result.returncode == 0, result.stderr
+    # not canimm.handlers: the build and check glue stays uncompiled
     assert _canimm(modules) == {"canimm", "canimm.command", "canimm.finitesets", "canimm.schnorr"}
     assert not modules & {"pathlib", "typing"}
 
@@ -209,6 +210,22 @@ def test_build_and_check_load_only_the_modules_they_run(tmp_path):
     assert result.returncode in (0, 2), result.stderr
     assert {"canimm.records", "canimm.schnorr"} <= modules
     assert not modules & {"canimm.constructions", "canimm.checkers", "canimm.mathias"}
+
+
+def test_check_schnorr_loads_no_pool_and_no_machine(tmp_path):
+    """The schnorr suite reads neither --pool nor --modulus, so it opens no
+    pool file and encodes no modulus: nothing loads the machine."""
+    trace = tmp_path / "generic.trace"
+    flags = ["--index-bound", "6", "--blocks", "4", "--markers", "5", "--stages", "120", "--out", str(trace)]
+    assert subprocess.run([sys.executable, "-m", "canimm", "build", "generic", *flags]).returncode == 0
+    pool_file = tmp_path / "pool.tsv"
+    pool_file.write_text(default_pool().serialize())
+    modules, result = _imports("-m", "canimm", "check", "schnorr", str(trace), "--pool", str(pool_file))
+    assert result.returncode == 0, result.stderr
+    assert not modules & {"canimm.machine", "canimm.programs", "canimm.numberings"}
+    assert _canimm(modules) == {
+        "canimm", "canimm.command", "canimm.handlers", "canimm.records", "canimm.finitesets", "canimm.schnorr"
+    }
 
 
 def test_package_import_loads_no_submodule():

@@ -170,7 +170,7 @@ def test_avoidance_respects_stem_and_interleaves():
 
 def test_meet_d_eh_met_on_oracle_ones():
     outcome = mt.meet_D_eh(mt.Condition.empty(), pg.enumerate_oracle_ones_code(), pg.zero_code(), budget=256)
-    assert outcome.met and outcome.clause == "clause1"
+    assert outcome.condition is not None and outcome.clause == "clause1"
     witness = FiniteSet(outcome.evidence["witness_domain"])
     assert len(witness) == 1  # h == 0 needs a single element
     j = outcome.evidence["j"]
@@ -184,7 +184,7 @@ def test_meet_d_eh_met_on_oracle_ones():
 
 def test_meet_d_eh_unresolved_on_diverger():
     outcome = mt.meet_D_eh(mt.Condition.empty(), pg.diverge_code(), pg.zero_code(), budget=128)
-    assert not outcome.met
+    assert outcome.condition is None
     assert outcome.evidence["best_size"] == 0
 
 
@@ -194,7 +194,7 @@ def test_meet_d_eh_unresolved_when_modulus_outruns_desk_scale():
     outcome = mt.meet_D_eh(
         mt.Condition.empty(), pg.enumerate_oracle_ones_code(), pg.identity_code(), budget=128, max_rounds=2
     )
-    assert not outcome.met
+    assert outcome.condition is None
     assert outcome.evidence["best_size"] >= 1
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canimm import checkers, cli, command
+from canimm import checkers, cli, command, handlers
 from canimm import constructions as C
 from canimm import machine as M
 from canimm import mathias
@@ -147,7 +147,7 @@ BUILD_FLAGS = [
 def test_build_commands_are_deterministic(tmp_path, name, flags):
     """Every build the CLI offers gives the same bytes twice, and each of
     its prefixes replays through the library."""
-    assert {n for n, _ in BUILD_FLAGS} == set(command.BUILDS) == set(REPLAYS)
+    assert {n for n, _ in BUILD_FLAGS} == set(command.VERBS["build"]) == set(REPLAYS)
     first = tmp_path / "a.trace"
     second = tmp_path / "b.trace"
     assert run_cli("build", name, "--out", str(first), *flags).returncode == 0
@@ -179,7 +179,7 @@ _DRAWN_FLAGS = st.fixed_dictionaries(
 )
 
 
-@pytest.mark.parametrize("name", list(command.BUILDS))
+@pytest.mark.parametrize("name", list(command.VERBS["build"]))
 @given(flags=_DRAWN_FLAGS, extra_rules=st.lists(_EXTRA_RULES, max_size=2))
 @settings(max_examples=20, deadline=None)
 def test_drawn_builds_replay_and_round_trip(tmp_path_factory, name, flags, extra_rules):
@@ -218,7 +218,7 @@ def _generic_run(pool, index_bound=6, blocks=4, markers=5, stages=120):
 
 
 def _hi_not_ci_run(pool, blocks=6):
-    prefix, trace = C.hi_not_ci_run(command.default_functions(), blocks, target_index=0)
+    prefix, trace = C.hi_not_ci_run(handlers.default_functions(), blocks, target_index=0)
     return trace, {"R": prefix}
 
 
@@ -278,8 +278,8 @@ def _choices(parser, dest):
 
 def test_parser_choices_are_the_name_tables():
     verbs = _choices(command.build_parser(), "command")
-    assert list(_choices(verbs["build"], "construction")) == list(command.BUILDS)
-    assert list(_choices(verbs["check"], "suite")) == list(command.CHECKS)
+    assert list(_choices(verbs["build"], "construction")) == list(command.VERBS["build"]) == list(handlers.BUILDS)
+    assert list(_choices(verbs["check"], "suite")) == list(command.VERBS["check"]) == list(handlers.CHECKS)
     assert list(_choices(verbs["check"], "modulus")) == sorted(command.modulus_catalog())
 
 
@@ -287,7 +287,7 @@ def test_broken_extension_order_exits_2(monkeypatch, capsys):
     def broken(pool, args):
         raise mathias.ExtensionOrderError("step 3 (thin) does not extend its input")
 
-    monkeypatch.setitem(command.BUILDS, "delta2", broken)
+    monkeypatch.setitem(handlers.BUILDS, "delta2", broken)
     assert command.main(["build", "delta2"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: step 3 (thin) does not extend its input\n"
@@ -444,7 +444,7 @@ def test_build_past_the_fill_horizon_errors(name):
 def test_build_hi_not_ci_with_double_second_errors(monkeypatch, capsys):
     # unguarded, this list ran out of memory at 10 selections
     fns = [pg.identity_code(), pg.double_code(), pg.succ_code(), pg.zero_code()]
-    monkeypatch.setattr(command, "default_functions", lambda: fns)
+    monkeypatch.setattr(handlers, "default_functions", lambda: fns)
     assert command.main(["build", "hi-not-ci", "--blocks", "10"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --blocks 10: selection 7 would walk more than") and "Traceback" not in err
@@ -644,7 +644,7 @@ def test_build_entry_calls_the_library_through_its_module(monkeypatch, tmp_path,
     """A wrapper installed on the module after import (the benchmark
     tracer's, say) sees the call; an entry that captured the function at
     import would bypass it."""
-    assert set(BUILD_ENTRY_POINTS) == set(command.BUILDS)
+    assert set(BUILD_ENTRY_POINTS) == set(handlers.BUILDS)
     calls = _count_calls(monkeypatch, *BUILD_ENTRY_POINTS[name])
     assert command.main(["build", name, *flags, "--out", str(tmp_path / "t.trace")]) == 0
     assert calls
@@ -652,10 +652,96 @@ def test_build_entry_calls_the_library_through_its_module(monkeypatch, tmp_path,
 
 @pytest.mark.parametrize("suite", sorted(CHECK_ENTRY_POINTS))
 def test_check_entry_calls_the_library_through_its_module(monkeypatch, tmp_path, suite):
-    assert set(CHECK_ENTRY_POINTS) == set(command.CHECKS)
+    assert set(CHECK_ENTRY_POINTS) == set(handlers.CHECKS)
     entry_point, build, flags = CHECK_ENTRY_POINTS[suite]
     trace = str(tmp_path / "t.trace")
     assert command.main(["build", build, *dict(BUILD_FLAGS)[build], "--out", trace]) == 0
     calls = _count_calls(monkeypatch, *entry_point)
     assert command.main(["check", suite, trace, *flags, "--out", str(tmp_path / "verdicts")]) == 0
     assert calls
+
+
+def test_check_schnorr_inconclusive_exits_like_the_other_suites(tmp_path, capsys):
+    """An Inconclusive is no failure: exit 0, or 2 under --expect-fail."""
+    trace = str(tmp_path / "g0.trace")
+    flags = ("--index-bound", "4", "--blocks", "0", "--markers", "4", "--stages", "20")
+    assert command.main(["build", "generic", *flags, "--out", trace]) == 0
+    capsys.readouterr()
+    for expect_fail, code in (([], 0), (["--expect-fail"], 2)):
+        assert command.main(["check", "schnorr", trace, *expect_fail]) == code
+        assert capsys.readouterr().out == "schnorr\tinconclusive\tno covered missed blocks\n"
+
+
+class _Unread:
+    """Stands for an input a verb declares it does not read: any use raises."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a handler used an input its verb does not declare")
+
+    __getattr__ = __iter__ = __len__ = __bool__ = __index__ = __int__ = __hash__ = _refuse
+    __eq__ = __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rshift__ = __and__ = __or__ = _refuse
+
+
+class _Watched:
+    """A pool that counts the handler's reads of it."""
+
+    def __init__(self, pool):
+        self.pool, self.reads = pool, 0
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self.pool)
+
+    def codes(self):
+        self.reads += 1
+        return self.pool.codes()
+
+
+def _declared(verb, name, pool, modulus=None):
+    reads = command.VERBS[verb][name]
+    return (pool if command.POOL in reads else _Unread()), (modulus if command.MODULUS in reads else _Unread())
+
+
+def test_handlers_read_only_the_inputs_their_verbs_declare(pool):
+    """Each handler runs with an input-refusing stand-in for every input its
+    verb does not declare, and reads the pool whenever it declares one."""
+    parser = command.build_parser()
+    parsed = {}
+    for name, flags in BUILD_FLAGS:
+        watched = _Watched(pool)
+        given_pool, _ = _declared("build", name, watched)
+        trace, prefixes = handlers.BUILDS[name](given_pool, parser.parse_args(["build", name, *flags]))
+        assert watched.reads > 0 or command.POOL not in command.VERBS["build"][name]
+        parsed[name] = parse_trace(render_trace(trace, prefixes))
+    for suite, (_, build, flags) in CHECK_ENTRY_POINTS.items():
+        args = parser.parse_args(["check", suite, "unused.trace", *flags])
+        watched = _Watched(pool)
+        given_pool, h = _declared("check", suite, watched, command.MODULI[args.modulus](pg))
+        lines, found_fail = handlers.CHECKS[suite](parsed[build], given_pool, h, args)
+        assert lines and not found_fail
+        assert watched.reads > 0 or command.POOL not in command.VERBS["check"][suite]
+
+
+# the verbs that open --pool: every other verb runs with a missing pool file
+POOL_READERS = {
+    "build": {"delta2", "bci", "cofinal", "ci-hi", "ci-not-hi", "effectivize", "generic"},
+    "check": {"immunity"},
+}
+
+
+def test_a_missing_pool_file_fails_exactly_the_verbs_that_read_a_pool(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-pool.tsv")
+    declared = {verb: {n for n, reads in table.items() if command.POOL in reads} for verb, table in command.VERBS.items()}
+    assert declared == POOL_READERS
+    traces = {}
+    for name, flags in BUILD_FLAGS:
+        traces[name] = str(tmp_path / f"{name}.trace")
+        code = command.main(["build", name, *flags, "--pool", missing, "--out", traces[name]])
+        assert code == (1 if name in POOL_READERS["build"] else 0), name
+        if code:  # a pool reader: build it from the default pool for the checks below
+            assert f"error: cannot read pool file {missing}" in capsys.readouterr().err
+            assert command.main(["build", name, *flags, "--out", traces[name]]) == 0
+    for suite, (_, build, flags) in CHECK_ENTRY_POINTS.items():
+        code = command.main(["check", suite, traces[build], *flags, "--pool", missing, "--out", str(tmp_path / "v")])
+        assert code == (1 if suite in POOL_READERS["check"] else 0), suite
+    assert capsys.readouterr().err.count("cannot read pool file") == len(POOL_READERS["check"])
