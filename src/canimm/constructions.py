@@ -7,6 +7,10 @@ the replay of its own trace.  None of the emitted prefixes is claimed to
 have any infinite-horizon property; the runs guarantee exactly the
 per-stage invariants the checkers re-verify.
 
+The two one-per-pair constructions, bci and ci-not-hi, run one stage loop
+and derive their fill horizon from the index bound themselves; prefix
+coding and ci-hi read one level-by-level scan of the oversized pool values.
+
 Index conventions: pools are ordered, and the pool position e plays the
 role of the index of the e-th numbering, with claims starting "from e" in
 the checkers.  Stage pairing is the machine's Cantor pairing throughout,
@@ -41,16 +45,22 @@ def _free_position(mask: int, start: int) -> int:
     return start + t.bit_length() - 1
 
 
+def _oversized_unions(pool: Sequence[Numbering]):
+    """After each level n = 0, 1, ..., the union of the pool values D_e(i)
+    with max(e, i) <= n that have more than i elements."""
+    mask = 0
+    for n in itertools.count():
+        column = [(e, n) for e in range(min(n + 1, len(pool)))]
+        row = [(n, i) for i in range(n)] if n < len(pool) else []
+        for e, i in column + row:
+            value = pool[e].value(i)
+            if len(value) > i:
+                mask |= value.code
+        yield mask
+
+
 # ---------------------------------------------------------------------------
 # Limit-computable marker construction
-
-
-def _pairs_at_level(n: int, pool_size: int):
-    for e in range(min(n + 1, pool_size)):
-        yield e, n
-    if n < pool_size:
-        for i in range(n):
-            yield n, i
 
 
 def delta2_prefix(pool: Sequence[int], stages: int, markers: int) -> tuple[SetPrefix, ConstructionTrace]:
@@ -78,7 +88,6 @@ def delta2_prefix(pool: Sequence[int], stages: int, markers: int) -> tuple[SetPr
             else:
                 unsettled.append((e, i))
     events = sorted({0} | {steps for steps, _ in settled.values()})
-    events = [s for s in events if s <= stages]
 
     trace = ConstructionTrace(
         "delta2",
@@ -128,16 +137,17 @@ def replay_delta2(trace: ConstructionTrace) -> SetPrefix:
 
 
 # ---------------------------------------------------------------------------
-# Two-sided construction over the pair blocks I_p = {2p, 2p+1}
+# Spoiling stages over the pair blocks I_p = {2p, 2p+1}
 
 
-# The most pair blocks a two-sided run fills up to a pool value ceiling;
+# The most pair blocks a one-per-pair run fills up to a pool value ceiling;
 # each of its prefix lines is then at most about 8 MB.
 MAX_FILL_PAIRS = 1 << 22
 
 
-def pool_value_ceiling(pool: Sequence[Numbering], index_bound: int) -> int:
-    """Largest element any pool numbering mentions up to the index bound.
+def _fill_pairs(pool: Sequence[Numbering], index_bound: int) -> int:
+    """Pair blocks up to the largest element any pool numbering mentions up
+    to the index bound, and two more.
 
     Raises ValueError as soon as a value reaches an element in pair block
     MAX_FILL_PAIRS or later, before evaluating any further value: the
@@ -153,42 +163,41 @@ def pool_value_ceiling(pool: Sequence[Numbering], index_bound: int) -> int:
                         f"--index-bound {index_bound}: numbering {numbering.id} reaches element {top} at index {i},"
                         f" past the {MAX_FILL_PAIRS} pair blocks a fill may cover"
                     )
-    return top
+    return top // 2 + 2
 
 
-def bci_run(pool: Sequence[Numbering], stages: int, fill_pairs: int) -> tuple[SetPrefix, SetPrefix, ConstructionTrace]:
-    """Two disjoint sets, each dodging every oversized pool value.
+def _spoiling_run(
+    name: str, pool: Sequence[Numbering], stages: int, index_bound: int, size_bound, spoils: int, case2
+) -> ConstructionTrace:
+    """The stages s = pair(e, i) of a one-per-pair construction.
 
-    Stage s = pair(e, i) acts only when i >= e and the e-th pool value at i
-    has more than 4 f(i) + 3 elements; it then spoils that value for both
-    sides by splitting two fresh pair blocks between them.  Unused pair
-    blocks are finally split evens-to-R, odds-to-Q up to the fill horizon.
-    A stage that would spoil a block at or past the fill horizon raises
-    ValueError.
+    Stage s acts only when i >= e and the e-th pool value at i has more
+    than size_bound(i) elements: it spoils that value by taking the
+    `spoils` least pair blocks the value meets that no earlier stage took,
+    and records case2 with e, i, those blocks and case2 of the value's
+    least element in each.  Every other stage records case1.  The fill
+    covers the pair blocks of every pool value up to the index bound, and a
+    stage that would spoil a block at or past it raises ValueError; that
+    needs i > index_bound, so stages <= pair(0, index_bound + 1) never do.
     """
     if stages < 1:
         raise ValueError("stage horizon must be positive")
+    fill_pairs = _fill_pairs(pool, index_bound)
     used_pairs: set[int] = set()
-    trace = ConstructionTrace("bci", meta={"stages": stages, "pool_ids": [n.id for n in pool]})
+    trace = ConstructionTrace(
+        name, meta={"stages": stages, "pool_ids": [n.id for n in pool], "fill_pairs": fill_pairs}
+    )
     for s in range(stages):
         e, i = unpair(s)
-        if e >= len(pool) or i < e:
+        if e >= len(pool) or i < e or len(value := pool[e].value(i)) <= size_bound(i):
             trace.add(s, "case1", e, i)
             continue
-        value = pool[e].value(i)
-        if len(value) <= 4 * pair_bound(i) + 3:
-            trace.add(s, "case1", e, i)
-            continue
-        p_s, q_s = itertools.islice(_free_pairs(value, used_pairs), 2)
-        if q_s >= fill_pairs:
-            raise ValueError(f"stage {s} spoils pair block {q_s}, outside the {fill_pairs} pair blocks of the fill")
-        x = _least_in_pair(value, p_s)
-        z = _least_in_pair(value, q_s)
-        used_pairs.update((p_s, q_s))
-        trace.add(s, "case2", e, i, p_s, q_s, x, _partner(x), z, _partner(z))
-
-    trace.meta["fill_pairs"] = fill_pairs
-    return (*replay_bci(trace), trace)
+        blocks = tuple(itertools.islice(_free_pairs(value, used_pairs), spoils))
+        if blocks[-1] >= fill_pairs:
+            raise ValueError(f"stage {s} spoils pair block {blocks[-1]}, outside the {fill_pairs} pair blocks of the fill")
+        used_pairs.update(blocks)
+        trace.add(s, "case2", e, i, *blocks, *case2(*(_least_in_pair(value, p) for p in blocks)))
+    return trace
 
 
 def _free_pairs(value: FiniteSet, used: set[int]):
@@ -219,6 +228,35 @@ def _unused_pair_evens(fill_pairs: int, used: set[int]) -> int:
     return evens ^ code_of(2 * p for p in used if 0 <= p < fill_pairs)
 
 
+def _filled(trace: ConstructionTrace, used: set[int], *masks: int) -> tuple[SetPrefix, ...]:
+    """The masks as prefixes of the trace's fill, the k-th also holding
+    element 2p + k of every unused pair block p."""
+    fill_pairs = trace.meta["fill_pairs"]
+    fill = _unused_pair_evens(fill_pairs, used)
+    return tuple(SetPrefix(mask | fill << k, 2 * fill_pairs) for k, mask in enumerate(masks))
+
+
+# ---------------------------------------------------------------------------
+# Two-sided construction
+
+
+def bci_run(pool: Sequence[Numbering], stages: int, index_bound: int) -> tuple[SetPrefix, SetPrefix, ConstructionTrace]:
+    """Two disjoint sets, each dodging every oversized pool value.
+
+    Stage s = pair(e, i) acts only when i >= e and the e-th pool value at i
+    has more than 4 f(i) + 3 elements; it then spoils that value for both
+    sides by splitting two fresh pair blocks between them.  Unused pair
+    blocks are finally split evens-to-R, odds-to-Q up to the fill horizon,
+    which covers every pool value up to the index bound.  A stage that
+    would spoil a block at or past the fill horizon raises ValueError.
+    """
+    trace = _spoiling_run(
+        "bci", pool, stages, index_bound, lambda i: 4 * pair_bound(i) + 3, 2,
+        lambda x, z: (x, _partner(x), z, _partner(z)),
+    )
+    return (*replay_bci(trace), trace)
+
+
 def replay_bci(trace: ConstructionTrace) -> tuple[SetPrefix, SetPrefix]:
     r_mask = q_mask = 0
     used: set[int] = set()
@@ -228,11 +266,7 @@ def replay_bci(trace: ConstructionTrace) -> tuple[SetPrefix, SetPrefix]:
             r_mask |= (1 << y) | (1 << z)
             q_mask |= (1 << x) | (1 << w)
             used.update((p_s, q_s))
-    fill_pairs = trace.meta["fill_pairs"]
-    fill = _unused_pair_evens(fill_pairs, used)
-    r_mask |= fill
-    q_mask |= fill << 1
-    return SetPrefix(r_mask, 2 * fill_pairs), SetPrefix(q_mask, 2 * fill_pairs)
+    return _filled(trace, used, r_mask, q_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +277,8 @@ def choose_cofinal_positions(pool: Sequence[Numbering], count: int) -> list[int]
     """Increasing p_n with both 2 p_n and 2 p_n + 1 avoiding the oversized
     pool values with indices up to n."""
     positions = []
-    mask = 0
     p = 0
-    for n in range(count):
-        for e, i in _pairs_at_level(n, len(pool)):
-            value = pool[e].value(i)
-            if len(value) > i:
-                mask |= value.code
+    for mask in itertools.islice(_oversized_unions(pool), count):
         while (mask >> (2 * p)) & 3:
             p += 1
         positions.append(p)
@@ -302,13 +331,8 @@ def ci_hi_run(
     trace = ConstructionTrace(
         "ci-hi", meta={"stages": stages, "pool_ids": [n.id for n in pool], "functions": list(fns)}
     )
-    mask = 0
     previous = -1
-    for s in range(stages):
-        for e, i in _pairs_at_level(s, len(pool)):
-            value = pool[e].value(i)
-            if len(value) > i:
-                mask |= value.code
+    for s, mask in zip(range(stages), _oversized_unions(pool)):
         bound = eval_total(fns[s], (s,)) if s < len(fns) else 0
         x = _free_position(mask, max(previous, bound) + 1)
         trace.add(s, "pick", x, bound)
@@ -325,35 +349,17 @@ def replay_ci_hi(trace: ConstructionTrace) -> SetPrefix:
 # Canonically immune but dominated on both sides
 
 
-def ci_not_hi_run(pool: Sequence[Numbering], stages: int, fill_pairs: int) -> tuple[SetPrefix, ConstructionTrace]:
+def ci_not_hi_run(pool: Sequence[Numbering], stages: int, index_bound: int) -> tuple[SetPrefix, ConstructionTrace]:
     """One element from every pair block I_p, spoiling oversized values.
 
     Stage s = pair(e, i) with i >= e and the e-th value at i larger than
     2 f(i) withholds one element of that value from the set and inserts its
-    pair partner; unused blocks contribute their even element, so both the
-    set and its complement meet every block exactly once.  A stage that
-    would spoil a block at or past the fill horizon raises ValueError.
+    pair partner; unused blocks up to the fill horizon, which covers every
+    pool value up to the index bound, contribute their even element, so
+    both the set and its complement meet every block exactly once.  A stage
+    that would spoil a block at or past the fill horizon raises ValueError.
     """
-    if stages < 1:
-        raise ValueError("stage horizon must be positive")
-    used_pairs: set[int] = set()
-    trace = ConstructionTrace("ci-not-hi", meta={"stages": stages, "pool_ids": [n.id for n in pool]})
-    for s in range(stages):
-        e, i = unpair(s)
-        if e >= len(pool) or i < e:
-            trace.add(s, "case1", e, i)
-            continue
-        value = pool[e].value(i)
-        if len(value) <= 2 * pair_bound(i):
-            trace.add(s, "case1", e, i)
-            continue
-        p_s = next(_free_pairs(value, used_pairs))
-        if p_s >= fill_pairs:
-            raise ValueError(f"stage {s} spoils pair block {p_s}, outside the {fill_pairs} pair blocks of the fill")
-        used_pairs.add(p_s)
-        trace.add(s, "case2", e, i, p_s, _least_in_pair(value, p_s))
-
-    trace.meta["fill_pairs"] = fill_pairs
+    trace = _spoiling_run("ci-not-hi", pool, stages, index_bound, lambda i: 2 * pair_bound(i), 1, lambda x: (x,))
     return replay_ci_not_hi(trace), trace
 
 
@@ -365,9 +371,7 @@ def replay_ci_not_hi(trace: ConstructionTrace) -> SetPrefix:
             _, _, p_s, x = rec.fields
             r_mask |= 1 << _partner(x)
             used.add(p_s)
-    fill_pairs = trace.meta["fill_pairs"]
-    r_mask |= _unused_pair_evens(fill_pairs, used)
-    return SetPrefix(r_mask, 2 * fill_pairs)
+    return _filled(trace, used, r_mask)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ this module imports nothing else from the package.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from itertools import compress
 
 
@@ -117,9 +117,6 @@ class FiniteSet(Record):
     def __len__(self) -> int:
         return self.code.bit_count()
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
     @property
     def is_empty(self) -> bool:
         return self.code == 0
@@ -191,9 +188,6 @@ class SetPrefix(Record):
 
     def members(self) -> tuple[int, ...]:
         return elements_of(self.mask)
-
-    def __contains__(self, x: int) -> bool:
-        return 0 <= x < self.length and (self.mask >> x) & 1 == 1
 
     def complement_members(self) -> tuple[int, ...]:
         return elements_of(((1 << self.length) - 1) ^ self.mask)

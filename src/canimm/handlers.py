@@ -64,16 +64,12 @@ def _cons():
     return constructions
 
 
-def _fill_pairs(pool, index_bound: int) -> int:
-    return _cons().pool_value_ceiling(list(pool), index_bound) // 2 + 2
-
-
 def _with_r(prefix, trace):
     return trace, {"R": prefix}
 
 
 def _build_bci(pool, args):
-    r, q, trace = _cons().bci_run(list(pool), args.stages, _fill_pairs(pool, args.index_bound))
+    r, q, trace = _cons().bci_run(list(pool), args.stages, args.index_bound)
     return trace, {"Q": q, "R": r}
 
 
@@ -117,9 +113,7 @@ BUILDS = {
     "bci": _build_bci,
     "cofinal": lambda pool, args: _with_r(*_cons().cofinal_encode(list(pool), DEFAULT_COFINAL_BITS)),
     "ci-hi": lambda pool, args: _with_r(*_cons().ci_hi_run(list(pool), default_functions(), args.stages)),
-    "ci-not-hi": lambda pool, args: _with_r(
-        *_cons().ci_not_hi_run(list(pool), args.stages, _fill_pairs(pool, args.index_bound))
-    ),
+    "ci-not-hi": lambda pool, args: _with_r(*_cons().ci_not_hi_run(list(pool), args.stages, args.index_bound)),
     "hi-not-ci": _build_hi_not_ci,
     "effectivize": _build_effectivize,
     "2generic-witness": _build_2generic_witness,

@@ -72,8 +72,7 @@ def test_delta2_criterion(pool):
 
 def test_bci_criterion(pool):
     stages, index_bound = 1000, 64
-    fill = C.pool_value_ceiling(list(pool), index_bound) // 2 + 2
-    r, q, trace = C.bci_run(list(pool), stages, fill)
+    r, q, trace = C.bci_run(list(pool), stages, index_bound)
 
     # per-stage invariants, recomputed from the trace records
     r_mask = q_mask = union = 0
@@ -138,8 +137,8 @@ def test_ci_hi_criterion(pool):
 
 def test_ci_not_hi_criterion(pool):
     stages, index_bound = 1000, 64
-    fill = C.pool_value_ceiling(list(pool), index_bound) // 2 + 2
-    prefix, trace = C.ci_not_hi_run(list(pool), stages, fill)
+    prefix, trace = C.ci_not_hi_run(list(pool), stages, index_bound)
+    fill = trace.meta["fill_pairs"]
 
     for p in range(fill):
         assert (prefix.mask >> (2 * p)) & 0b11 in (0b01, 0b10), p  # exactly one per pair

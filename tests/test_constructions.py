@@ -63,6 +63,15 @@ def test_delta2_unsettled_entries_are_reported():
     assert prefix.members() == (0, 1, 2)
 
 
+def _pairs_at_level(n, pool_size):
+    """The pairs (e, i) with max(e, i) = n and pool position e."""
+    for e in range(min(n + 1, pool_size)):
+        yield e, n
+    if n < pool_size:
+        for i in range(n):
+            yield n, i
+
+
 def _delta2_reference(pool, stages, markers):
     """delta2_prefix with every marker rebuilt from all settled pairs at
     each event stage, the construction's definition read literally."""
@@ -89,7 +98,7 @@ def _delta2_reference(pool, stages, markers):
     for s in events:
         mask, previous, stage_markers = 0, -1, []
         for n in range(markers):
-            for e, i in C._pairs_at_level(n, len(pool)):
+            for e, i in _pairs_at_level(n, len(pool)):
                 hit = settled.get((e, i))
                 if hit is not None and hit[0] <= s and hit[1].bit_count() > i:
                     mask |= hit[1]
@@ -141,16 +150,18 @@ def bci_big_pool():
 
 
 def test_bci_case2_hand_simulation(bci_big_pool):
-    r, q, trace = C.bci_run(list(bci_big_pool), 1, fill_pairs=4)
+    r, q, trace = C.bci_run(list(bci_big_pool), 1, 0)
     rec = next(rec for rec in trace.records if rec.rule == "case2")
     # least fresh pair, then least elements: p=0, q=1, x=0, y=1, z=2, w=3
     assert rec.fields == (0, 0, 0, 1, 0, 1, 2, 3)
-    assert set(r.members()) == {1, 2, 4, 6}
-    assert set(q.members()) == {0, 3, 5, 7}
+    # element 7 lies in pair block 3, and the fill takes two blocks more: 2, 3 and 4 split evens-to-R
+    assert trace.meta["fill_pairs"] == 5
+    assert set(r.members()) == {1, 2, 4, 6, 8}
+    assert set(q.members()) == {0, 3, 5, 7, 9}
 
 
 def test_bci_stage_with_i_below_e_is_case1(pool):
-    _, _, trace = C.bci_run(list(pool), 2, fill_pairs=2)
+    _, _, trace = C.bci_run(list(pool), 2, 0)
     stage1 = next(rec for rec in trace.records if rec.stage == 1)
     e, i = unpair(1)
     assert (e, i) == (1, 0)
@@ -177,16 +188,18 @@ def _bci_invariants(trace):
 
 def test_bci_per_stage_invariants(pool):
     # the 400 stages read no index past 26, so this fill covers every spoiled block
-    _, _, trace = C.bci_run(list(pool), 400, fill_pairs=C.pool_value_ceiling(list(pool), 28) // 2 + 2)
+    _, _, trace = C.bci_run(list(pool), 400, 28)
     _bci_invariants(trace)
 
 
 def test_bci_replay_and_partition(pool):
-    r, q, trace = C.bci_run(list(pool), 300, fill_pairs=600)
+    # the 300 stages read no index past 23, whose values reach pair block 2209
+    r, q, trace = C.bci_run(list(pool), 300, 23)
     r2, q2 = C.replay_bci(trace)
     assert (r2.mask, q2.mask) == (r.mask, q.mask)
     assert r.mask & q.mask == 0
-    assert r.mask | q.mask == (1 << 1200) - 1  # R and Q partition the horizon
+    assert r.length == q.length == 2 * 2211
+    assert r.mask | q.mask == (1 << 4422) - 1  # R and Q partition the horizon
 
 
 @given(st.integers(0, 200), st.sets(st.integers(-3, 250)))
@@ -273,8 +286,10 @@ def test_ci_hi_outgrows_each_function_at_its_stage(pool):
 
 
 def test_ci_not_hi_one_per_pair_and_bounded(pool):
-    prefix, trace = C.ci_not_hi_run(list(pool), 400, fill_pairs=800)
-    for p in range(800):
+    prefix, trace = C.ci_not_hi_run(list(pool), 400, 28)
+    fill = trace.meta["fill_pairs"]
+    assert prefix.length == 2 * fill
+    for p in range(fill):
         assert (prefix.mask >> (2 * p)) & 0b11 in (0b01, 0b10)
     members = prefix.members()
     complement = prefix.complement_members()
@@ -315,7 +330,7 @@ def test_free_pairs_match_whole_set_scan(code, used):
 
 
 def test_ci_not_hi_case2_withholds_an_element(pool):
-    _, trace = C.ci_not_hi_run(list(pool), 400, fill_pairs=800)
+    _, trace = C.ci_not_hi_run(list(pool), 400, 28)
     case2 = [rec for rec in trace.records if rec.rule == "case2"]
     assert case2  # the wide-interval rule trips the threshold
     for rec in case2:
@@ -326,15 +341,15 @@ def test_ci_not_hi_case2_withholds_an_element(pool):
 
 
 def test_ci_not_hi_refuses_a_spoiled_block_outside_the_fill(pool):
-    # `build ci-not-hi --stages 42 --index-bound 1` fills 2 pair blocks
+    # index bound 1 fills 2 pair blocks, and stage 41 = pair(3, 5) reads index 5
     with pytest.raises(ValueError, match="stage 41 spoils pair block 2, outside the 2 pair blocks of the fill"):
-        C.ci_not_hi_run(list(pool), 42, fill_pairs=2)
+        C.ci_not_hi_run(list(pool), 42, 1)
 
 
 def test_bci_refuses_a_spoiled_block_outside_the_fill(pool):
-    # `build bci --stages 42 --index-bound 1` fills the same 2 pair blocks
+    # index bound 1 fills the same 2 pair blocks, and stage 32 = pair(3, 4) reads index 4
     with pytest.raises(ValueError, match="stage 32 spoils pair block 3, outside the 2 pair blocks of the fill"):
-        C.bci_run(list(pool), 42, fill_pairs=2)
+        C.bci_run(list(pool), 42, 1)
 
 
 # ---------------------------------------------------------------- hi-not-ci

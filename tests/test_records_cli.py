@@ -186,7 +186,10 @@ def test_drawn_builds_replay_and_round_trip(tmp_path_factory, name, flags, extra
     """Over drawn flags and pools, a build gives the same bytes twice (the
     second time from warm memos), its text renders back to itself, and its
     trace replays to its prefixes.  bci and ci-not-hi may refuse flags whose
-    stages spoil a pair block outside the fill that --index-bound sets."""
+    stages spoil a pair block outside the fill that --index-bound sets; a
+    stage with i <= --index-bound never does, so that takes a stage
+    pair(e, i) with i > --index-bound, the least of which is
+    pair(0, --index-bound + 1)."""
     pool = default_pool()
     for rule in extra_rules:
         pool.register(rule)
@@ -204,6 +207,7 @@ def test_drawn_builds_replay_and_round_trip(tmp_path_factory, name, flags, extra
     code, err, data = builds[0]
     if code:
         assert name in ("bci", "ci-not-hi") and code == 1 and "pair blocks of the fill" in err
+        assert flags["--stages"] > M.pair(0, flags["--index-bound"] + 1)
         return
     text = data.decode()
     parsed = parse_trace(text)
