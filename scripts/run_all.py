@@ -32,7 +32,7 @@ CHECKS = {
     ],
     "hi-not-ci": [("immunity", ["--expect-fail"])],
     "effectivize": [("effective", ["--modulus", "double", "--index-bound", "64", "--budget", "192"])],
-    "generic": [("schnorr", [])],
+    "generic": [("schnorr", []), ("immunity", ["--index-bound", "12"])],
 }
 
 

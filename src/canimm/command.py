@@ -3,15 +3,17 @@
 Same flags produce byte-identical outputs; every emitted trace replays
 through the library to the same prefix.  Exit status is 0 on success, 1 on
 usage or input errors, 2 when a check finds what it should not (or fails
-to find an expected failure under --expect-fail).
+to find an expected failure under --expect-fail).  `canimm <verb> --help`
+lists the positionals and flags of a verb.
 """
 
-# Only argparse and sys at the top: each verb imports the modules it runs
-# when it runs.  `measure` loads `schnorr` and `finitesets` alone; `build`
-# and `check` load their glue, `handlers`, and of the library only what the
-# verb runs and the inputs it reads.
-import argparse
+# Only sys and types at the top (`python -m` has loaded types already):
+# `parse_args` reads the flags from `ARGS`, without argparse, and each verb
+# imports the modules it runs when it runs.  `measure` loads `schnorr` and
+# `finitesets` alone; `build` and `check` load their glue, `handlers`, and
+# of the library only what the verb runs and the inputs it reads.
 import sys
+from types import SimpleNamespace
 
 # --modulus name -> (programs module) -> the code of its bounding function
 MODULI = {
@@ -36,7 +38,7 @@ POOL, MODULUS = "pool", "modulus"
 # verb -> construction or check suite -> the inputs it reads besides its
 # flags and a check's trace: POOL opens --pool, MODULUS encodes --modulus.
 # Every verb accepts those flags and leaves unread the ones it does not
-# declare.  The parser takes its choices from here; `handlers` holds the
+# declare.  `ARGS` takes its choices from here; `handlers` holds the
 # handler of each.
 VERBS = {
     "build": {
@@ -57,6 +59,20 @@ VERBS = {
         "schnorr": (),
     },
 }
+
+
+# verb -> (what it does, its positionals, its flags with their defaults).
+# A positional takes a name from its table or a value of its type; a flag's
+# type follows from its default: an int (positive, but --blocks may be 0),
+# a MODULI name, a path (None) or a switch (False).
+ARGS = {
+    "build": ("run a construction and emit its trace", {"construction": VERBS["build"]},
+              {"stages": 1000, "markers": 32, "index_bound": 16, "budget": 256, "blocks": 6, POOL: None, "out": None}),
+    "check": ("run a checker suite over a trace file", {"suite": VERBS["check"], "trace": str},
+              {POOL: None, "index_bound": 16, "budget": 256, MODULUS: "identity", "expect_fail": False, "out": None}),
+    "measure": ("print the measure of U_n truncated at m and its bound 2^-n", {"n": int, "m": int}, {}),
+}
+_TOP = (__doc__, {"command": ARGS}, {})  # `canimm` up to its verb
 
 
 def _handled(args) -> int:
@@ -88,60 +104,115 @@ def cmd_measure(args) -> int:
     return 0 if ok else 2
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1, like input errors; exit 2 is kept for checks.
-    Subparsers are built from the same class."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+def _opt(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="canimm", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    pool_help = "pool file (default: the built-in pool), opened only by {}; any other {} accepts it unopened"
-    b = sub.add_parser("build", help="run a construction and emit its trace")
-    b.add_argument("construction", choices=VERBS["build"])
-    b.add_argument("--stages", type=int, default=1000)
-    b.add_argument("--markers", type=int, default=32)
-    b.add_argument("--index-bound", type=int, default=16)
-    b.add_argument("--budget", type=int, default=256)
-    b.add_argument("--blocks", type=int, default=6)
-    b.add_argument("--pool", default=None, help=pool_help.format(_readers("build", POOL), "build"))
-    b.add_argument("--out", default=None)
-    b.set_defaults(func=_handled)
-
-    c = sub.add_parser("check", help="run a checker suite over a trace file")
-    c.add_argument("suite", choices=VERBS["check"])
-    c.add_argument("trace")
-    c.add_argument("--pool", default=None, help=pool_help.format(_readers("check", POOL), "suite"))
-    c.add_argument("--index-bound", type=int, default=16)
-    c.add_argument("--budget", type=int, default=256)
-    c.add_argument(
-        "--modulus", default="identity", choices=sorted(MODULI),
-        help=f"bounding function (default: identity), read only by {_readers('check', MODULUS)}",
-    )
-    c.add_argument("--expect-fail", action="store_true")
-    c.add_argument("--out", default=None)
-    c.set_defaults(func=_handled)
-
-    m = sub.add_parser("measure", help="exact truncated measure and its bound")
-    m.add_argument("n", type=int)
-    m.add_argument("m", type=int)
-    m.set_defaults(func=cmd_measure)
-
-    return parser
+def _kind(default):
+    """A flag's type from its default: int, a MODULI name, a path (str) or a switch (False)."""
+    return int if type(default) is int else sorted(MODULI) if isinstance(default, str) else str if default is None else False
 
 
-def _positive(parser: argparse.ArgumentParser, args) -> bool:
-    for flag in ("stages", "markers", "index_bound", "budget"):
-        if getattr(args, flag, 1) < 1:
-            parser.error(f"--{flag.replace('_', '-')} must be positive")
-    if getattr(args, "blocks", 0) < 0:
-        parser.error("--blocks must be nonnegative")
-    return True
+def _metavar(name: str, kind) -> str:
+    return name if isinstance(kind, type) else "{" + ",".join(kind) + "}"
+
+
+def _usage(verb) -> str:
+    _, positionals, flags = ARGS.get(verb, _TOP)
+    words = [f"[{_opt(n)}]" if d is False else f"[{_opt(n)} {_metavar(n.upper(), _kind(d))}]" for n, d in flags.items()]
+    words += [_metavar(name, kind) for name, kind in positionals.items()]
+    return " ".join(["canimm", verb, "[-h]", *words] if verb else ["canimm [-h]", *words, "..."])
+
+
+def _help(verb) -> str:
+    about, _, flags = ARGS.get(verb, _TOP)
+    rows = []
+    for name, default in flags.items():
+        notes = ["switch" if default is False else "path" if default is None else f"default {default}"]
+        notes += [f"read only by {_readers(verb, name)}"] * (name in (POOL, MODULUS))
+        rows.append(f"  {_opt(name):15} {'; '.join(notes)}")
+    return "\n".join([f"usage: {_usage(verb)}", "", about.strip(), "", *rows, ""])
+
+
+def _fail(verb, message: str):
+    prog = "canimm" if verb is None else f"canimm {verb}"
+    sys.stderr.write(f"usage: {_usage(verb)}\n{prog}: error: {message}\n")
+    sys.exit(1)
+
+
+def _value(verb, label: str, kind, text: str):
+    """`text` read as an int, a name in the table `kind`, or a path (`kind` str)."""
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            _fail(verb, f"argument {label}: invalid int value: {text!r}")
+    if kind is not str and text not in kind:
+        _fail(verb, f"argument {label}: invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
+    return text
+
+
+def _flag(verb, token: str, names):
+    """The flag `token` names, as (name, its `=` value or None); None for a
+    value, and "" for an unknown flag.  A flag may be shortened to a unique
+    prefix; -5, -.5 and -1.5 are values, as is a token holding a space."""
+    head, dot, tail = token[1:].partition(".")
+    if token[:1] != "-" or len(token) == 1 or (head + tail).isdecimal() and (tail or not dot):
+        return None
+    if token[:2] == "-h":
+        return "help", token[2:].lstrip("h") or None  # -hh is -h -h
+    option, eq, value = token.partition("=")
+    hits = [name for name in names if option[:2] == "--" and _opt(name).startswith(option)]
+    if len(hits) > 1:
+        _fail(verb, f"ambiguous option: {token} could match {', '.join(map(_opt, hits))}")
+    return (hits[0], value if eq else None) if hits else None if " " in token else ""
+
+
+def parse_args(argv: list, verb=None, extras=()) -> SimpleNamespace:
+    """The command line as attributes, the verb as `command`.  The flags of
+    `verb` (None: of `canimm` up to its verb) go in any order among its
+    positionals, the last of a repeated flag wins, and every token after the
+    first `--` is a value.  A usage error prints the usage and the error and
+    exits 1; --help prints the help and exits 0."""
+    _, positionals, flags = ARGS.get(verb, _TOP)
+    tokens, extras = list(argv), list(extras)
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_flag(verb, t, ["help", *flags]) for t in tokens[:end]] + [False] + [None] * (len(tokens) - end)
+    values, left, i = {"command": verb, **flags}, list(positionals), 0
+    while i < len(tokens):
+        token, kind = tokens[i], kinds[i]
+        i += 1
+        if kind is None and left:
+            name = left.pop(0)
+            values[name] = _value(verb, name, positionals[name], token)
+            if name == "command":  # the rest is the verb's
+                return parse_args(tokens[i:], token, extras)
+        elif kind is False:  # the first --
+            continue
+        elif not kind:  # an unknown flag, or a value past the positionals
+            extras.append(token)
+        elif kind[0] == "help" or flags[kind[0]] is False:  # a switch
+            if kind[1] is not None:
+                _fail(verb, f"argument {'-h/' * (kind[0] == 'help')}{_opt(kind[0])}: ignored explicit argument {kind[1]!r}")
+            if kind[0] == "help":
+                sys.stdout.write(_help(verb))
+                sys.exit(0)
+            values[kind[0]] = True
+        else:
+            name, value = kind
+            if value is None:
+                if i == len(tokens) or kinds[i] is not None:
+                    _fail(verb, f"argument {_opt(name)}: expected one argument")
+                value, i = tokens[i], i + 1
+            values[name] = _value(verb, _opt(name), _kind(flags[name]), value)
+    if left:
+        _fail(verb, f"the following arguments are required: {', '.join(left)}")
+    if extras:
+        _fail(verb, f"unrecognized arguments: {' '.join(extras)}")
+    for name, default in flags.items():
+        if type(default) is int and values[name] < (name != "blocks"):
+            _fail(verb, f"{_opt(name)} must be {'positive' if name != 'blocks' else 'nonnegative'}")
+    return SimpleNamespace(**values)
 
 
 def _order_errors() -> tuple:
@@ -152,11 +223,9 @@ def _order_errors() -> tuple:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _positive(parser, args)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return cmd_measure(args) if args.command == "measure" else _handled(args)
     except _order_errors() as err:  # a built chain broke the extension order
         print(f"error: {err}", file=sys.stderr)
         return 2

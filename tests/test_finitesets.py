@@ -194,13 +194,14 @@ def test_measure_loads_only_the_front_and_schnorr():
     # not canimm.handlers: the build and check glue stays uncompiled
     assert _canimm(modules) == {"canimm", "canimm.command", "canimm.finitesets", "canimm.schnorr"}
     assert not modules & {"pathlib", "typing"}
+    assert not modules & {"argparse", "gettext"}  # the flags come from command.ARGS
 
 
 def test_build_and_check_load_only_the_modules_they_run(tmp_path):
     modules, result = _imports("-m", "canimm", "build", "delta2", "--stages", "50", "--markers", "8")
     assert result.returncode == 0, result.stderr
     assert "canimm.constructions" in modules
-    assert not modules & {"canimm.mathias", "canimm.checkers", "canimm.schnorr"}
+    assert not modules & {"canimm.mathias", "canimm.checkers", "canimm.schnorr", "argparse", "gettext"}
 
     trace = tmp_path / "generic.trace"
     flags = ["--index-bound", "6", "--blocks", "4", "--markers", "5", "--stages", "120", "--out", str(trace)]
@@ -208,7 +209,29 @@ def test_build_and_check_load_only_the_modules_they_run(tmp_path):
     modules, result = _imports("-m", "canimm", "check", "schnorr", str(trace))
     assert result.returncode in (0, 2), result.stderr
     assert {"canimm.records", "canimm.schnorr"} <= modules
-    assert not modules & {"canimm.constructions", "canimm.checkers", "canimm.mathias"}
+    assert not modules & {"canimm.constructions", "canimm.checkers", "canimm.mathias", "argparse", "gettext"}
+
+
+@pytest.mark.parametrize("verb", [None, "build", "check", "measure"])
+def test_help_exits_0_and_lists_every_flag_of_its_verb(verb):
+    """--help needs no argparse either: it prints the usage line, the verb's
+    positionals and every flag of the verb from command.ARGS."""
+    from canimm.command import _TOP, ARGS
+
+    modules, result = _imports("-m", "canimm", *([verb] if verb else []), "--help")
+    assert result.returncode == 0, result.stderr
+    assert all(line.startswith("import time:") for line in result.stderr.splitlines())  # no error text
+    assert not modules & {"argparse", "gettext"}
+    out = result.stdout
+    assert out.startswith(f"usage: canimm {verb} [-h]" if verb else "usage: canimm [-h] {build,check,measure} ...")
+    _, positionals, flags = ARGS.get(verb, _TOP)
+    for name, kind in positionals.items():
+        assert ("{" + ",".join(kind) + "}" if isinstance(kind, dict) else f" {name}") in out.splitlines()[0]
+    for flag in flags:
+        assert f"\n  --{flag.replace('_', '-')} " in out
+    expected = {"build": {"--stages", "--markers", "--index-bound", "--budget", "--blocks", "--pool", "--out"},
+                "check": {"--pool", "--index-bound", "--budget", "--modulus", "--expect-fail", "--out"}}
+    assert {"--" + flag.replace("_", "-") for flag in flags} == expected.get(verb, set())
 
 
 def test_check_schnorr_loads_no_pool_and_no_machine(tmp_path):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canimm import machine as M
 from canimm import numberings as nb
@@ -138,3 +140,41 @@ def test_default_pool_shape(pool):
     assert pool[2].value(3).elements == (4, 5, 6, 7)
     big = pool[3].value(2)
     assert big.elements[0] == 0 and len(big) == 4 * M.pair_bound(2) + 4
+
+
+@given(table=st.dictionaries(st.integers(0, 12), st.integers(0, 2**70), max_size=6), i=st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_witness_rule_values_are_its_table_and_the_standard_numbering(table, i):
+    """D(2m) is the set coded table[m] (empty past the table), D(2m+1) the
+    set coded m."""
+    numbering = nb.Numbering(0, nb.witness_rule_from_table(table))
+    assert numbering.value(i).code == (table.get(i // 2, 0) if i % 2 == 0 else i // 2)
+
+
+# the moduli the adversarial rule is built against, as codes and as Python
+_MODULI = {
+    "identity": (pg.identity_code, lambda i: i),
+    "zero": (pg.zero_code, lambda i: 0),
+    "succ": (pg.succ_code, lambda i: i + 1),
+    "double": (pg.double_code, lambda i: 2 * i),
+}
+
+
+def _adversarial_block(f, i):
+    """The odd-index block of index i by the recurrence: index 1's block
+    starts at 3, and each block has f(index) + 1 elements and starts at the
+    larger of the previous block's end and its index + 2."""
+    end = 0
+    for index in range(1, i + 1, 2):
+        start = max(end, index + 2)
+        end = start + f(index) + 1
+    return ((1 << (f(i) + 1)) - 1) << start
+
+
+@pytest.mark.parametrize("name", list(_MODULI))
+@given(i=st.integers(0, 120))
+@settings(max_examples=40, deadline=None)
+def test_adversarial_values_follow_the_odd_block_recurrence(name, i):
+    code, f = _MODULI[name]
+    numbering = nb.Numbering(0, nb.adversarial_rule_code(code()))
+    assert numbering.value(i).code == (_adversarial_block(f, i) if i % 2 else i // 2)

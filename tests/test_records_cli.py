@@ -276,15 +276,144 @@ def test_bad_modulus_exits_1_with_usage():
     assert "error: argument --modulus: invalid choice: 'nope'" in result.stderr
 
 
-def _choices(parser, dest):
-    return next(action.choices for action in parser._actions if action.dest == dest)
+def _rejected(argv):
+    with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as stop:
+        command.parse_args(argv)
+    return stop.value.code == 1
 
 
 def test_parser_choices_are_the_name_tables():
-    verbs = _choices(command.build_parser(), "command")
-    assert list(_choices(verbs["build"], "construction")) == list(command.VERBS["build"]) == list(handlers.BUILDS)
-    assert list(_choices(verbs["check"], "suite")) == list(command.VERBS["check"]) == list(handlers.CHECKS)
-    assert list(_choices(verbs["check"], "modulus")) == sorted(command.modulus_catalog())
+    assert list(command.ARGS) == ["build", "check", "measure"]
+    assert list(command.ARGS["build"][1]["construction"]) == list(command.VERBS["build"]) == list(handlers.BUILDS)
+    assert list(command.ARGS["check"][1]["suite"]) == list(command.VERBS["check"]) == list(handlers.CHECKS)
+    for name in handlers.BUILDS:
+        assert command.parse_args(["build", name]).construction == name
+    for suite in handlers.CHECKS:
+        assert command.parse_args(["check", suite, "t"]).suite == suite
+    for modulus in sorted(command.modulus_catalog()):
+        assert command.parse_args(["check", "immunity", "t", "--modulus", modulus]).modulus == modulus
+    assert _rejected(["build", "schnorr"]) and _rejected(["check", "delta2", "t"]) and _rejected(["verify"])
+    assert _rejected(["check", "immunity", "t", "--modulus", "triple"])
+
+
+def _reference_parser():
+    """The argparse declarations the command line had before its flag table,
+    with the same exit status 1 on a usage error."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(prog="canimm")
+    sub = parser.add_subparsers(dest="command", required=True)
+    b = sub.add_parser("build")
+    b.add_argument("construction", choices=command.VERBS["build"])
+    b.add_argument("--stages", type=int, default=1000)
+    b.add_argument("--markers", type=int, default=32)
+    b.add_argument("--index-bound", type=int, default=16)
+    b.add_argument("--budget", type=int, default=256)
+    b.add_argument("--blocks", type=int, default=6)
+    b.add_argument("--pool", default=None)
+    b.add_argument("--out", default=None)
+    c = sub.add_parser("check")
+    c.add_argument("suite", choices=command.VERBS["check"])
+    c.add_argument("trace")
+    c.add_argument("--pool", default=None)
+    c.add_argument("--index-bound", type=int, default=16)
+    c.add_argument("--budget", type=int, default=256)
+    c.add_argument("--modulus", default="identity", choices=sorted(command.MODULI))
+    c.add_argument("--expect-fail", action="store_true")
+    c.add_argument("--out", default=None)
+    m = sub.add_parser("measure")
+    m.add_argument("n", type=int)
+    m.add_argument("m", type=int)
+    return parser
+
+
+def _reference_parse(argv):
+    parser = _reference_parser()
+    args = parser.parse_args(argv)
+    for flag in ("stages", "markers", "index_bound", "budget"):
+        if getattr(args, flag, 1) < 1:
+            parser.error(f"--{flag.replace('_', '-')} must be positive")
+    if getattr(args, "blocks", 0) < 0:
+        parser.error("--blocks must be nonnegative")
+    return args
+
+
+def _outcome(parse, argv):
+    """The parsed attributes, or the exit status with what went to stderr."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            return vars(parse(argv))
+        except SystemExit as stop:
+            return stop.code, err.getvalue()
+
+
+_FLAG_NAMES = ["stages", "markers", "index-bound", "budget", "blocks", "pool", "out", "modulus", "expect-fail"]
+# unique and ambiguous prefixes, the help flag and its prefix, unknown flags
+_FLAG_TOKENS = st.sampled_from(
+    ["--st", "--ind", "--b", "--bu", "--bl", "--mod", "--m", "--exp", "--o", "--p", "--help", "-h", "--he", "--bogus", "-x"]
+)
+_VALUES = st.sampled_from(
+    ["7", "1", "0", "-3", "-0", "+2", " 4", "1_0", "-1.5", "1.5", "x", "", "-", "identity", "twof", "triple",
+     "delta2", "schnorr", "nonesuch", "t.trace", "a b", "-a b"]
+)
+_WORDS = _VALUES | st.sampled_from(list(command.VERBS["build"]) + list(command.VERBS["check"]))
+_PIECES = st.one_of(
+    st.tuples(st.sampled_from(_FLAG_NAMES).map(lambda f: "--" + f), _VALUES).map(list),
+    st.tuples(st.sampled_from(_FLAG_NAMES) | _FLAG_TOKENS, _VALUES).map(lambda fv: [f"--{fv[0].lstrip('-')}={fv[1]}"]),
+    st.sampled_from(_FLAG_NAMES).map(lambda f: ["--" + f]) | _FLAG_TOKENS.map(lambda f: [f]),
+    _WORDS.map(lambda w: [w]),
+)
+
+
+@given(
+    verb=st.sampled_from(["build", "check", "measure", "verify", "buil"]),
+    pieces=st.lists(_PIECES, max_size=6),
+)
+@settings(max_examples=400, deadline=None)
+def test_flag_table_parses_as_the_argparse_declarations_did(verb, pieces):
+    """Over command lines drawn from the flags and names of every verb, in
+    every order and both --flag value and --flag=value forms, the flag table
+    rejects exactly what the argparse declarations rejected, with exit 1
+    and a usage line, and gives the same attributes to everything else."""
+    argv = [verb, *(token for piece in pieces for token in piece)]
+    reference = _outcome(_reference_parse, argv)
+    ours = _outcome(command.parse_args, argv)
+    if isinstance(reference, dict):
+        assert ours == reference, argv
+    else:
+        assert isinstance(ours, tuple) and ours[0] == reference[0], (argv, ours, reference)
+        if ours[0] == 1:
+            assert ours[1].startswith("usage: canimm ") and "error: " in ours[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "delta2", "--stag", "5", "--stages=6"],
+        ["build", "--out=-", "--markers=-0", "ci-hi", "--stages", "9"],
+        ["check", "--expect-fail", "schnorr", "--modulus=zero", "-5", "--budget", "3"],
+        ["measure", "-1", "-2"],
+        ["measure", "--", "-1", "2"],
+        ["build", "--help", "nonesuch"],
+        ["build", "nonesuch", "--help"],
+        ["build", "delta2", "--bogus", "--help"],
+        ["build", "delta2", "--help", "--b", "1"],
+        ["build", "delta2", "--stages", "--help"],
+        ["check", "immunity", "t", "--expect-fail=yes"],
+        ["--help"],
+        ["--he", "build"],
+        [],
+    ],
+)
+def test_flag_table_keeps_argparse_meaning_on_edge_forms(argv):
+    reference = _outcome(_reference_parse, argv)
+    ours = _outcome(command.parse_args, argv)
+    assert ours == reference if isinstance(reference, dict) else ours[0] == reference[0]
 
 
 def test_broken_extension_order_exits_2(monkeypatch, capsys):
@@ -709,16 +838,15 @@ def _declared(verb, name, pool, modulus=None):
 def test_handlers_read_only_the_inputs_their_verbs_declare(pool):
     """Each handler runs with an input-refusing stand-in for every input its
     verb does not declare, and reads the pool whenever it declares one."""
-    parser = command.build_parser()
     parsed = {}
     for name, flags in BUILD_FLAGS:
         watched = _Watched(pool)
         given_pool, _ = _declared("build", name, watched)
-        trace, prefixes = handlers.BUILDS[name](given_pool, parser.parse_args(["build", name, *flags]))
+        trace, prefixes = handlers.BUILDS[name](given_pool, command.parse_args(["build", name, *flags]))
         assert watched.reads > 0 or command.POOL not in command.VERBS["build"][name]
         parsed[name] = parse_trace(render_trace(trace, prefixes))
     for suite, (_, build, flags) in CHECK_ENTRY_POINTS.items():
-        args = parser.parse_args(["check", suite, "unused.trace", *flags])
+        args = command.parse_args(["check", suite, "unused.trace", *flags])
         watched = _Watched(pool)
         given_pool, h = _declared("check", suite, watched, command.MODULI[args.modulus](pg))
         lines, found_fail = handlers.CHECKS[suite](parsed[build], given_pool, h, args)
