@@ -4,12 +4,12 @@ Every verdict is three-valued and horizon-stamped: a Pass never claims an
 infinite-horizon property, a Fail carries concrete violation tuples that
 re-check under direct evaluation, and Inconclusive marks horizons the
 inputs cannot support.  Index ranges follow the proofs' "for i >= e"
-pattern: by default the pool entry with registry index e is scanned from e.
+pattern: the pool entry at position e is scanned from index e.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .finitesets import Record, SetPrefix
 from .machine import eval_total, we_bounded
@@ -48,19 +48,18 @@ def check_canonical_immunity(
     h: int,
     pool: Sequence[Numbering],
     index_bound: int,
-    k_map: Mapping[int, int] | None = None,
 ) -> Verdict:
     """Scan the pool for witnesses against h as a modulus of immunity.
 
-    Fails iff some pool numbering D and index i in [k(D), index_bound] has
-    D(i) inside the prefix and |D(i)| > h(i).  Indices whose set reaches at
-    or past the prefix length cannot be judged and are skipped on record.
+    Fails iff some pool numbering D at position e and index i in
+    [e, index_bound] has D(i) inside the prefix and |D(i)| > h(i).  Indices
+    whose set reaches at or past the prefix length cannot be judged and are
+    skipped on record.
     """
     violations = []
     skipped = []
     for pos, numbering in enumerate(pool):
-        start = k_map.get(numbering.id, pos) if k_map is not None else pos
-        for i in range(start, index_bound + 1):
+        for i in range(pos, index_bound + 1):
             value = numbering.value(i)
             if not value.is_empty and value.max_value() >= prefix.length:
                 skipped.append((numbering.id, i))

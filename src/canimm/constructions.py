@@ -145,17 +145,21 @@ def replay_delta2(trace: ConstructionTrace) -> SetPrefix:
 MAX_FILL_PAIRS = 1 << 22
 
 
-def _fill_pairs(pool: Sequence[Numbering], index_bound: int) -> int:
+def _fill_pairs(pool: Sequence[Numbering], index_bound: int, stages: int) -> tuple[int, dict[int, FiniteSet]]:
     """Pair blocks up to the largest element any pool numbering mentions up
-    to the index bound, and two more.
+    to the index bound, and two more; and the values it read at stages
+    pair(e, i) < stages, by stage.
 
     Raises ValueError as soon as a value reaches an element in pair block
     MAX_FILL_PAIRS or later, before evaluating any further value: the
     default pool's big-interval value at index i has about 8 i**2 bits."""
     top = 0
+    read = {}
     for position, numbering in enumerate(pool):
         for i in range(position, index_bound + 1):
             value = numbering.value(i)
+            if (s := pair(position, i)) < stages:
+                read[s] = value
             if not value.is_empty:
                 top = max(top, value.max_value())
                 if top // 2 >= MAX_FILL_PAIRS:
@@ -163,7 +167,7 @@ def _fill_pairs(pool: Sequence[Numbering], index_bound: int) -> int:
                         f"--index-bound {index_bound}: numbering {numbering.id} reaches element {top} at index {i},"
                         f" past the {MAX_FILL_PAIRS} pair blocks a fill may cover"
                     )
-    return top // 2 + 2
+    return top // 2 + 2, read
 
 
 def _spoiling_run(
@@ -179,17 +183,19 @@ def _spoiling_run(
     covers the pair blocks of every pool value up to the index bound, and a
     stage that would spoil a block at or past it raises ValueError; that
     needs i > index_bound, so stages <= pair(0, index_bound + 1) never do.
+    A stage with i <= index_bound takes the value the fill scan read, so
+    each value is evaluated once.
     """
     if stages < 1:
         raise ValueError("stage horizon must be positive")
-    fill_pairs = _fill_pairs(pool, index_bound)
+    fill_pairs, read = _fill_pairs(pool, index_bound, stages)
     used_pairs: set[int] = set()
     trace = ConstructionTrace(
         name, meta={"stages": stages, "pool_ids": [n.id for n in pool], "fill_pairs": fill_pairs}
     )
     for s in range(stages):
         e, i = unpair(s)
-        if e >= len(pool) or i < e or len(value := pool[e].value(i)) <= size_bound(i):
+        if e >= len(pool) or i < e or len(value := read.pop(s) if i <= index_bound else pool[e].value(i)) <= size_bound(i):
             trace.add(s, "case1", e, i)
             continue
         blocks = tuple(itertools.islice(_free_pairs(value, used_pairs), spoils))

@@ -66,7 +66,7 @@ import math
 import operator
 import sys
 from collections import namedtuple
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -554,25 +554,6 @@ CACHE_ENTRIES = 4096
 _CACHE_BIT_LIMIT = 1 << 20
 
 
-def memo(fn):
-    """lru_cache of the CACHE_ENTRIES latest calls (see ``cache_info()``); a
-    call whose leading program code has _CACHE_BIT_LIMIT bits or more skips
-    it, so oversized input cannot pin memory.  Errors are not cached.  It
-    backs `decode`, `_compiled` (runner, nesting and totality in one entry)
-    and `numberings._rule_value`."""
-    cached = lru_cache(maxsize=CACHE_ENTRIES)(fn)
-
-    @wraps(fn)
-    def call(code, *args):
-        if code.bit_length() < _CACHE_BIT_LIMIT:
-            return cached(code, *args)
-        return fn(code, *args)
-
-    call.cache_info = cached.cache_info
-    return call
-
-
-@memo
 def decode(code: int) -> Node:
     """Total decoding: ill-formed numbers yield the always-diverging program."""
     if code < 0:
@@ -585,9 +566,11 @@ ALWAYS_DIVERGE_CODE = encode(ALWAYS_DIVERGE)
 
 
 def is_total_tier(program: int | Node) -> bool:
-    """Syntactic check: no Mu, Query, or Apply anywhere in the tree."""
-    tree = decode(program) if isinstance(program, int) else program
-    return all(t._kind.total for t, _ in _preorder(tree))
+    """Syntactic check: no Mu, Query, or Apply anywhere in the tree.  A code
+    is answered by its compiled entry."""
+    if isinstance(program, int):
+        return _compiled(program)[2]
+    return all(t._kind.total for t, _ in _preorder(program))
 
 
 def arity_bound(program: int | Node) -> int:
@@ -612,9 +595,22 @@ def _compile(tree: Node) -> tuple[_Runner, int, bool]:
     return _fold(tree, combine)
 
 
-@memo
-def _compiled(code: int) -> tuple[_Runner, int, bool]:
+@lru_cache(maxsize=CACHE_ENTRIES)
+def _compiled_kept(code: int) -> tuple[_Runner, int, bool]:
     return _compile(decode(code))
+
+
+def _compiled(code: int) -> tuple[_Runner, int, bool]:
+    """The code's runner, nesting and totality in one entry.  The
+    CACHE_ENTRIES latest codes are kept (see ``_compiled.cache_info()``),
+    except a code of _CACHE_BIT_LIMIT bits or more, so oversized input
+    cannot pin memory.  Errors are not kept."""
+    if code.bit_length() < _CACHE_BIT_LIMIT:
+        return _compiled_kept(code)
+    return _compile(decode(code))
+
+
+_compiled.cache_info = _compiled_kept.cache_info
 
 
 class Outcome(NamedTuple):
@@ -732,7 +728,7 @@ class NotTotalTierError(ValueError):
     """Raised when an operation requires a guaranteed-halting program."""
 
 
-class TotalBudgetExceededError(RuntimeError):
+class TotalBudgetExceededError(ValueError):
     """Total-tier evaluation would need more fuel than the safety cap."""
 
 

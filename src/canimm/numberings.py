@@ -8,44 +8,18 @@ reads it as `machine.eval_bounded(e, (i,), s)`, the empty set where that
 run does not converge.  Surjectivity is tracked as an evidence flag: the
 builders that interleave the standard numbering on a residue class set it,
 arbitrary registered rules do not.
+
+`Numbering.value` runs the rule on every call and keeps nothing; a scan
+that needs a value twice keeps it itself, as the one-per-pair
+constructions keep the values their fill scan read.
 """
 
 from __future__ import annotations
 
 from . import programs as pg
 from .finitesets import FiniteSet, Record
-from .machine import (
-    _CACHE_BIT_LIMIT,
-    Node,
-    PrimRec,
-    decode,
-    encode,
-    eval_total,
-    is_total_tier,
-    memo,
-    NotTotalTierError,
-)
+from .machine import Node, PrimRec, decode, encode, eval_total, is_total_tier, NotTotalTierError
 from .records import parse_value, render_atom
-
-
-class _Oversized(Exception):
-    """Carries a rule value of _CACHE_BIT_LIMIT bits or more past the memo,
-    which keeps no call that raises."""
-
-
-@memo
-def _kept_rule_value(rule: int, i: int) -> FiniteSet:
-    code = eval_total(rule, (i,))
-    if code.bit_length() >= _CACHE_BIT_LIMIT:
-        raise _Oversized(code)
-    return FiniteSet(code)
-
-
-def _rule_value(rule: int, i: int) -> FiniteSet:
-    try:
-        return _kept_rule_value(rule, i)
-    except _Oversized as big:
-        return FiniteSet(big.args[0])
 
 
 class Numbering(Record):
@@ -57,7 +31,7 @@ class Numbering(Record):
         self._fill(id, rule, surjective, label)
 
     def value(self, i: int) -> FiniteSet:
-        return _rule_value(self.rule, i)
+        return FiniteSet(eval_total(self.rule, (i,)))
 
 
 class Registry:

@@ -171,7 +171,6 @@ def test_hi_not_ci_criterion():
         target,
         [witness],
         index_bound=max(positions),
-        k_map={witness.id: 0},
     )
     assert verdict.failed
     hit = [v for v in verdict.violations if v[1] in positions]

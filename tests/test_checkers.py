@@ -43,18 +43,6 @@ def test_indices_beyond_prefix_are_skipped_on_record(pool):
     assert verdict.status == ck.PASS
 
 
-def test_k_map_controls_scan_start():
-    reg = nb.Registry()
-    singleton = reg.register(nb.singleton_rule_code(), label="singleton")
-    prefix = SetPrefix(0b1, 1)  # the set {0}
-    # {0} is an oversized singleton at index 0 (h(0) = 0), seen only from k=0
-    zero = pg.identity_code()
-    from_zero = ck.check_canonical_immunity(prefix, zero, [singleton], 4, k_map={singleton.id: 0})
-    from_one = ck.check_canonical_immunity(prefix, zero, [singleton], 4, k_map={singleton.id: 1})
-    assert from_zero.failed and from_zero.violations[0][:2] == (singleton.id, 0)
-    assert from_one.status == ck.PASS
-
-
 def test_verdicts_are_reproducible(pool):
     prefix = SetPrefix((1 << 100) - 1, 100)
     one = ck.check_canonical_immunity(prefix, pg.identity_code(), list(pool), 9)
@@ -150,17 +138,14 @@ def _immunity_scans(draw):
     reg = nb.Registry()
     for rule in draw(st.lists(st.sampled_from(_RULES), min_size=1, max_size=4)):
         reg.register(rule)
-    starts = draw(st.one_of(st.none(), st.lists(st.integers(0, 6), max_size=len(reg))))
-    k_map = None if starts is None else dict(enumerate(starts))
-    return draw(_prefixes()), draw(st.sampled_from(sorted(_MODULUS_VALUES))), list(reg), draw(st.integers(0, 12)), k_map
+    return draw(_prefixes()), draw(st.sampled_from(sorted(_MODULUS_VALUES))), list(reg), draw(st.integers(0, 12))
 
 
-def _reference_immunity(prefix, modulus, pool, index_bound, k_map):
+def _reference_immunity(prefix, modulus, pool, index_bound):
     inside = _members(prefix.mask)
     violations, skipped = [], []
     for pos, numbering in enumerate(pool):
-        start = pos if k_map is None else k_map.get(numbering.id, pos)
-        for i in range(start, index_bound + 1):
+        for i in range(pos, index_bound + 1):
             code = eval_total(numbering.rule, (i,))
             value = _members(code)
             if value and max(value) >= prefix.length:
@@ -171,14 +156,14 @@ def _reference_immunity(prefix, modulus, pool, index_bound, k_map):
 
 
 @given(_immunity_scans())
-@example((SetPrefix((1 << 40) - 1, 40), "identity", list(nb.default_pool()), 12, None))
-@example((SetPrefix((1 << 30) - 1 - 8, 30), "succ", list(nb.default_pool()), 12, {4: 1}))
+@example((SetPrefix((1 << 40) - 1, 40), "identity", list(nb.default_pool()), 12))
+@example((SetPrefix((1 << 30) - 1 - 8, 30), "succ", list(nb.default_pool()), 12))
 @settings(max_examples=120, deadline=None)
 def test_immunity_scan_matches_the_set_reference(scan):
-    prefix, name, pool, index_bound, k_map = scan
+    prefix, name, pool, index_bound = scan
     h = command.modulus_catalog()[name]
-    verdict = ck.check_canonical_immunity(prefix, h, pool, index_bound, k_map)
-    status, violations, skipped = _reference_immunity(prefix, _MODULUS_VALUES[name], pool, index_bound, k_map)
+    verdict = ck.check_canonical_immunity(prefix, h, pool, index_bound)
+    status, violations, skipped = _reference_immunity(prefix, _MODULUS_VALUES[name], pool, index_bound)
     assert (verdict.status, verdict.violations, verdict.horizon_dict()["skipped"]) == (status, violations, skipped)
     for violation in verdict.violations:
         assert ck.reverify_immunity_violation(prefix, violation, pool, h)

@@ -352,6 +352,21 @@ def test_bci_refuses_a_spoiled_block_outside_the_fill(pool):
         C.bci_run(list(pool), 42, 1)
 
 
+@pytest.mark.parametrize("run", [C.bci_run, C.ci_not_hi_run], ids=["bci", "ci-not-hi"])
+def test_one_per_pair_runs_read_each_pool_value_once_fill_scan_first(run, pool, monkeypatch):
+    # a rule's PrimRec resume point carries from one value to the next, so the
+    # read order is part of the step counts: the fill scan reads every value
+    # up to the index bound, then the stages read only the indices past it
+    reads = []
+    value = nb.Numbering.value
+    monkeypatch.setattr(nb.Numbering, "value", lambda self, i: reads.append((self.id, i)) or value(self, i))
+    stages, index_bound = 200, 10
+    run(list(pool), stages, index_bound)
+    fill = [(e, i) for e in range(len(pool)) for i in range(e, index_bound + 1)]
+    late = [(e, i) for e, i in map(unpair, range(stages)) if e < len(pool) and max(e, index_bound) < i]
+    assert late and reads == fill + late
+
+
 # ---------------------------------------------------------------- hi-not-ci
 
 
@@ -464,7 +479,6 @@ def test_hi_not_ci_witness_numbering_refutes_target(hinotci):
         trace.meta["functions"][trace.meta["target_index"]],
         [witness],
         index_bound=max(positions),
-        k_map={witness.id: 0},
     )
     assert verdict.failed
     hit = {i for (_, i, _, _) in verdict.violations}

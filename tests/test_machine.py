@@ -551,26 +551,29 @@ def test_eval_total_looks_its_code_up_once(total):
 def test_memo_holds_at_most_cache_entries():
     base = 1 << 40
     for code in range(base, base + M.CACHE_ENTRIES + 10):
-        M.decode(code)
-    assert M.decode.cache_info().currsize <= M.CACHE_ENTRIES
+        M._compiled(code)
+    assert M._compiled.cache_info().currsize <= M.CACHE_ENTRIES
 
 
 def test_memo_skips_codes_at_the_bit_limit():
     code = 1 << (M._CACHE_BIT_LIMIT - 1)  # exactly _CACHE_BIT_LIMIT bits
-    before = M.decode.cache_info()
+    diverger = M._compiled(M.ALWAYS_DIVERGE_CODE)[1:]
+    before = M._compiled.cache_info()
     for _ in range(2):
-        assert M.decode(code) == M.ALWAYS_DIVERGE
-    after = M.decode.cache_info()
+        assert M._compiled(code)[1:] == diverger
+    after = M._compiled.cache_info()
     assert after.currsize == before.currsize
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_decode_rejects_negative_codes_without_caching():
-    before = M.decode.cache_info()
+    before = M._compiled.cache_info()
     for _ in range(2):
         with pytest.raises(ValueError):
             M.decode(-1)
-    assert M.decode.cache_info().currsize == before.currsize
+        with pytest.raises(ValueError):
+            M._compiled(-1)
+    assert M._compiled.cache_info().currsize == before.currsize
 
 
 # -- single-run total evaluation against the budget-doubling search ----------

@@ -123,16 +123,6 @@ def test_pool_rules_match_their_closed_forms_on_wide_range(pool):
         assert adversarial.value(2 * m).code == m
 
 
-def test_rule_values_of_the_bit_limit_or_more_are_not_kept(pool):
-    big = pool[3]  # big-interval: its value at i has 8 i**2 + 8 i + 4 bits
-    for i, kept in ((100, True), (400, False)):
-        assert (big.value(i).code.bit_length() < M._CACHE_BIT_LIMIT) is kept
-        before = nb._kept_rule_value.cache_info()
-        big.value(i)
-        after = nb._kept_rule_value.cache_info()
-        assert (after.hits - before.hits, after.misses - before.misses) == ((1, 0) if kept else (0, 1)), i
-
-
 def test_default_pool_shape(pool):
     labels = [n.label for n in pool]
     assert labels == ["standard", "singleton", "interval", "big-interval", "adversarial-id"]

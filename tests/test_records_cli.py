@@ -680,6 +680,18 @@ def test_build_with_a_too_deep_pool_rule_errors(tmp_path):
     assert "nest" in result.stderr
 
 
+def test_a_pool_rule_past_the_fuel_cap_errors(tmp_path):
+    # 2 ** (2 ** 40) needs more steps than the total tier's cap
+    pool_file = tmp_path / "huge.tsv"
+    pool_file.write_text(f"0\t{M.encode(M.Comp(M.Pow2(), (M.Const(2**40),)))}\t0\thuge\n")
+    trace = tmp_path / "cofinal.trace"
+    assert run_cli("build", "cofinal", "--out", str(trace)).returncode == 0
+    for args in (("build", "cofinal"), ("check", "immunity", str(trace))):
+        result = run_cli(*args, "--pool", str(pool_file))
+        _assert_input_error(result)
+        assert "needs more than" in result.stderr
+
+
 def test_check_domination_and_effective(tmp_path):
     trace = tmp_path / "cnh.trace"
     assert run_cli("build", "ci-not-hi", "--stages", "200", "--index-bound", "10", "--out", str(trace)).returncode == 0
