@@ -6,13 +6,14 @@ order, which makes infinitude structural (a characteristic-function coding
 would leave it a two-quantifier question).  The program is the
 reservoir's representation in traces; its values are read natively, from
 explicit head values followed by a leaf program's values, so a derived
-reservoir never runs its nested program in the interpreter.  A derived reservoir's program is spliced around its
-parent's code (`machine.Splice`) and never decoded, so a chain of n
-conditions costs time linear in n.  Reservoirs are read in runs, through
-the machine's one run loop (`eval_total_run`): a range of values is one
-run of the leaf, and the walks over a reservoir read its values in order,
-running the leaf for a stretch of indices at a time but for no index that
-reading one value at a time would not evaluate.  Each dense family of
+reservoir never runs its nested program in the interpreter.  A derived
+reservoir's program is spliced around its parent's code (`machine.Splice`)
+and never decoded, so a chain of n conditions costs time linear in n.
+Every read of a reservoir is a walk over its values in order, through the
+machine's one run loop (`eval_total_run`): the leaf runs for a stretch of
+indices at a time but for no index that reading one value at a time would
+not evaluate, and a transformer takes the index where its output's tail
+resumes from its own walk.  Each dense family of
 conditions is realized as a deterministic condition-transformer: meeting
 the family means applying its transformer, and every transformer's output
 extends its input under the three-clause extension order, verified on
@@ -22,7 +23,6 @@ enumerations truncated at a horizon.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from typing import Callable, Iterator, Sequence
 
 from . import programs as pg
@@ -73,65 +73,34 @@ class ComputableSet(Record, hidden=("head", "leaf", "offset", "_tail")):
             raise NotTotalTierError("reservoir enumerators must be total-tier")
         self._fill(enumerator, (), enumerator, 0, [])
 
-    def _tail_to(self, index: int) -> list[int]:
-        """The leaf's value list, evaluated up to `index` inclusive in one
-        run of the leaf."""
-        tail = self._tail
-        if len(tail) <= index:
-            tail += (x for x, _ in eval_total_run(self.leaf, zip(range(len(tail), index + 1))))
-        return tail
-
     def _walk(self, n: int = 0) -> Iterator[int]:
-        """The values from index n on, in order.  The leaf runs for a tail
-        index only when the walk reaches it (the indices below it too, as
-        `value` would), in one run loop per stretch of missing values."""
+        """The values from index n on, in order: every read of the set is a
+        walk.  The leaf runs for a tail index only when the walk reaches it
+        (the indices below it too, in one run, as reading one value at a
+        time would), in one run loop per stretch of missing values."""
         head = self.head
         yield from head[n:]
         tail = self._tail
         i = self.offset + max(0, n - len(head))
         if i > len(tail):
-            self._tail_to(i - 1)
+            tail += (x for x, _ in eval_total_run(self.leaf, zip(range(len(tail), i))))
         while True:
             # the values read already, and those appended while this walk reads
             yield from itertools.islice(tail, i, None)
             i = len(tail)
             for x, _ in eval_total_run(self.leaf, zip(itertools.count(i))):
                 tail.append(x)
-                i += 1
                 yield x
-                if i < len(tail):
-                    break  # another reader extended the shared list meanwhile
+                if tail[-1] != x:
+                    # another reader extended the shared list meanwhile: resume after x
+                    i = tail.index(x, i) + 1
+                    break
 
     def values(self, count: int) -> list[int]:
-        head = self.head
-        if count <= len(head):
-            return list(head[:count])
-        start = self.offset
-        stop = start + count - len(head)
-        return [*head, *self._tail_to(stop - 1)[start:stop]]
+        return list(itertools.islice(self._walk(), count))
 
     def value(self, n: int) -> int:
-        head = self.head
-        if n < len(head):
-            return head[n]
-        index = n - len(head) + self.offset
-        return self._tail_to(index)[index]
-
-    def first_index_with_value_above(self, x: int) -> int:
-        """The least index whose value exceeds x.  Values strictly increase,
-        so the head and the materialized tail are bisected; past them the
-        walk evaluates the indices up to the answer."""
-        head, tail, start = self.head, self._tail, self.offset
-        found = bisect_right(head, x)
-        if found < len(head):
-            return found
-        if len(tail) > start and tail[-1] > x:
-            return found + bisect_right(tail, x, start) - start
-        n = found + max(0, len(tail) - start)
-        for value in self._walk(n):
-            if value > x:
-                return n
-            n += 1
+        return next(self._walk(n))
 
     @classmethod
     def naturals(cls) -> "ComputableSet":
@@ -275,7 +244,7 @@ def thin_for_numbering(cond: Condition, numbering: Numbering, count: int) -> tup
     base = cond.stem_size()
     bound = base + count
     kept: list[int] = []
-    walk = cond.reservoir._walk()
+    walk = enumerate(cond.reservoir._walk())  # (index, value)
     union = numbering.value(base).code
     # Membership in union is read from `window`, its bits [low, low + _WINDOW),
     # so a test costs O(1) instead of a shift of the whole union.  The walk
@@ -283,8 +252,8 @@ def thin_for_numbering(cond: Condition, numbering: Numbering, count: int) -> tup
     # OR rebuilds it where it stands.
     low, window = 0, union & _WINDOW_MASK
     for i in range(base + 1, bound + 1):
-        for x in walk:
-            if not 0 <= x - low < _WINDOW:
+        for _, x in walk:
+            if x - low >= _WINDOW:
                 low, window = x, (union >> x) & _WINDOW_MASK
             if not (window >> (x - low)) & 1:
                 break
@@ -293,7 +262,11 @@ def thin_for_numbering(cond: Condition, numbering: Numbering, count: int) -> tup
         window = (union >> low) & _WINDOW_MASK
     # the largest element any value with index in [base, bound] mentions
     ceiling = max(0, union.bit_length() - 1)
-    tail_index = cond.reservoir.first_index_with_value_above(max(ceiling, kept[-1] if kept else 0))
+    # the tail resumes at the first value above the ceiling and the kept values
+    top = max(ceiling, kept[-1] if kept else 0)
+    for tail_index, x in walk:
+        if x > top:
+            break
     thinned = cond.reservoir.with_table_prefix(kept, tail_index)
     cert = ThinCertificate(
         numbering_id=numbering.id,
@@ -371,8 +344,6 @@ def meet_D_eh(cond: Condition, e: int, h: int, budget: int, max_prefix: int = 16
     toward the bounded clause.
     """
     stem_elements = list(cond.stem.elements)
-    best_size = 0
-    sizes: list[int] = []
 
     def oracle_domain(b_elements) -> FiniteSet:
         chi = _stem_string(code_of(b_elements))
@@ -387,7 +358,6 @@ def meet_D_eh(cond: Condition, e: int, h: int, budget: int, max_prefix: int = 16
         b = stem_elements + cond.reservoir.values(t)
         size = len(oracle_domain(b))
         prefix_sizes.append(size)
-        best_size = max(best_size, size)
 
     need = 1
     for _ in range(max_rounds):
@@ -411,10 +381,8 @@ def meet_D_eh(cond: Condition, e: int, h: int, budget: int, max_prefix: int = 16
             break
         if not w_j.issubset_mask(oracle_domain(b_elements).code):
             break
-        tail_index = target_t
-        if used:
-            tail_index = cond.reservoir.first_index_with_value_above(max(used))
-        met = Condition(FiniteSet(code_of(b_elements)), cond.reservoir.shifted(tail_index))
+        # values strictly increase, so index target_t is the first above `used`
+        met = Condition(FiniteSet(code_of(b_elements)), cond.reservoir.shifted(target_t))
         return MeetOutcome(
             met,
             "clause1",
@@ -428,7 +396,7 @@ def meet_D_eh(cond: Condition, e: int, h: int, budget: int, max_prefix: int = 16
                 "inner_budget": fp.prefix_cost + inner,
             },
         )
-    return MeetOutcome(None, None, {"best_size": best_size, "prefix_sizes": prefix_sizes})
+    return MeetOutcome(None, None, {"best_size": max(prefix_sizes), "prefix_sizes": prefix_sizes})
 
 
 # ---------------------------------------------------------------------------

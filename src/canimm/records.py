@@ -137,9 +137,10 @@ def parse_trace(text: str) -> ParsedTrace:
             meta[key] = parse_value(raw)
         elif kind == "rec":
             parts = rest.split("\t")
-            stage, rule = int(parts[0]), parts[1]
+            if not (parts[0].isdigit() and parts[0].isascii()):  # int() also reads `1_0`, `+4`, non-ASCII digits
+                raise ValueError(f"record stage {parts[0]!r} is not a decimal number")
             fields = tuple(_parse_atom(x) for x in parts[2:])
-            records.append(TraceRecord(stage, rule, fields))
+            records.append(TraceRecord(int(parts[0]), parts[1], fields))
         elif kind == "prefix":
             label, _, bits = rest.partition("\t")
             prefixes[label] = SetPrefix.from_bits(bits)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canimm import machine as M
@@ -406,9 +406,21 @@ def test_a_size_chain_parses_no_derived_enumerator(monkeypatch):
 # Walks evaluate exactly the leaf indices that element-wise reads evaluate
 
 
+def _value_elementwise(cs, n):
+    """cs's value at index n, read alone: the leaf runs once for each missing
+    index of the shared list up to n's, one index per run."""
+    if n < len(cs.head):
+        return cs.head[n]
+    index, tail = cs.offset + n - len(cs.head), cs._tail
+    while len(tail) <= index:
+        [(x, _)] = mt.eval_total_run(cs.leaf, [(len(tail),)])
+        tail.append(x)
+    return tail[index]
+
+
 def _first_above_elementwise(cs, x):
     idx = 0
-    while cs.value(idx) <= x:
+    while _value_elementwise(cs, idx) <= x:
         idx += 1
     return idx
 
@@ -416,7 +428,7 @@ def _first_above_elementwise(cs, x):
 def _inside_elementwise(values, cs):
     idx = 0
     for v in values:
-        while (x := cs.value(idx)) < v:
+        while (x := _value_elementwise(cs, idx)) < v:
             idx += 1
         if x != v:
             return False
@@ -430,7 +442,7 @@ def _thin_elementwise(cond, numbering, count):
     ceiling = max((value.max_value() for value in values if not value.is_empty), default=0)
     kept, idx, union = [], 0, numbering.value(base).code
     for i in range(base + 1, base + count + 1):
-        while (union >> (x := cond.reservoir.value(idx))) & 1:
+        while (union >> (x := _value_elementwise(cond.reservoir, idx))) & 1:
             idx += 1
         kept.append(x)
         idx += 1
@@ -449,9 +461,9 @@ def _avoid_elementwise(cond, count):
     missed, kept, idx = [], [], 0
     for _ in range(count):
         missed.append(block_index)
-        while cond.reservoir.value(idx) <= schnorr.block(block_index).max_value():
+        while _value_elementwise(cond.reservoir, idx) <= schnorr.block(block_index).max_value():
             idx += 1
-        kept.append(cond.reservoir.value(idx))
+        kept.append(_value_elementwise(cond.reservoir, idx))
         idx += 1
         while schnorr.block(block_index).min_value() <= kept[-1]:
             block_index += 1
@@ -512,31 +524,41 @@ def _evaluated(call):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(_WALK_LEAVES), st.integers(0, 12), _walk_steps, st.integers(0, 3), st.data())
-def test_walks_evaluate_exactly_the_elementwise_indices(leaf, read, steps, stem_size, data):
+@given(
+    st.sampled_from(_WALK_LEAVES),
+    st.integers(0, 12),
+    _walk_steps,
+    st.integers(0, 3),
+    st.sampled_from(["value", "values", "inside", "thin", "avoid"]),
+    st.integers(0, 24),
+    st.sets(st.integers(0, 40), max_size=6),
+    st.sampled_from(_WALK_POOL),
+    st.integers(0, 5),
+)
+# big-interval's ceiling (19) lies above the value kept (4), so the thinned
+# tail resumes past the values the thinning walk kept
+@example(pg.identity_code(), 0, [], 0, "thin", 0, set(), _WALK_POOL[3], 1)
+def test_walks_evaluate_exactly_the_elementwise_indices(leaf, read, steps, stem_size, kind, n, values, numbering, count):
     walked, reference = _derive(leaf, read, steps), _derive(leaf, read, steps)
-    kind = data.draw(st.sampled_from(["first-above", "inside", "thin", "avoid"]), label="kind")
-    if kind == "first-above":
-        x = data.draw(st.integers(-1, 60), label="x")
-        got = _evaluated(lambda: walked.first_index_with_value_above(x))
-        expected = _evaluated(lambda: _first_above_elementwise(reference, x))
+    if kind == "value":
+        got = _evaluated(lambda: walked.value(n))
+        expected = _evaluated(lambda: _value_elementwise(reference, n))
+    elif kind == "values":
+        got = _evaluated(lambda: walked.values(n))
+        expected = _evaluated(lambda: [_value_elementwise(reference, i) for i in range(n)])
     elif kind == "inside":
-        values = sorted(data.draw(st.sets(st.integers(0, 40), max_size=6), label="values"))
-        got = _evaluated(lambda: mt._values_inside(values, walked))
-        expected = _evaluated(lambda: _inside_elementwise(values, reference))
+        got = _evaluated(lambda: mt._values_inside(sorted(values), walked))
+        expected = _evaluated(lambda: _inside_elementwise(sorted(values), reference))
     else:
         # a condition reads its reservoir's first value
         walked, reference = _with_stem(walked, stem_size), _with_stem(reference, stem_size)
     if kind == "thin":
-        numbering = data.draw(st.sampled_from(_WALK_POOL), label="numbering")
-        count = data.draw(st.integers(0, 5), label="count")
         (thinned, cert), evaluated = _evaluated(lambda: mt.thin_for_numbering(walked, numbering, count))
         got = (thinned.reservoir.enumerator, cert.visible_mask, cert.ceiling), evaluated
         (kept, tail_index, ceiling), reference_evaluated = _evaluated(lambda: _thin_elementwise(reference, numbering, count))
         table = reference.reservoir.with_table_prefix(kept, tail_index).enumerator
         expected = (table, reference.stem.code | code_of(kept), ceiling), reference_evaluated
     elif kind == "avoid":
-        count = data.draw(st.integers(0, 4), label="count")
         (thinned, record), evaluated = _evaluated(lambda: mt.meet_avoidance(walked, count))
         got = (list(record.missed_blocks), list(record.kept_values), thinned.reservoir.enumerator), evaluated
         (missed, kept, read_count), reference_evaluated = _evaluated(lambda: _avoid_elementwise(reference, count))

@@ -483,6 +483,21 @@ def test_check_malformed_trace_errors(tmp_path):
     _assert_input_error(run_cli("check", "immunity", str(trace)))
 
 
+def test_check_rejects_record_stages_that_are_not_ascii_decimal(tmp_path):
+    trace = tmp_path / "delta2.trace"
+    assert run_cli("build", "delta2", "--stages", "10", "--markers", "2", "--out", str(trace)).returncode == 0
+    text = trace.read_text()
+    trace.write_text(text.replace("\nrec\t0\t", "\nrec\t10\t", 1))
+    assert run_cli("check", "immunity", str(trace)).returncode == 0
+    # int() reads these stages as 10, 4 and 3; the last is an Arabic-Indic digit
+    for stage in ("1_0", "+4", "٣"):
+        edited = text.replace("\nrec\t0\t", f"\nrec\t{stage}\t", 1)
+        with pytest.raises(ValueError, match="record stage"):
+            parse_trace(edited)
+        trace.write_text(edited, encoding="utf-8")
+        _assert_input_error(run_cli("check", "immunity", str(trace)))
+
+
 # (construction, flags whose trace holds an integer of more than 4,300
 # decimal digits, the library run with the same parameters)
 LARGE_TRACE_CASES = [
