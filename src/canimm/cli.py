@@ -1,9 +1,11 @@
-"""The command line with the whole library loaded.
+"""The command line with every module a verb runs loaded.
 
 `canimm.command` holds the command line and imports each library module
 only when a verb runs it.  Importing this module instead loads every
-library module up front: the benchmark runs `main` and `modulus_catalog`
-from here, and its tracer wraps the entry points it finds in `sys.modules`.
+module a verb can run up front, the four construction families through
+their index `constructions`: the benchmark runs `main` and
+`modulus_catalog` from here, and its tracer wraps the entry points it
+finds in `sys.modules`.  `recursion`, which no verb runs, stays unloaded.
 The build and check glue, `canimm.handlers`, still loads when a build or
 check runs; it reads each library function off its module at call time,
 so the tracer's wrappers see the call.

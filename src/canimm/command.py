@@ -11,7 +11,9 @@ lists the positionals and flags of a verb.
 # `parse_args` reads the flags from `ARGS`, without argparse, and each verb
 # imports the modules it runs when it runs.  `measure` loads `schnorr` and
 # `finitesets` alone; `build` and `check` load their glue, `handlers`, and
-# of the library only what the verb runs and the inputs it reads.
+# of the library only what the verb runs and the inputs it reads: a build
+# loads its construction's family module, not the `constructions` index of
+# all four, and no verb loads `recursion`.
 import sys
 from types import SimpleNamespace
 

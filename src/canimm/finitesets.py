@@ -95,6 +95,13 @@ def elements_of(code: int) -> tuple[int, ...]:
     return tuple(compress(range(len(bits)), bits))
 
 
+def free_position(mask: int, start: int) -> int:
+    """Least x >= start whose bit is clear in mask."""
+    m = mask >> start
+    t = (m + 1) & ~m
+    return start + t.bit_length() - 1
+
+
 class FiniteSet(Record):
     """A finite set of naturals, stored as its canonical code."""
 

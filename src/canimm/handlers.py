@@ -3,9 +3,11 @@
 Only those two verbs import this module, so `measure` compiles none of it.
 A verb opens `--pool` and encodes `--modulus` only when `command.VERBS`
 says it reads them; its handler gets None for an input it does not read.
-Every handler imports its library module when it runs and reads the
-function off that module at call time, so a wrapper installed on the module
-(a profiler's, say) sees the call.
+Every handler imports its library module when it runs, and a build only
+its construction's family (`markers`, `avoiding`, `blocks`, `pumping`, or
+`mathias` for `generic`), never the `constructions` index of all four.  A
+handler reads the function off that module at call time, so a wrapper
+installed on the module (a profiler's, say) sees the call.
 """
 
 import os
@@ -58,41 +60,65 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _cons():
-    from . import constructions
-
-    return constructions
-
-
 def _with_r(prefix, trace):
     return trace, {"R": prefix}
 
 
+def _build_delta2(pool, args):
+    from . import markers
+
+    return _with_r(*markers.delta2_prefix(pool.codes(), args.stages, args.markers))
+
+
+def _build_cofinal(pool, args):
+    from . import avoiding
+
+    return _with_r(*avoiding.cofinal_encode(list(pool), DEFAULT_COFINAL_BITS))
+
+
+def _build_ci_hi(pool, args):
+    from . import avoiding
+
+    return _with_r(*avoiding.ci_hi_run(list(pool), default_functions(), args.stages))
+
+
+def _build_ci_not_hi(pool, args):
+    from . import avoiding
+
+    return _with_r(*avoiding.ci_not_hi_run(list(pool), args.stages, args.index_bound))
+
+
 def _build_bci(pool, args):
-    r, q, trace = _cons().bci_run(list(pool), args.stages, args.index_bound)
+    from . import avoiding
+
+    r, q, trace = avoiding.bci_run(list(pool), args.stages, args.index_bound)
     return trace, {"Q": q, "R": r}
 
 
 def _build_effectivize(pool, args):
-    cons = _cons()
-    base, _ = cons.delta2_prefix(pool.codes(), args.stages, args.markers)
-    quotient, trace = cons.effectivize_inside(base, args.markers // 2, args.budget)
+    from . import markers
+
+    base, _ = markers.delta2_prefix(pool.codes(), args.stages, args.markers)
+    quotient, trace = markers.effectivize_inside(base, args.markers // 2, args.budget)
     trace.meta["base_stages"] = args.stages
     return trace, {"Q": quotient, "R": base}
 
 
 def _build_2generic_witness(pool, args):
     from . import programs as pg
+    from . import pumping
 
-    _, _, trace = _cons().build_2generic_witness(
+    _, _, trace = pumping.build_2generic_witness(
         "", pg.enumerate_oracle_ones_code(), pg.zero_code(), args.index_bound, args.index_bound
     )
     return trace, {}
 
 
 def _build_hi_not_ci(pool, args):
+    from . import blocks
+
     try:
-        return _with_r(*_cons().hi_not_ci_run(default_functions(), args.blocks, target_index=0))
+        return _with_r(*blocks.hi_not_ci_run(default_functions(), args.blocks, target_index=0))
     except ValueError as err:  # no selection, or one past the construction's size guard
         raise ValueError(f"--blocks {args.blocks}: {err}") from err
 
@@ -109,11 +135,11 @@ def _build_generic(pool, args):
 
 # construction -> (pool, args) -> (trace, prefixes by label)
 BUILDS = {
-    "delta2": lambda pool, args: _with_r(*_cons().delta2_prefix(pool.codes(), args.stages, args.markers)),
+    "delta2": _build_delta2,
     "bci": _build_bci,
-    "cofinal": lambda pool, args: _with_r(*_cons().cofinal_encode(list(pool), DEFAULT_COFINAL_BITS)),
-    "ci-hi": lambda pool, args: _with_r(*_cons().ci_hi_run(list(pool), default_functions(), args.stages)),
-    "ci-not-hi": lambda pool, args: _with_r(*_cons().ci_not_hi_run(list(pool), args.stages, args.index_bound)),
+    "cofinal": _build_cofinal,
+    "ci-hi": _build_ci_hi,
+    "ci-not-hi": _build_ci_not_hi,
     "hi-not-ci": _build_hi_not_ci,
     "effectivize": _build_effectivize,
     "2generic-witness": _build_2generic_witness,

@@ -10,8 +10,9 @@ canonical always-diverging program.
 
 One table, `_KINDS`, describes the 17 node kinds.  The node classes,
 encoding, decoding, the totality and arity checks, compilation, disassembly
-and node equality, hashing and repr are all driven by it, and each of these
-walks keeps its own stack, so no tree is too deep for them.
+(`recursion.disassemble`) and node equality, hashing and repr are all
+driven by it, and each of these walks keeps its own stack, so no tree is
+too deep for them.
 
 Evaluation is fuel-bounded and deterministic.  One fuel unit is one
 interpreter step; an arithmetic step additionally charges one unit per
@@ -56,8 +57,9 @@ A single run is its one-input case, the bounded scans loop through it, and
 checked once for a whole sequence, and each input yields or raises exactly
 what a run on it alone would.
 
-Codes serialize as decimal integers; `disassemble` renders one
-instruction per line for traces.
+Codes serialize as decimal integers.  s-m-n, the recursion theorem and
+`disassemble`, which renders one instruction per line, live in
+`canimm.recursion`, outside the run path.
 """
 
 from __future__ import annotations
@@ -466,14 +468,6 @@ _TAG_WIDTH = 5
 _Bits = tuple[int, int]  # (value, bit count)
 
 
-def _cat(*parts: _Bits) -> _Bits:
-    v, n = 0, 0
-    for pv, pn in parts:
-        v = (v << pn) | pv
-        n += pn
-    return v, n
-
-
 def _gamma(n: int) -> _Bits:
     m = n + 1
     length = m.bit_length()
@@ -783,112 +777,3 @@ def eval_total_steps(e: int, args: Sequence[int], max_budget: int = _TOTAL_CAP) 
 
 def eval_total(e: int, args: Sequence[int], max_budget: int = _TOTAL_CAP) -> int:
     return eval_total_steps(e, args, max_budget)[0]
-
-
-# ---------------------------------------------------------------------------
-# s-m-n and the recursion theorem
-
-
-def smn(e: int, fixed_args: Sequence[int]) -> int:
-    """Specialize the first arguments of e syntactically, without running e.
-
-    The result e' satisfies, for every remaining argument tuple y and every
-    budget s: eval(e', y, s + smn_overhead(e, len(fixed))) converges exactly
-    when eval(e, fixed + y, s) does, with the same value.
-    """
-    tree = decode(e)
-    extra = max(0, arity_bound(tree) - len(fixed_args))
-    suppliers: list[Node] = [Const(a) for a in fixed_args]
-    suppliers += [Proj(i) for i in range(extra)]
-    return encode(Comp(tree, tuple(suppliers)))
-
-
-def smn_overhead(e: int, n_fixed: int) -> int:
-    """Exact step overhead of the smn wrapper around e."""
-    extra = max(0, arity_bound(decode(e)) - n_fixed)
-    return 1 + n_fixed + extra
-
-
-class FixedPoint(NamedTuple):
-    """Kleene fixed point j of a transformer g, with its budget correspondence.
-
-    `code` is j, `applied` is the value g(j), and `prefix_cost` is the exact
-    number of steps j spends before handing control to the program g(j):
-    eval(j, [y], s) converges to v iff eval(applied, [y], s - prefix_cost)
-    does.  Hence we_bounded(applied, s) equals we_bounded(j, s + prefix_cost)
-    restricted below s.
-    """
-
-    code: int
-    applied: int
-    prefix_cost: int
-
-
-# bit layout of the diagonal Apply(Apply(Const(u), [Const(u)]), [Proj(0)]):
-#   PRE  = tag(Apply) gamma(1) tag(Apply) gamma(1) tag(Const)
-#   MID  = tag(Const)                      (between the two gamma(u) payloads)
-#   SUF  = tag(Proj) gamma(0)
-_DIAG_PRE = _cat((Apply._tag, _TAG_WIDTH), _gamma(1), (Apply._tag, _TAG_WIDTH), _gamma(1), (Const._tag, _TAG_WIDTH))
-_DIAG_MID = (Const._tag, _TAG_WIDTH)
-_DIAG_SUF = _cat((Proj._tag, _TAG_WIDTH), _gamma(0))
-
-
-def _diagonal_code(u: int) -> int:
-    return encode(Apply(Apply(Const(u), (Const(u),)), (Proj(0),)))
-
-
-def _diagonal_builder_tree() -> Node:
-    """Total-tier program computing u -> code of the diagonal program for u."""
-    u = Proj(0)
-    m = Comp(Succ(), (u,))
-    length = Comp(Succ(), (Comp(Log2(), (m,)),))
-    two_len = Comp(Add(), (length, length))
-    glen = Comp(Monus(), (two_len, Const(1)))
-    shift = Comp(Pow2(), (glen,))
-
-    def pack(acc: Node, piece: Node, piece_shift: Node) -> Node:
-        return Comp(Add(), (Comp(Mul(), (acc, piece_shift)), piece))
-
-    acc: Node = Const((1 << _DIAG_PRE[1]) | _DIAG_PRE[0])
-    acc = pack(acc, m, shift)
-    acc = pack(acc, Const(_DIAG_MID[0]), Const(1 << _DIAG_MID[1]))
-    acc = pack(acc, m, shift)
-    acc = pack(acc, Const(_DIAG_SUF[0]), Const(1 << _DIAG_SUF[1]))
-    return acc
-
-
-def fixed_point(g: int) -> FixedPoint:
-    """Kleene recursion theorem for a total-tier code transformer g.
-
-    Standard diagonal construction: d(u) is the code of the program that
-    applies the value of u at u to the real input, v computes g(d(u)) in
-    the machine, and j = d(v).  Running j first computes g(j) and then
-    behaves exactly like the program g(j), so the two bounded domains
-    agree under the recorded budget offset.
-    """
-    require_total_tier(g)
-    g_tree = decode(g)
-
-    d_tree = _diagonal_builder_tree()
-    v = encode(Comp(g_tree, (d_tree,)))
-    j = _diagonal_code(v)
-    built, s_d = eval_total_steps(encode(d_tree), [v])
-    assert built == j
-    applied, s_g = eval_total_steps(g, [j])
-    # outer Apply + inner Apply + two Const(v) + Comp + Proj(0)
-    prefix = 6 + s_d + s_g
-    return FixedPoint(code=j, applied=applied, prefix_cost=prefix)
-
-
-# ---------------------------------------------------------------------------
-# Disassembly
-
-
-def disassemble(program: int | Node) -> str:
-    """Human-readable listing, one instruction per line."""
-    tree = decode(program) if isinstance(program, int) else program
-    lines = []
-    for t, depth in _preorder(tree):
-        line = "  " * depth + t._kind.listing
-        lines.append(line if t._kind.shape != _INT else f"{line} {t._number}")
-    return "\n".join(lines)

@@ -33,9 +33,7 @@ from .machine import (
     encode,
     eval_total,
     eval_total_run,
-    fixed_point,
     is_total_tier,
-    smn,
     we_bounded,
     we_enumeration,
     NotTotalTierError,
@@ -343,6 +341,8 @@ def meet_D_eh(cond: Condition, e: int, h: int, budget: int, max_prefix: int = 16
     within the budget, the largest domain size seen is returned as evidence
     toward the bounded clause.
     """
+    from .recursion import fixed_point, smn
+
     stem_elements = list(cond.stem.elements)
 
     def oracle_domain(b_elements) -> FiniteSet:

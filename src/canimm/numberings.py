@@ -70,7 +70,9 @@ class Registry:
             if not line.strip():
                 continue
             parts = line.split("\t")
-            rule, flag = parse_value(parts[1]), bool(int(parts[2]))
+            field = parts[1]  # the codec's form, or any `0x` hex, as a hand-written pool may hold
+            rule = int(field, 16) if field.removeprefix("-")[:2] in ("0x", "0X") else parse_value(field)
+            flag = bool(int(parts[2]))
             if not isinstance(rule, int):
                 raise ValueError(f"numbering rule {parts[1]!r} is not an integer")
             label = parts[3] if len(parts) > 3 else ""

@@ -34,6 +34,7 @@ class ConstructionTrace(Record):
 # refuses more than 4,300 digits.  A constant, not sys.get_int_max_str_digits(),
 # so that trace bytes do not depend on the environment.
 DECIMAL_LIMIT = 10**4300
+_DECIMAL_DIGITS = 4300  # the digits of DECIMAL_LIMIT - 1, the longest decimal atom
 
 
 def render_atom(value) -> str:
@@ -60,14 +61,26 @@ def render_value(value) -> str:
 
 
 def _parse_atom(text: str):
-    """An int for decimal digits (ValueError past the runtime digit limit) or
-    `0x` hex, either after an optional `-`; the text itself otherwise."""
+    """The int `render_atom` wrote, or the text itself when it is no number.
+
+    An int is an optional `-` and then either decimal digits without a
+    leading zero and below DECIMAL_LIMIT, or `0x` and lowercase hex digits
+    without a leading zero for DECIMAL_LIMIT or more; `-0` is no int.  Any
+    other text of decimal digits, or starting with `0x` or `0X`, after an
+    optional `-`, raises ValueError: it would render back as other bytes."""
     digits = text[1:] if text[:1] == "-" else text
     if digits.isdigit() and digits.isascii():
-        return int(text)
-    if digits[:2] == "0x":
-        return int(text, 16)
-    return text
+        if (digits[0] != "0" or text == "0") and len(digits) <= _DECIMAL_DIGITS:
+            return int(text)
+    elif digits[:2] in ("0x", "0X"):
+        hex_digits = digits[2:]
+        if digits[1] == "x" and hex_digits[:1] not in ("", "0") and not hex_digits.strip("0123456789abcdef"):
+            value = int(hex_digits, 16)
+            if value >= DECIMAL_LIMIT:
+                return -value if text[0] == "-" else value
+    else:
+        return text
+    raise ValueError(f"{text!r} is not an integer as a trace writes it")
 
 
 def parse_value(text: str):
@@ -137,10 +150,11 @@ def parse_trace(text: str) -> ParsedTrace:
             meta[key] = parse_value(raw)
         elif kind == "rec":
             parts = rest.split("\t")
-            if not (parts[0].isdigit() and parts[0].isascii()):  # int() also reads `1_0`, `+4`, non-ASCII digits
-                raise ValueError(f"record stage {parts[0]!r} is not a decimal number")
+            stage = parts[0]  # int() also reads `1_0`, `+4`, `010` and non-ASCII digits
+            if not (stage.isdigit() and stage.isascii() and (stage[0] != "0" or stage == "0")):
+                raise ValueError(f"record stage {stage!r} is not a decimal number as a trace writes it")
             fields = tuple(_parse_atom(x) for x in parts[2:])
-            records.append(TraceRecord(int(parts[0]), parts[1], fields))
+            records.append(TraceRecord(int(stage), parts[1], fields))
         elif kind == "prefix":
             label, _, bits = rest.partition("\t")
             prefixes[label] = SetPrefix.from_bits(bits)

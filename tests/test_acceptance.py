@@ -15,6 +15,7 @@ from canimm import machine as M
 from canimm import mathias as mt
 from canimm import numberings as nb
 from canimm import programs as pg
+from canimm import recursion as R
 from canimm import schnorr
 from canimm.machine import encode
 
@@ -202,15 +203,15 @@ def test_machine_criterion():
         code = M.encode(tree)
         fixed = [rng.randrange(7) for _ in range(rng.randrange(3))]
         rest = [rng.randrange(7) for _ in range(rng.randrange(3))]
-        assert M.eval_total(M.smn(code, fixed), rest) == M.eval_total(code, fixed + rest)
+        assert M.eval_total(R.smn(code, fixed), rest) == M.eval_total(code, fixed + rest)
 
     transformers = {
         "identity": pg.identity_code(),
-        "constant": M.smn(pg.identity_code(), [pg.identity_code()]),
-        "to-diverger": M.smn(pg.identity_code(), [pg.diverge_code()]),
+        "constant": R.smn(pg.identity_code(), [pg.identity_code()]),
+        "to-diverger": R.smn(pg.identity_code(), [pg.diverge_code()]),
     }
     for name, g in transformers.items():
-        fp = M.fixed_point(g)
+        fp = R.fixed_point(g)
         for s in (10, 100, 1000):
             left = {n for n in M.we_bounded(fp.code, s + fp.prefix_cost).elements if n < s}
             right = set(M.we_bounded(fp.applied, s).elements)

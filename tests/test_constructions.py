@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canimm import avoiding, blocks, markers
 from canimm import checkers as ck
 from canimm import constructions as C
 from canimm import numberings as nb
 from canimm import programs as pg
-from canimm.finitesets import FiniteSet, SetPrefix
-from canimm.machine import encode, unpair, we_bounded
+from canimm.finitesets import FiniteSet, SetPrefix, free_position
+from canimm.machine import encode, eval_bounded, pair_bound, unpair, we_bounded
+from canimm.records import ConstructionTrace
 
 
 def _rule(tree):
@@ -78,13 +80,13 @@ def _delta2_reference(pool, stages, markers):
     settled, unsettled = {}, []
     for e, code in enumerate(pool[:markers]):
         for i in range(markers):
-            r = C.eval_bounded(code, (i,), stages)
+            r = eval_bounded(code, (i,), stages)
             if r.converged:
                 settled[(e, i)] = (r.steps, r.value)
             else:
                 unsettled.append((e, i))
     events = [s for s in sorted({0} | {steps for steps, _ in settled.values()}) if s <= stages]
-    trace = C.ConstructionTrace(
+    trace = ConstructionTrace(
         "delta2",
         meta={
             "stages": stages,
@@ -102,7 +104,7 @@ def _delta2_reference(pool, stages, markers):
                 hit = settled.get((e, i))
                 if hit is not None and hit[0] <= s and hit[1].bit_count() > i:
                     mask |= hit[1]
-            previous = C._free_position(mask, previous + 1)
+            previous = free_position(mask, previous + 1)
             stage_markers.append(previous)
         for n, x in enumerate(stage_markers):
             if n >= len(current) or current[n] != x:
@@ -205,7 +207,7 @@ def test_bci_replay_and_partition(pool):
 @given(st.integers(0, 200), st.sets(st.integers(-3, 250)))
 def test_fill_mask_has_the_even_bit_of_every_unused_pair(fill_pairs, used):
     expected = sum(1 << (2 * p) for p in range(fill_pairs) if p not in used)
-    assert C._unused_pair_evens(fill_pairs, used) == expected
+    assert avoiding._unused_pair_evens(fill_pairs, used) == expected
 
 
 # ---------------------------------------------------------------- cofinal
@@ -326,7 +328,7 @@ def test_free_pairs_match_whole_set_scan(code, used):
     value = FiniteSet(code)
     reference = _pairs_hit_reference(value, used)
     for k in (1, 2, None):
-        assert list(itertools.islice(C._free_pairs(value, used), k)) == reference[:k]
+        assert list(itertools.islice(avoiding._free_pairs(value, used), k)) == reference[:k]
 
 
 def test_ci_not_hi_case2_withholds_an_element(pool):
@@ -337,7 +339,7 @@ def test_ci_not_hi_case2_withholds_an_element(pool):
         e, i, p_s, x = rec.fields
         value = pool[e].value(i)
         assert x in value and x // 2 == p_s
-        assert len(value) > 2 * C.pair_bound(i)
+        assert len(value) > 2 * pair_bound(i)
 
 
 def test_ci_not_hi_refuses_a_spoiled_block_outside_the_fill(pool):
@@ -452,7 +454,7 @@ def test_hi_not_ci_refuses_selections_past_the_size_guard(monkeypatch, fns, pair
         built.append(end)
         return FiniteSet(((1 << (end - start)) - 1) << start)
 
-    monkeypatch.setattr(C, "_block_set", block_set)
+    monkeypatch.setattr(blocks, "_block_set", block_set)
     with pytest.raises(ValueError, match=refusal):
         C.hi_not_ci_run(list(fns), pair_count, target_index=0)
     assert max(built, default=0) <= C.MAX_BLOCK_END
@@ -582,7 +584,7 @@ def _effectivize_reference(prefix, stages, budget, codes=None):
     tail_masks = {}
     acted = set()
     removed = 0
-    trace = C.ConstructionTrace(
+    trace = ConstructionTrace(
         "effectivize",
         meta={"stages": stages, "budget": budget, "base_mask": prefix.mask, "base_length": prefix.length},
     )
@@ -592,7 +594,7 @@ def _effectivize_reference(prefix, stages, budget, codes=None):
             if e in acted:
                 continue
             if e not in domains:
-                domains[e] = C.we_bounded(codes[e], budget).code
+                domains[e] = markers.we_bounded(codes[e], budget).code
             if 2 * e not in tail_masks:
                 tail_masks[2 * e] = member_mask & ~((1 << members[2 * e]) - 1)
             hit = domains[e] & tail_masks[2 * e]
@@ -632,7 +634,7 @@ def test_effectivize_matches_the_rescanning_reference(members, extra, budget, co
             return we_bounded(code, b)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(C, "we_bounded", counted)
+            mp.setattr(markers, "we_bounded", counted)
             return construction(prefix, stages, budget, codes)
 
     assert run("construction", C.effectivize_inside) == run("reference", _effectivize_reference)

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from canimm import machine
+from canimm import handlers, machine
 from canimm.checkers import Verdict
-from canimm.constructions import PumpResult, WitnessEntry
 from canimm.finitesets import (
     FiniteSet,
     SetPrefix,
@@ -27,6 +26,7 @@ from canimm.mathias import (
     ThinCertificate,
 )
 from canimm.numberings import Numbering, default_pool
+from canimm.pumping import PumpResult, WitnessEntry
 from canimm.records import ConstructionTrace, ParsedTrace, TraceRecord
 from canimm.schnorr import DyadicRational
 
@@ -197,19 +197,44 @@ def test_measure_loads_only_the_front_and_schnorr():
     assert not modules & {"argparse", "gettext"}  # the flags come from command.ARGS
 
 
-def test_build_and_check_load_only_the_modules_they_run(tmp_path):
-    modules, result = _imports("-m", "canimm", "build", "delta2", "--stages", "50", "--markers", "8")
-    assert result.returncode == 0, result.stderr
-    assert "canimm.constructions" in modules
-    assert not modules & {"canimm.mathias", "canimm.checkers", "canimm.schnorr", "argparse", "gettext"}
+# construction -> the one construction family module its build loads
+BUILD_FAMILIES = {
+    "delta2": "canimm.markers",
+    "effectivize": "canimm.markers",
+    "bci": "canimm.avoiding",
+    "cofinal": "canimm.avoiding",
+    "ci-hi": "canimm.avoiding",
+    "ci-not-hi": "canimm.avoiding",
+    "hi-not-ci": "canimm.blocks",
+    "2generic-witness": "canimm.pumping",
+    "generic": None,  # mathias: no construction family
+}
+FAMILIES = {"canimm.markers", "canimm.avoiding", "canimm.blocks", "canimm.pumping"}
 
-    trace = tmp_path / "generic.trace"
-    flags = ["--index-bound", "6", "--blocks", "4", "--markers", "5", "--stages", "120", "--out", str(trace)]
-    assert subprocess.run([sys.executable, "-m", "canimm", "build", "generic", *flags]).returncode == 0
-    modules, result = _imports("-m", "canimm", "check", "schnorr", str(trace))
-    assert result.returncode in (0, 2), result.stderr
-    assert {"canimm.records", "canimm.schnorr"} <= modules
-    assert not modules & {"canimm.constructions", "canimm.checkers", "canimm.mathias", "argparse", "gettext"}
+
+def test_build_and_check_load_only_the_modules_they_run(tmp_path):
+    """Each build loads exactly its family's module and never the
+    `constructions` index of all four; no check loads a family module; no
+    verb loads `recursion`, whose s-m-n and fixed points no verb runs."""
+    from test_records_cli import BUILD_FLAGS, CHECK_ENTRY_POINTS
+
+    assert set(BUILD_FAMILIES) == set(handlers.BUILDS) == {name for name, _ in BUILD_FLAGS}
+    assert set(CHECK_ENTRY_POINTS) == set(handlers.CHECKS)
+    never = {"canimm.constructions", "canimm.recursion", "argparse", "gettext"}
+    traces = {}
+    for name, flags in BUILD_FLAGS:
+        traces[name] = str(tmp_path / f"{name}.trace")
+        modules, result = _imports("-m", "canimm", "build", name, *flags, "--out", traces[name])
+        assert result.returncode == 0, result.stderr
+        family = BUILD_FAMILIES[name]
+        assert modules & FAMILIES == ({family} if family else set()), name
+        assert not modules & (never | {"canimm.checkers"}), name
+        assert ("canimm.mathias" in modules) == (name == "generic"), name
+    for suite, (_, build, flags) in CHECK_ENTRY_POINTS.items():
+        modules, result = _imports("-m", "canimm", "check", suite, traces[build], *flags)
+        assert result.returncode in (0, 2), result.stderr
+        assert not modules & (FAMILIES | never | {"canimm.mathias"}), suite
+        assert ("canimm.checkers" in modules) == (suite != "schnorr"), suite
 
 
 @pytest.mark.parametrize("verb", [None, "build", "check", "measure"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from canimm import command
 from canimm import machine as M
 from canimm import programs as pg
+from canimm import recursion as R
 from canimm.numberings import adversarial_rule_code, default_pool
 
 
@@ -436,15 +437,15 @@ def _random_total_tree(rng, depth):
 def test_smn_examples():
     addc = pg.add_code()
     for y in range(11):
-        assert M.eval_total(M.smn(addc, [0]), [y]) == y
-        assert M.eval_total(M.smn(addc, [3]), [y]) == 3 + y
-        assert M.eval_total(M.smn(pg.identity_code(), [9]), [y]) == 9
+        assert M.eval_total(R.smn(addc, [0]), [y]) == y
+        assert M.eval_total(R.smn(addc, [3]), [y]) == 3 + y
+        assert M.eval_total(R.smn(pg.identity_code(), [9]), [y]) == 9
 
 
 def test_smn_exact_budget_correspondence():
     addc = pg.add_code()
-    specialized = M.smn(addc, [3])
-    overhead = M.smn_overhead(addc, 1)
+    specialized = R.smn(addc, [3])
+    overhead = R.smn_overhead(addc, 1)
     for s in range(0, 60):
         wrapped = M.eval_bounded(specialized, [4], s + overhead)
         direct = M.eval_bounded(addc, [3, 4], s)
@@ -460,13 +461,13 @@ def test_smn_agreement_randomized():
         n_fixed = rng.randrange(3)
         fixed = [rng.randrange(7) for _ in range(n_fixed)]
         rest = [rng.randrange(7) for _ in range(rng.randrange(3))]
-        specialized = M.smn(code, fixed)
+        specialized = R.smn(code, fixed)
         assert M.eval_total(specialized, rest) == M.eval_total(code, fixed + rest)
 
 
 def test_smn_of_ill_formed_code_diverges_like_original():
     e = 0  # decodes to the always-diverging program
-    specialized = M.smn(e, [4])
+    specialized = R.smn(e, [4])
     assert not M.eval_bounded(specialized, [1], 500).converged
 
 
@@ -481,14 +482,14 @@ def _w_clipped(code, budget, clip):
     "make_transformer",
     [
         lambda: pg.identity_code(),
-        lambda: M.smn(pg.identity_code(), [pg.identity_code()]),
-        lambda: M.smn(pg.identity_code(), [pg.diverge_code()]),
+        lambda: R.smn(pg.identity_code(), [pg.identity_code()]),
+        lambda: R.smn(pg.identity_code(), [pg.diverge_code()]),
     ],
     ids=["identity", "constant", "to-diverger"],
 )
 def test_fixed_point_w_agreement(make_transformer):
     g = make_transformer()
-    fp = M.fixed_point(g)
+    fp = R.fixed_point(g)
     assert M.eval_total(g, [fp.code]) == fp.applied
     for s in (10, 100, 1000):
         left = _w_clipped(fp.code, s + fp.prefix_cost, s)
@@ -497,7 +498,7 @@ def test_fixed_point_w_agreement(make_transformer):
 
 
 def test_fixed_point_prefix_cost_is_exact():
-    fp = M.fixed_point(M.smn(pg.identity_code(), [pg.identity_code()]))
+    fp = R.fixed_point(R.smn(pg.identity_code(), [pg.identity_code()]))
     run_j = M.eval_bounded(fp.code, [5], 10_000)
     run_g = M.eval_bounded(fp.applied, [5], 10_000)
     assert run_j.value == run_g.value == 5
@@ -506,7 +507,7 @@ def test_fixed_point_prefix_cost_is_exact():
 
 def test_fixed_point_rejects_partial_transformers():
     with pytest.raises(M.NotTotalTierError):
-        M.fixed_point(pg.diverge_code())
+        R.fixed_point(pg.diverge_code())
 
 
 def test_total_tier_recognizer():
@@ -720,12 +721,12 @@ comp
 
 
 def test_disassembly_listings_are_pinned():
-    assert M.disassemble(pg.add_code()) == _ADD_LISTING
-    assert M.disassemble(M._diagonal_builder_tree()) == _DIAGONAL_BUILDER_LISTING
+    assert R.disassemble(pg.add_code()) == _ADD_LISTING
+    assert R.disassemble(R._diagonal_builder_tree()) == _DIAGONAL_BUILDER_LISTING
 
 
 def test_disassembly_one_instruction_per_line():
-    listing = M.disassemble(pg.add_code())
+    listing = R.disassemble(pg.add_code())
     lines = listing.splitlines()
     assert lines[0] == "primrec"
     assert all(line.strip() for line in lines)
@@ -799,7 +800,7 @@ def test_a_spliced_code_encodes_as_the_tree_it_codes(inner, func, args, data):
 
 def test_only_encode_takes_a_splice():
     spliced = M.Comp(M.Succ(), (M.Splice(M.encode(M.Proj(0))),))
-    for walk in (M.is_total_tier, M.arity_bound, M.disassemble, M._compile, hash):
+    for walk in (M.is_total_tier, M.arity_bound, R.disassemble, M._compile, hash):
         with pytest.raises(TypeError, match="not a program node"):
             walk(spliced)
     for leaf in (5, "x", None):
@@ -835,7 +836,7 @@ def test_deep_trees_go_through_every_walk(name):
     assert tree != _chain(wrap, _DEEP - 1)
     assert M.is_total_tier(code) is total and M.arity_bound(code) == arity
     # a listing indents each level, so its size is quadratic in the depth
-    listing = M.disassemble(_chain(wrap, _LISTED)).splitlines()
+    listing = R.disassemble(_chain(wrap, _LISTED)).splitlines()
     assert len(listing) == nodes * _LISTED + 1 and listing[-1] == "  " * _LISTED + "proj 0"
     assert repr(tree) == opening * _DEEP + "Proj(index=0)" + closing * _DEEP
     assert M._compile(tree)[1:] == (_DEEP + 1, total)

@@ -1,15 +1,18 @@
 import contextlib
+import importlib.util
 import io
 import os
+import re
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canimm import checkers, cli, command, handlers
+from canimm import avoiding, blocks, checkers, cli, command, handlers, markers, pumping
 from canimm import constructions as C
 from canimm import machine as M
 from canimm import mathias
@@ -17,7 +20,18 @@ from canimm import programs as pg
 from canimm import schnorr
 from canimm.finitesets import SetPrefix
 from canimm.numberings import Registry, default_pool, witness_rule_from_table
-from canimm.records import DECIMAL_LIMIT, ConstructionTrace, parse_trace, parse_value, render_trace, render_value
+from canimm.records import (
+    DECIMAL_LIMIT,
+    ConstructionTrace,
+    parse_trace,
+    parse_value,
+    render_atom,
+    render_trace,
+    render_value,
+)
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args):
@@ -42,7 +56,8 @@ def test_codec_switches_to_hex_at_the_decimal_limit():
     assert render_value(DECIMAL_LIMIT - 1) == "9" * 4300
     assert render_value(DECIMAL_LIMIT) == format(DECIMAL_LIMIT, "#x")
     assert render_value(-DECIMAL_LIMIT) == "-" + format(DECIMAL_LIMIT, "#x")
-    assert parse_value("0x1f") == 31 and parse_value("-0x1f") == -31
+    big = format(DECIMAL_LIMIT + 31, "x")
+    assert parse_value("0x" + big) == DECIMAL_LIMIT + 31 and parse_value("-0x" + big) == -DECIMAL_LIMIT - 31
 
 
 def test_long_decimal_atoms_raise_instead_of_parsing_as_text():
@@ -489,13 +504,73 @@ def test_check_rejects_record_stages_that_are_not_ascii_decimal(tmp_path):
     text = trace.read_text()
     trace.write_text(text.replace("\nrec\t0\t", "\nrec\t10\t", 1))
     assert run_cli("check", "immunity", str(trace)).returncode == 0
-    # int() reads these stages as 10, 4 and 3; the last is an Arabic-Indic digit
-    for stage in ("1_0", "+4", "٣"):
+    # int() reads these stages as 10, 4, 3, 10 and 0 (the third is an
+    # Arabic-Indic digit), which render back as other bytes
+    for stage in ("1_0", "+4", "٣", "010", "00"):
         edited = text.replace("\nrec\t0\t", f"\nrec\t{stage}\t", 1)
         with pytest.raises(ValueError, match="record stage"):
             parse_trace(edited)
         trace.write_text(edited, encoding="utf-8")
         _assert_input_error(run_cli("check", "immunity", str(trace)))
+
+
+def test_check_rejects_record_fields_in_a_form_the_codec_does_not_write(tmp_path):
+    """A leading zero, `-0`, or `0x` below DECIMAL_LIMIT or in uppercase
+    would parse to an int that renders back as other bytes."""
+    trace = tmp_path / "delta2.trace"
+    assert run_cli("build", "delta2", "--stages", "10", "--markers", "2", "--out", str(trace)).returncode == 0
+    text = trace.read_text()
+    assert "\nrec\t0\tset\t0\t" in text
+    big = format(DECIMAL_LIMIT, "x")
+    for field in ("007", "-0", "0x7", f"0X{big}", f"0x{big.upper()}", f"0x0{big}"):
+        edited = text.replace("\tset\t0\t", f"\tset\t{field}\t", 1)
+        with pytest.raises(ValueError):
+            parse_trace(edited)
+        trace.write_text(edited)
+        _assert_input_error(run_cli("check", "immunity", str(trace)))
+
+
+_INT_LIKE = re.compile(r"-?([0-9]+|0[xX].*)", re.DOTALL)
+
+
+def _edit_atom(number, edit):
+    """The codec's text of number after one edit that may break its form."""
+    text = render_atom(number)
+    sign, body = ("-", text[1:]) if text[0] == "-" else ("", text)
+    head = 2 if body[:2] == "0x" else 0
+    return {
+        "none": text,
+        "zero": sign + body[:head] + "0" + body[head:],
+        "upper": sign + body.upper(),
+        "minus": "-" + body,
+        "plus": "+" + body,
+        "radix": sign + (body[2:] if head else format(int(body), "#x")),
+    }[edit]
+
+
+@settings(max_examples=300)
+@given(
+    st.text("-0123456789abcdefxX+", max_size=10)
+    | st.builds(_edit_atom, _near_the_limit, st.sampled_from(["none", "zero", "upper", "minus", "plus", "radix"]))
+)
+def test_an_atom_the_parser_accepts_renders_back_to_its_bytes(text):
+    """Every integer parse_value returns renders back as the very text it
+    read; text shaped as an integer either parses so or raises; a record
+    stage is read only in the form str writes."""
+    try:
+        value = parse_value(text)
+    except ValueError:
+        value = None
+    if isinstance(value, str):
+        assert not _INT_LIKE.fullmatch(text)
+    if isinstance(value, int):
+        assert render_atom(value) == text
+    stage = f"trace\tx\nrec\t{text}\tr\n"
+    if re.fullmatch(r"0|[1-9][0-9]*", text):
+        assert parse_trace(stage).records[0].stage == int(text)
+    else:
+        with pytest.raises(ValueError, match="record stage"):
+            parse_trace(stage)
 
 
 # (construction, flags whose trace holds an integer of more than 4,300
@@ -766,14 +841,14 @@ def test_main_entrypoint_callable():
 
 # name -> the library function (module, attribute) its BUILDS entry reaches
 BUILD_ENTRY_POINTS = {
-    "delta2": (C, "delta2_prefix"),
-    "bci": (C, "bci_run"),
-    "cofinal": (C, "cofinal_encode"),
-    "ci-hi": (C, "ci_hi_run"),
-    "ci-not-hi": (C, "ci_not_hi_run"),
-    "hi-not-ci": (C, "hi_not_ci_run"),
-    "effectivize": (C, "effectivize_inside"),
-    "2generic-witness": (C, "build_2generic_witness"),
+    "delta2": (markers, "delta2_prefix"),
+    "bci": (avoiding, "bci_run"),
+    "cofinal": (avoiding, "cofinal_encode"),
+    "ci-hi": (avoiding, "ci_hi_run"),
+    "ci-not-hi": (avoiding, "ci_not_hi_run"),
+    "hi-not-ci": (blocks, "hi_not_ci_run"),
+    "effectivize": (markers, "effectivize_inside"),
+    "2generic-witness": (pumping, "build_2generic_witness"),
     "generic": (mathias, "build_generic"),
 }
 
@@ -808,6 +883,55 @@ def test_build_entry_calls_the_library_through_its_module(monkeypatch, tmp_path,
     calls = _count_calls(monkeypatch, *BUILD_ENTRY_POINTS[name])
     assert command.main(["build", name, *flags, "--out", str(tmp_path / "t.trace")]) == 0
     assert calls
+
+
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_constructions_index_holds_its_families_objects():
+    """The benchmark reads names off `canimm.constructions`: its tracer wraps
+    them there and rebinds each wrapper wherever the same object is bound,
+    and its verifier calls the replays.  Each is its family's own object."""
+    tracer = _perfbench_module("tracer")
+    names = {attr for _, module, attr in tracer.ENTRY_POINTS if module == "constructions"}
+    verify = (ROOT / "perfbench" / "verify.py").read_text()
+    assert "from canimm import constructions as C\n" in verify
+    names |= set(re.findall(r"\bC\.(\w+)", verify))
+    assert {"delta2_prefix", "pump_enumeration", "h_block_at", "replay_2generic", "cofinal_decode"} <= names
+    for name in names:
+        value = getattr(C, name)
+        assert value.__module__ in {family.__name__ for family in (avoiding, blocks, markers, pumping)}
+        assert getattr(sys.modules[value.__module__], name) is value
+
+
+# a build of each construction family -> the span its traced run records
+TRACED_FAMILY_BUILDS = {
+    "delta2": "constructions.delta2_prefix",
+    "bci": "constructions.bci_run",
+    "hi-not-ci": "constructions.hi_not_ci_run",
+    "2generic-witness": "constructions.build_2generic_witness",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_FAMILY_BUILDS))
+def test_the_benchmark_tracer_records_each_family_entry_point(tmp_path, name):
+    """perfbench/tracer.py wraps `canimm.constructions.<entry>`; the build
+    runs the entry off its family module, which must hold the wrapper."""
+    tracer = _perfbench_module("tracer")
+    spans = tmp_path / "spans"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    command_line = [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans), "op", "build", name,
+                    *dict(BUILD_FLAGS)[name], "--out", str(tmp_path / "t.trace")]
+    result = subprocess.run(command_line, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    _, names, counts, (name_col, *_) = tracer.load(spans)
+    span = TRACED_FAMILY_BUILDS[name]
+    assert span in names and list(name_col).count(names.index(span)) == 1
+    assert counts["constructions.records"] > 0
 
 
 @pytest.mark.parametrize("suite", sorted(CHECK_ENTRY_POINTS))
