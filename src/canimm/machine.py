@@ -10,7 +10,7 @@ canonical always-diverging program.
 
 One table, `_KINDS`, describes the 17 node kinds.  The node classes,
 encoding, decoding, the totality and arity checks, compilation, disassembly
-(`recursion.disassemble`) and node equality, hashing and repr are all
+and node equality, hashing and repr are all
 driven by it, and each of these walks keeps its own stack, so no tree is
 too deep for them.
 
@@ -57,9 +57,9 @@ A single run is its one-input case, the bounded scans loop through it, and
 checked once for a whole sequence, and each input yields or raises exactly
 what a run on it alone would.
 
-Codes serialize as decimal integers.  s-m-n, the recursion theorem and
-`disassemble`, which renders one instruction per line, live in
-`canimm.recursion`, outside the run path.
+Codes serialize as decimal integers.  s-m-n and the recursion theorem
+live in `canimm.recursion`, outside the run path; `header_bits` gives it
+the bits `encode` writes for a node.
 """
 
 from __future__ import annotations
@@ -474,6 +474,15 @@ def _gamma(n: int) -> _Bits:
     return m, 2 * length - 1
 
 
+def header_bits(kind: type, number: int | None = None) -> _Bits:
+    """The bits `encode` writes for a node of class `kind` before its
+    children: its tag, then gamma(number) when the node has a header number."""
+    if number is None:
+        return kind._tag, _TAG_WIDTH
+    m, width = _gamma(number)
+    return (kind._tag << width) | m, _TAG_WIDTH + width
+
+
 class Splice:
     """A leaf that only `encode` takes: an existing code, written as it is.
 
@@ -571,6 +580,16 @@ def arity_bound(program: int | Node) -> int:
     """How many argument positions the program can possibly read."""
     tree = decode(program) if isinstance(program, int) else program
     return _fold(tree, lambda t, kids: t._kind.arity(t._number, kids))
+
+
+def disassemble(program: int | Node) -> str:
+    """Human-readable listing, one instruction per line."""
+    tree = decode(program) if isinstance(program, int) else program
+    lines = []
+    for t, depth in _preorder(tree):
+        line = "  " * depth + t._kind.listing
+        lines.append(line if t._kind.shape != _INT else f"{line} {t._number}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 from . import programs as pg
 from .finitesets import FiniteSet, Record
 from .machine import Node, PrimRec, decode, encode, eval_total, is_total_tier, NotTotalTierError
-from .records import parse_value, render_atom
+from .records import render_atom
 
 
 class Numbering(Record):
@@ -70,14 +70,22 @@ class Registry:
             if not line.strip():
                 continue
             parts = line.split("\t")
-            field = parts[1]  # the codec's form, or any `0x` hex, as a hand-written pool may hold
-            rule = int(field, 16) if field.removeprefix("-")[:2] in ("0x", "0X") else parse_value(field)
-            flag = bool(int(parts[2]))
-            if not isinstance(rule, int):
-                raise ValueError(f"numbering rule {parts[1]!r} is not an integer")
+            rule, flag = _parse_rule(parts[1]), bool(int(parts[2]))
             label = parts[3] if len(parts) > 3 else ""
             reg.register(rule, surjective=flag, label=label)
         return reg
+
+
+def _parse_rule(field: str) -> int:
+    """A pool rule: decimal digits or `0x` hex, after an optional `-`.  A pool
+    file may be written by hand, so any such integer reads, not only the form
+    `render_atom` writes (the byte-exact trace reader is `records.parse_value`)."""
+    digits = field.removeprefix("-")
+    if digits.isdigit() and digits.isascii():
+        return int(field)  # ValueError past the runtime digit limit
+    if digits[:2] == "0x":
+        return int(field, 16)
+    raise ValueError(f"numbering rule {field!r} is not an integer")
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ class ConstructionTrace(Record):
 # Integers from here up print in hex: CPython's int->str is quadratic and
 # refuses more than 4,300 digits.  A constant, not sys.get_int_max_str_digits(),
 # so that trace bytes do not depend on the environment.
-DECIMAL_LIMIT = 10**4300
 _DECIMAL_DIGITS = 4300  # the digits of DECIMAL_LIMIT - 1, the longest decimal atom
+DECIMAL_LIMIT = 10**_DECIMAL_DIGITS
 
 
 def render_atom(value) -> str:

@@ -1,5 +1,4 @@
-"""s-m-n and the Kleene recursion theorem over the machine's codes, and a
-listing of a program's instructions.
+"""s-m-n and the Kleene recursion theorem over the machine's codes.
 
 No verb runs these: only `mathias.meet_D_eh` imports this module, when it
 runs, so the run path of every `canimm` verb compiles none of it.
@@ -9,8 +8,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .machine import _INT, _TAG_WIDTH, Add, Apply, Comp, Const, Log2, Monus, Mul, Node, Pow2, Proj, Succ
-from .machine import _Bits, _gamma, _preorder, arity_bound, decode, encode, eval_total_steps, require_total_tier
+from .machine import Add, Apply, Comp, Const, Log2, Monus, Mul, Node, Pow2, Proj, Succ
+from .machine import arity_bound, decode, encode, eval_total_steps, header_bits, require_total_tier
 
 
 def smn(e: int, fixed_args: Sequence[int]) -> int:
@@ -48,7 +47,7 @@ class FixedPoint(NamedTuple):
     prefix_cost: int
 
 
-def _cat(*parts: _Bits) -> _Bits:
+def _cat(*parts: tuple[int, int]) -> tuple[int, int]:
     v, n = 0, 0
     for pv, pn in parts:
         v = (v << pn) | pv
@@ -60,9 +59,9 @@ def _cat(*parts: _Bits) -> _Bits:
 #   PRE  = tag(Apply) gamma(1) tag(Apply) gamma(1) tag(Const)
 #   MID  = tag(Const)                      (between the two gamma(u) payloads)
 #   SUF  = tag(Proj) gamma(0)
-_DIAG_PRE = _cat((Apply._tag, _TAG_WIDTH), _gamma(1), (Apply._tag, _TAG_WIDTH), _gamma(1), (Const._tag, _TAG_WIDTH))
-_DIAG_MID = (Const._tag, _TAG_WIDTH)
-_DIAG_SUF = _cat((Proj._tag, _TAG_WIDTH), _gamma(0))
+_DIAG_PRE = _cat(header_bits(Apply, 1), header_bits(Apply, 1), header_bits(Const))
+_DIAG_MID = header_bits(Const)
+_DIAG_SUF = header_bits(Proj, 0)
 
 
 def _diagonal_code(u: int) -> int:
@@ -111,16 +110,3 @@ def fixed_point(g: int) -> FixedPoint:
     prefix = 6 + s_d + s_g
     return FixedPoint(code=j, applied=applied, prefix_cost=prefix)
 
-
-# ---------------------------------------------------------------------------
-# Disassembly
-
-
-def disassemble(program: int | Node) -> str:
-    """Human-readable listing, one instruction per line."""
-    tree = decode(program) if isinstance(program, int) else program
-    lines = []
-    for t, depth in _preorder(tree):
-        line = "  " * depth + t._kind.listing
-        lines.append(line if t._kind.shape != _INT else f"{line} {t._number}")
-    return "\n".join(lines)

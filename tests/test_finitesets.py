@@ -230,11 +230,14 @@ def test_build_and_check_load_only_the_modules_they_run(tmp_path):
         assert modules & FAMILIES == ({family} if family else set()), name
         assert not modules & (never | {"canimm.checkers"}), name
         assert ("canimm.mathias" in modules) == (name == "generic"), name
+        assert ("canimm.schnorr" in modules) == (name == "generic"), name
     for suite, (_, build, flags) in CHECK_ENTRY_POINTS.items():
         modules, result = _imports("-m", "canimm", "check", suite, traces[build], *flags)
         assert result.returncode in (0, 2), result.stderr
         assert not modules & (FAMILIES | never | {"canimm.mathias"}), suite
+        assert "canimm.records" in modules, suite
         assert ("canimm.checkers" in modules) == (suite != "schnorr"), suite
+        assert ("canimm.schnorr" in modules) == (suite == "schnorr"), suite
 
 
 @pytest.mark.parametrize("verb", [None, "build", "check", "measure"])

@@ -721,12 +721,12 @@ comp
 
 
 def test_disassembly_listings_are_pinned():
-    assert R.disassemble(pg.add_code()) == _ADD_LISTING
-    assert R.disassemble(R._diagonal_builder_tree()) == _DIAGONAL_BUILDER_LISTING
+    assert M.disassemble(pg.add_code()) == _ADD_LISTING
+    assert M.disassemble(R._diagonal_builder_tree()) == _DIAGONAL_BUILDER_LISTING
 
 
 def test_disassembly_one_instruction_per_line():
-    listing = R.disassemble(pg.add_code())
+    listing = M.disassemble(pg.add_code())
     lines = listing.splitlines()
     assert lines[0] == "primrec"
     assert all(line.strip() for line in lines)
@@ -800,7 +800,7 @@ def test_a_spliced_code_encodes_as_the_tree_it_codes(inner, func, args, data):
 
 def test_only_encode_takes_a_splice():
     spliced = M.Comp(M.Succ(), (M.Splice(M.encode(M.Proj(0))),))
-    for walk in (M.is_total_tier, M.arity_bound, R.disassemble, M._compile, hash):
+    for walk in (M.is_total_tier, M.arity_bound, M.disassemble, M._compile, hash):
         with pytest.raises(TypeError, match="not a program node"):
             walk(spliced)
     for leaf in (5, "x", None):
@@ -836,7 +836,7 @@ def test_deep_trees_go_through_every_walk(name):
     assert tree != _chain(wrap, _DEEP - 1)
     assert M.is_total_tier(code) is total and M.arity_bound(code) == arity
     # a listing indents each level, so its size is quadratic in the depth
-    listing = R.disassemble(_chain(wrap, _LISTED)).splitlines()
+    listing = M.disassemble(_chain(wrap, _LISTED)).splitlines()
     assert len(listing) == nodes * _LISTED + 1 and listing[-1] == "  " * _LISTED + "proj 0"
     assert repr(tree) == opening * _DEEP + "Proj(index=0)" + closing * _DEEP
     assert M._compile(tree)[1:] == (_DEEP + 1, total)
