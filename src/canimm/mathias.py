@@ -5,19 +5,17 @@ represented by total-tier programs enumerating them in strictly increasing
 order, which makes infinitude structural (a characteristic-function coding
 would leave it a two-quantifier question).  The program is the
 reservoir's representation in traces; its values are read natively, from
-explicit head values followed by a leaf program's values, so a derived
-reservoir never runs its nested program in the interpreter.  A derived
-reservoir's program is spliced around its parent's code (`machine.Splice`)
-and never decoded, so a chain of n conditions costs time linear in n.
-Every read of a reservoir is a walk over its values in order, through the
-machine's one run loop (`eval_total_run`): the leaf runs for a stretch of
-indices at a time but for no index that reading one value at a time would
-not evaluate, and a transformer takes the index where its output's tail
-resumes from its own walk.  Each dense family of
-conditions is realized as a deterministic condition-transformer: meeting
-the family means applying its transformer, and every transformer's output
-extends its input under the three-clause extension order, verified on
-enumerations truncated at a horizon.
+explicit head values followed by a leaf's values, so a derived reservoir
+never runs its nested program in the interpreter.  A derived reservoir's
+program is spliced around its parent's code (`machine.Splice`) and never
+decoded, so a chain of n conditions costs time linear in n.  Every read of
+a reservoir is a walk over its values in order that keeps none
+(`ComputableSet._walk`), and a transformer takes the index where its
+output's tail resumes from its own walk.  Each dense family of conditions
+is realized as a deterministic condition-transformer: meeting the family
+means applying its transformer, and every transformer's output extends its
+input under the three-clause extension order, verified on enumerations
+truncated at a horizon.
 """
 
 from __future__ import annotations
@@ -46,53 +44,40 @@ class ExtensionOrderError(RuntimeError):
     """A schedule step produced a condition that does not extend its input."""
 
 
-class ComputableSet(Record, hidden=("head", "leaf", "offset", "_tail")):
+class ComputableSet(Record, hidden=("head", "leaf", "offset", "progression")):
     """Infinite computable set given by a strictly increasing enumerator.
 
     `enumerator` is the set's program, the form traces record.  Values are
     read natively from a normal form instead: the explicit `head` values,
     then the values of the `leaf` code from index `offset` on.  A set built
-    from a code is its own leaf and owns a fresh value list, extended in
-    place as values are read; `shifted` and `with_table_prefix` derive the
-    child's normal form from the parent's and share its value list, so only
-    leaf codes ever run in the interpreter, whatever the nesting of the
-    derived program, and no value is evaluated twice along a chain.  They also
-    splice the parent's code into the child's without decoding it, and take
-    the child's totality from the parent's, so a derived code is never
-    parsed.  Callers pass only `enumerator`, whose totality is checked; the
-    derivations fill in the other fields, which `==`, `hash` and `repr`
-    leave out.
+    from a code is its own leaf; `naturals`, `evens` and `odds` also set the
+    `progression` (a, b) of their leaf, its value a·i + b at index i, which
+    is never inferred from a code.  `shifted` and `with_table_prefix` derive
+    the child's normal form from the parent's (`_derived`), so only leaf
+    codes run in the interpreter, whatever the nesting of the derived
+    program, and none runs below a progression.  Callers pass only
+    `enumerator`, whose totality is checked; the derivations fill in the
+    other fields, which `==`, `hash` and `repr` leave out.
     """
 
-    __slots__ = ("enumerator", "head", "leaf", "offset", "_tail")
+    __slots__ = ("enumerator", "head", "leaf", "offset", "progression")
 
     def __init__(self, enumerator: int):
         if not is_total_tier(enumerator):
             raise NotTotalTierError("reservoir enumerators must be total-tier")
-        self._fill(enumerator, (), enumerator, 0, [])
+        self._fill(enumerator, (), enumerator, 0, None)
 
     def _walk(self, n: int = 0) -> Iterator[int]:
-        """The values from index n on, in order: every read of the set is a
-        walk.  The leaf runs for a tail index only when the walk reaches it
-        (the indices below it too, in one run, as reading one value at a
-        time would), in one run loop per stretch of missing values."""
-        head = self.head
-        yield from head[n:]
-        tail = self._tail
-        i = self.offset + max(0, n - len(head))
-        if i > len(tail):
-            tail += (x for x, _ in eval_total_run(self.leaf, zip(range(len(tail), i))))
-        while True:
-            # the values read already, and those appended while this walk reads
-            yield from itertools.islice(tail, i, None)
-            i = len(tail)
-            for x, _ in eval_total_run(self.leaf, zip(itertools.count(i))):
-                tail.append(x)
-                yield x
-                if tail[-1] != x:
-                    # another reader extended the shared list meanwhile: resume after x
-                    i = tail.index(x, i) + 1
-                    break
+        """The values from index n on, in order and kept nowhere: every read is
+        a walk.  Its leaf values are a·i + b on a progression, else come from
+        one leaf run started at its first leaf index, on the indices it reads."""
+        i = self.offset + max(0, n - len(self.head))
+        if self.progression:
+            a, b = self.progression
+            tail = itertools.count(a * i + b, a)
+        else:
+            tail = (x for x, _ in eval_total_run(self.leaf, zip(itertools.count(i))))
+        return itertools.chain(self.head[n:], tail)
 
     def values(self, count: int) -> list[int]:
         return list(itertools.islice(self._walk(), count))
@@ -102,15 +87,21 @@ class ComputableSet(Record, hidden=("head", "leaf", "offset", "_tail")):
 
     @classmethod
     def naturals(cls) -> "ComputableSet":
-        return cls(pg.identity_code())
+        return cls._progression(pg.identity_code(), 1, 0)
 
     @classmethod
     def evens(cls) -> "ComputableSet":
-        return cls(encode(pg.mul_(pg.c_(2), pg.P0)))
+        return cls._progression(encode(pg.mul_(pg.c_(2), pg.P0)), 2, 0)
 
     @classmethod
     def odds(cls) -> "ComputableSet":
-        return cls(encode(pg.succ_(pg.mul_(pg.c_(2), pg.P0))))
+        return cls._progression(encode(pg.succ_(pg.mul_(pg.c_(2), pg.P0))), 2, 1)
+
+    @classmethod
+    def _progression(cls, enumerator: int, a: int, b: int) -> "ComputableSet":
+        cs = object.__new__(cls)  # the library's own total-tier code for a·i + b
+        cs._fill(enumerator, (), enumerator, 0, (a, b))
+        return cs
 
     def _derived(self, wrap: Callable, head: tuple[int, ...], skip: int) -> "ComputableSet":
         """The set with program wrap(this set's program) that reads `head`,
@@ -121,7 +112,7 @@ class ComputableSet(Record, hidden=("head", "leaf", "offset", "_tail")):
         if not is_total_tier(wrap(pg.P0)):
             raise NotTotalTierError("reservoir wrappers must be total-tier")
         child = object.__new__(ComputableSet)
-        child._fill(encode(wrap(Splice(self.enumerator))), head, self.leaf, self.offset + skip, self._tail)
+        child._fill(encode(wrap(Splice(self.enumerator))), head, self.leaf, self.offset + skip, self.progression)
         return child
 
     def shifted(self, k: int) -> "ComputableSet":

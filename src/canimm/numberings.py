@@ -19,7 +19,7 @@ from __future__ import annotations
 from . import programs as pg
 from .finitesets import FiniteSet, Record
 from .machine import Node, PrimRec, decode, encode, eval_total, is_total_tier, NotTotalTierError
-from .records import render_atom
+from .records import render_atom, short_repr
 
 
 class Numbering(Record):
@@ -70,9 +70,10 @@ class Registry:
             if not line.strip():
                 continue
             parts = line.split("\t")
-            rule, flag = _parse_rule(parts[1]), bool(int(parts[2]))
+            if parts[2] not in ("0", "1"):  # the surjective flag as serialize writes it
+                raise ValueError(f"surjective flag {short_repr(parts[2])} is neither 0 nor 1")
             label = parts[3] if len(parts) > 3 else ""
-            reg.register(rule, surjective=flag, label=label)
+            reg.register(_parse_rule(parts[1]), surjective=parts[2] == "1", label=label)
         return reg
 
 
@@ -85,7 +86,7 @@ def _parse_rule(field: str) -> int:
         return int(field)  # ValueError past the runtime digit limit
     if digits[:2] == "0x":
         return int(field, 16)
-    raise ValueError(f"numbering rule {field!r} is not an integer")
+    raise ValueError(f"numbering rule {short_repr(field)} is not an integer")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ here, not in `constructions`, so reading a trace loads no construction.
 In the text form, one record per line, fields separated by tabs.
 Integers print as decimals, or as `0x` hex from 10**4300 up, integer lists
 as sorted bracket lists like [1,2,3], integer pairs inside lists as e:i.
-The layout is stable so identical runs serialize to identical bytes.
+The layout is stable so identical runs serialize to identical bytes, and
+`parse_trace` refuses what would render back as other bytes: an atom in
+another form, a second `trace` header, a repeated meta key or prefix label.
 """
 
 from __future__ import annotations
@@ -80,7 +82,12 @@ def _parse_atom(text: str):
                 return -value if text[0] == "-" else value
     else:
         return text
-    raise ValueError(f"{text!r} is not an integer as a trace writes it")
+    raise ValueError(f"{short_repr(text)} is not an integer as a trace writes it")
+
+
+def short_repr(text: str) -> str:
+    """repr of text, or of its first 40 characters and its length: an error stays one short line."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def parse_value(text: str):
@@ -144,22 +151,28 @@ def parse_trace(text: str) -> ParsedTrace:
             continue
         kind, _, rest = line.partition("\t")
         if kind == "trace":
+            if name:
+                raise ValueError("repeated trace header")
             name = rest
         elif kind == "meta":
             key, _, raw = rest.partition("\t")
+            if key in meta:
+                raise ValueError(f"repeated meta key {short_repr(key)}")
             meta[key] = parse_value(raw)
         elif kind == "rec":
             parts = rest.split("\t")
             stage = parts[0]  # int() also reads `1_0`, `+4`, `010` and non-ASCII digits
             if not (stage.isdigit() and stage.isascii() and (stage[0] != "0" or stage == "0")):
-                raise ValueError(f"record stage {stage!r} is not a decimal number as a trace writes it")
+                raise ValueError(f"record stage {short_repr(stage)} is not a decimal number as a trace writes it")
             fields = tuple(_parse_atom(x) for x in parts[2:])
             records.append(TraceRecord(int(stage), parts[1], fields))
         elif kind == "prefix":
             label, _, bits = rest.partition("\t")
+            if label in prefixes:
+                raise ValueError(f"repeated prefix label {short_repr(label)}")
             prefixes[label] = SetPrefix.from_bits(bits)
         else:
-            raise ValueError(f"unknown record kind {kind!r}")
+            raise ValueError(f"unknown record kind {short_repr(kind)}")
     if not name:
         raise ValueError("not a trace file (no trace header)")
     return ParsedTrace(name, meta, records, prefixes)

@@ -28,35 +28,26 @@ def test_reservoir_constructors_are_increasing():
         assert _increasing(cs.values(65))
 
 
-def test_derived_sets_evaluate_nothing_their_parent_did(monkeypatch):
-    parent = odds_above(1001)
-    assert parent.values(20) == [1001 + 2 * n for n in range(20)]
-    evaluated = []
-    run = M.eval_total_run
+_PROGRESSIONS = (mt.ComputableSet.naturals, mt.ComputableSet.evens, mt.ComputableSet.odds)
 
-    def record(code, inputs, *rest):
-        # an input is noted when the run loop takes it, just before running it
-        def noted():
-            for args in inputs:
-                evaluated.append(args[0])
-                yield args
 
-        return run(code, noted(), *rest)
+def test_progression_reservoirs_run_no_leaf_code(monkeypatch, pool):
+    def refuse(code, inputs, *rest):
+        raise AssertionError(f"leaf code {code} ran")
 
-    monkeypatch.setattr(mt, "eval_total_run", record)
-    shifted = parent.shifted(3)
-    table = parent.with_table_prefix([0, 5], 4)
-    assert shifted.values(17) == [1007 + 2 * n for n in range(17)]
-    assert table.values(18) == [0, 5, *(1009 + 2 * n for n in range(16))]
-    assert evaluated == []
-    # reading past the parent's values evaluates each new index once, and the
-    # parent then reads them without evaluating
-    assert shifted.value(19) == 1045
-    assert evaluated == [20, 21, 22]
-    assert table.values(22)[18:] == [1041, 1043, 1045, 1047]
-    assert evaluated == [20, 21, 22, 23]
-    assert parent.values(24)[20:] == [1041, 1043, 1045, 1047]
-    assert evaluated == [20, 21, 22, 23]
+    monkeypatch.setattr(mt, "eval_total_run", refuse)
+    schedule = mt.default_schedule(list(pool), thin_count=12, avoid_count=6, stem_target=8)
+    for progression in _PROGRESSIONS:
+        cs = progression()
+        a, b = cs.progression
+        assert cs.values(20) == [a * n + b for n in range(20)]
+        assert cs.value(10**30) == a * 10**30 + b
+        derived = cs.shifted(3).with_table_prefix([0], 5).shifted(1)
+        assert derived.values(4) == [a * n + b for n in range(8, 12)]
+        assert derived.progression == cs.progression and derived.leaf == cs.enumerator
+        run = mt.build_generic(mt.Condition.empty(cs), schedule, horizon=200)
+        assert all(cond.reservoir.progression == cs.progression for _, cond in run.chain)
+        assert len(run.prefix.members()) >= 8
 
 
 def test_reservoir_rejects_partial_enumerators():
@@ -403,40 +394,32 @@ def test_a_size_chain_parses_no_derived_enumerator(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Walks evaluate exactly the leaf indices that element-wise reads evaluate
+# A walk runs its leaf on exactly the indices it reads, in order
 
 
 def _value_elementwise(cs, n):
-    """cs's value at index n, read alone: the leaf runs once for each missing
-    index of the shared list up to n's, one index per run."""
+    """cs's value at index n, read alone: the leaf runs on n's leaf index only."""
     if n < len(cs.head):
         return cs.head[n]
-    index, tail = cs.offset + n - len(cs.head), cs._tail
-    while len(tail) <= index:
-        [(x, _)] = mt.eval_total_run(cs.leaf, [(len(tail),)])
-        tail.append(x)
-    return tail[index]
-
-
-def _first_above_elementwise(cs, x):
-    idx = 0
-    while _value_elementwise(cs, idx) <= x:
-        idx += 1
-    return idx
+    [(x, _)] = mt.eval_total_run(cs.leaf, [(cs.offset + n - len(cs.head),)])
+    return x
 
 
 def _inside_elementwise(values, cs):
-    idx = 0
+    x, idx = -1, 0
     for v in values:
-        while (x := _value_elementwise(cs, idx)) < v:
-            idx += 1
+        while x < v:
+            x, idx = _value_elementwise(cs, idx), idx + 1
         if x != v:
             return False
     return True
 
 
 def _thin_elementwise(cond, numbering, count):
-    """(kept values, tail index, ceiling) of thin_for_numbering, one value read at a time."""
+    """(output enumerator, kept values, ceiling) of thin_for_numbering, one
+    value read at a time: one walk keeps values and then finds the tail
+    index, and the output condition reads its reservoir's first value to
+    check that a stem lies below it."""
     base = cond.stem_size()
     values = [numbering.value(i) for i in range(base, base + count + 1)]
     ceiling = max((value.max_value() for value in values if not value.is_empty), default=0)
@@ -447,7 +430,12 @@ def _thin_elementwise(cond, numbering, count):
         kept.append(x)
         idx += 1
         union |= numbering.value(i).code
-    return kept, _first_above_elementwise(cond.reservoir, max(ceiling, kept[-1] if kept else 0)), ceiling
+    while _value_elementwise(cond.reservoir, idx) <= max(ceiling, kept[-1] if kept else 0):
+        idx += 1
+    thinned = cond.reservoir.with_table_prefix(kept, idx)
+    if not cond.stem.is_empty:
+        _value_elementwise(thinned, 0)
+    return thinned.enumerator, kept, ceiling
 
 
 def _avoid_elementwise(cond, count):
@@ -461,9 +449,9 @@ def _avoid_elementwise(cond, count):
     missed, kept, idx = [], [], 0
     for _ in range(count):
         missed.append(block_index)
-        while _value_elementwise(cond.reservoir, idx) <= schnorr.block(block_index).max_value():
+        while (x := _value_elementwise(cond.reservoir, idx)) <= schnorr.block(block_index).max_value():
             idx += 1
-        kept.append(_value_elementwise(cond.reservoir, idx))
+        kept.append(x)
         idx += 1
         while schnorr.block(block_index).min_value() <= kept[-1]:
             block_index += 1
@@ -485,11 +473,9 @@ _walk_steps = st.lists(
 )
 
 
-def _derive(leaf, read, steps):
-    """A set over a fresh leaf set: `read` leaf values read first, then the
-    derivation steps."""
+def _derive(leaf, steps):
+    """A set derived from the leaf's set by the steps."""
     cs = mt.ComputableSet(leaf)
-    cs.values(read)
     for step in steps:
         if step[0] == "shift":
             cs = cs.shifted(step[1])
@@ -526,7 +512,6 @@ def _evaluated(call):
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(_WALK_LEAVES),
-    st.integers(0, 12),
     _walk_steps,
     st.integers(0, 3),
     st.sampled_from(["value", "values", "inside", "thin", "avoid"]),
@@ -537,9 +522,9 @@ def _evaluated(call):
 )
 # big-interval's ceiling (19) lies above the value kept (4), so the thinned
 # tail resumes past the values the thinning walk kept
-@example(pg.identity_code(), 0, [], 0, "thin", 0, set(), _WALK_POOL[3], 1)
-def test_walks_evaluate_exactly_the_elementwise_indices(leaf, read, steps, stem_size, kind, n, values, numbering, count):
-    walked, reference = _derive(leaf, read, steps), _derive(leaf, read, steps)
+@example(pg.identity_code(), [], 0, "thin", 0, set(), _WALK_POOL[3], 1)
+def test_walks_evaluate_exactly_the_elementwise_indices(leaf, steps, stem_size, kind, n, values, numbering, count):
+    walked, reference = _derive(leaf, steps), _derive(leaf, steps)
     if kind == "value":
         got = _evaluated(lambda: walked.value(n))
         expected = _evaluated(lambda: _value_elementwise(reference, n))
@@ -555,8 +540,7 @@ def test_walks_evaluate_exactly_the_elementwise_indices(leaf, read, steps, stem_
     if kind == "thin":
         (thinned, cert), evaluated = _evaluated(lambda: mt.thin_for_numbering(walked, numbering, count))
         got = (thinned.reservoir.enumerator, cert.visible_mask, cert.ceiling), evaluated
-        (kept, tail_index, ceiling), reference_evaluated = _evaluated(lambda: _thin_elementwise(reference, numbering, count))
-        table = reference.reservoir.with_table_prefix(kept, tail_index).enumerator
+        (table, kept, ceiling), reference_evaluated = _evaluated(lambda: _thin_elementwise(reference, numbering, count))
         expected = (table, reference.stem.code | code_of(kept), ceiling), reference_evaluated
     elif kind == "avoid":
         (thinned, record), evaluated = _evaluated(lambda: mt.meet_avoidance(walked, count))
@@ -567,11 +551,63 @@ def test_walks_evaluate_exactly_the_elementwise_indices(leaf, read, steps, stem_
     assert got == expected
 
 
-def test_interleaved_walks_evaluate_each_shared_index_once():
+def test_interleaved_walks_each_run_their_own_indices():
     parent = odds_above(1)
-    child = parent.shifted(2)  # reads the parent's list from index 2 on
-    whole, tail = parent._walk(), child._walk()
-    order = [whole, whole, tail, whole, whole, tail, tail, whole, tail]
-    values, evaluated = _evaluated(lambda: [next(walk) for walk in order])
+    child = parent.shifted(2)  # reads the parent's leaf from index 2 on
+
+    def interleaved():
+        whole, tail = parent._walk(), child._walk()
+        return [next(walk) for walk in (whole, whole, tail, whole, whole, tail, tail, whole, tail)]
+
+    values, evaluated = _evaluated(interleaved)
     assert values == [1, 3, 5, 5, 7, 7, 9, 9, 11]
-    assert evaluated == [0, 1, 2, 3, 4, 5]
+    # no value is shared: each walk runs the leaf on each index it reads
+    assert evaluated == [0, 1, 2, 2, 3, 3, 4, 4, 5]
+
+
+# ---------------------------------------------------------------------------
+# Closed-form reads agree with interpreter reads of the same leaf code
+
+_chain_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("shift"), st.integers(0, 5)),
+        st.tuples(st.just("table"), st.sets(st.integers(0, 40), max_size=3), st.integers(0, 5)),
+        st.tuples(st.just("thin"), st.integers(0, len(_WALK_POOL) - 1), st.integers(0, 6)),
+        st.tuples(st.just("avoid"), st.integers(0, 3)),
+        st.tuples(st.just("size"), st.integers(0, 4)),
+    ),
+    max_size=5,
+)
+
+
+def _chain_step(cond, step):
+    """(condition, record) of one drawn step; shifts and table prefixes keep the stem."""
+    kind, *args = step
+    cs = cond.reservoir
+    if kind == "shift":
+        return mt.Condition(cond.stem, cs.shifted(args[0])), None
+    if kind == "table":
+        values, tail_index = args
+        low, below = max(cond.stem.elements, default=-1), cs.value(tail_index)
+        return mt.Condition(cond.stem, cs.with_table_prefix(sorted(v for v in values if low < v < below), tail_index)), None
+    if kind == "thin":
+        return mt.thin_for_numbering(cond, _WALK_POOL[args[0]], args[1])
+    if kind == "avoid":
+        return mt.meet_avoidance(cond, args[0])
+    return mt.meet_size(cond, args[0]), None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_PROGRESSIONS), _chain_steps, st.integers(0, 30))
+def test_closed_form_reads_match_interpreter_reads(progression, steps, n):
+    closed = mt.Condition.empty(progression())
+    run = mt.Condition.empty(mt.ComputableSet(closed.reservoir.enumerator))
+    assert run.reservoir.progression is None
+    for step in steps:
+        (closed, closed_record), (run, run_record) = _chain_step(closed, step), _chain_step(run, step)
+        # equal enumerators: the walks ended at the same indices
+        assert (closed, closed_record) == (run, run_record)
+        assert (closed.reservoir.head, closed.reservoir.offset) == (run.reservoir.head, run.reservoir.offset)
+    assert closed.reservoir.progression is not None
+    assert closed.reservoir.values(n) == run.reservoir.values(n)
+    assert closed.reservoir.value(n) == run.reservoir.value(n)

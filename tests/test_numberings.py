@@ -70,6 +70,11 @@ def test_registry_reads_hex_rules_and_refuses_other_atoms():
     for rule in ("[5]", "0:1", "five", "", "0x", "7" * 5000):
         with pytest.raises(ValueError):
             nb.Registry.deserialize(f"0\t{rule}\t1\tx\n")
+    # the surjective flag is 0 or 1, as serialize writes it
+    assert [n.surjective for n in nb.Registry.deserialize(f"0\t{code}\t0\ta\n1\t{code}\t1\tb\n").entries] == [False, True]
+    for flag in ("7", "-3", "2", "01", "+1", "-0", "", "true", "1.0", " 1"):
+        with pytest.raises(ValueError, match="surjective flag"):
+            nb.Registry.deserialize(f"0\t{code}\t{flag}\tx\n")
 
 
 def test_adversarial_numbering_inequalities():

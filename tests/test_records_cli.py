@@ -80,6 +80,32 @@ def test_check_rejects_a_trace_with_a_long_decimal_atom(tmp_path):
     assert f"cannot read trace file {trace}:" in result.stderr
 
 
+def test_refused_atoms_are_quoted_short(tmp_path):
+    trace = tmp_path / "delta2.trace"
+    assert run_cli("build", "delta2", "--stages", "10", "--markers", "2", "--out", str(trace)).returncode == 0
+    text = trace.read_text()
+    for field in ("7" * 5000, "0x" + "F" * 5000, "-" + "0" * 5000):
+        trace.write_text(text.replace("\tset\t0\t", f"\tset\t{field}\t", 1))
+        result = run_cli("check", "immunity", str(trace))
+        _assert_input_error(result)
+        assert f"({len(field)} characters)" in result.stderr
+        assert max(map(len, result.stderr.splitlines())) <= 300
+
+
+def test_parse_rejects_repeated_headers_meta_keys_and_prefix_labels(tmp_path):
+    trace = tmp_path / "delta2.trace"
+    assert run_cli("build", "delta2", "--stages", "10", "--markers", "2", "--out", str(trace)).returncode == 0
+    text = trace.read_text()
+    prefix_line = next(line for line in text.splitlines() if line.startswith("prefix\tR\t"))
+    # each line would silently replace the first of its kind
+    for line, match in (("trace\tbci", "trace header"), ("meta\tstages\t11", "meta key"), (prefix_line, "prefix label")):
+        edited = text + line + "\n"
+        with pytest.raises(ValueError, match=f"repeated {match}"):
+            parse_trace(edited)
+        trace.write_text(edited)
+        _assert_input_error(run_cli("check", "immunity", str(trace)))
+
+
 def test_trace_file_roundtrip(pool):
     prefix, trace = C.delta2_prefix(pool.codes(), 800, 12)
     text = render_trace(trace, {"R": prefix})
