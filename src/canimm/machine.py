@@ -52,10 +52,9 @@ alike.
 
 Every run goes through one run loop, `_runs`, which runs a compiled
 program on a sequence of argument tuples and re-arms one _Fuel per input.
-A single run is its one-input case, the bounded scans loop through it, and
-`eval_total_run` is its total-tier form: the code is looked up and its tier
-checked once for a whole sequence, and each input yields or raises exactly
-what a run on it alone would.
+A single run, bounded or total-tier, is its one-input case and the bounded
+scans loop through it; only `we_bounded` answers the `_never` runner
+without entering it.
 
 Codes serialize as decimal integers.  s-m-n and the recursion theorem
 live in `canimm.recursion`, outside the run path; `header_bits` gives it
@@ -69,7 +68,6 @@ import operator
 import sys
 from collections import namedtuple
 from functools import lru_cache
-from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 WORD_BITS = 64
@@ -650,19 +648,19 @@ def _runs(
     inputs: Iterable[tuple[int, ...]],
     budget: int,
     oracle: str | None,
-    stop: bool = False,
 ) -> Iterator[tuple[int | None, int | None]]:
     """The run loop: one run of a compiled program per argument tuple of
     `inputs`, in order, each at the full budget (already checked).  Yields
-    (value, steps) for a run that converges; a run that diverges yields
-    (None, None), or with `stop` raises _Diverge from the loop.
+    (value, steps) for a run that converges and (None, None) for one that
+    diverges.
 
     One _Fuel serves every run and is re-armed before each: its steps left,
     and its nesting too, since a run that diverges inside an Apply leaves
     that Apply's nesting behind.  Whatever a run raises, such as
     ProgramDepthError, the loop raises at that run's input, after yielding
     the values of the inputs before it.  Every other run path is a case of
-    this loop."""
+    this loop, except that `we_bounded` answers the `_never` runner without
+    entering it."""
     run, depth, _ = compiled
     fuel = _Fuel(budget)
     for args in inputs:
@@ -673,8 +671,6 @@ def _runs(
         try:
             value = run(args, oracle, fuel)
         except _Diverge:
-            if stop:
-                raise
             yield None, None
         else:
             yield value, budget - fuel.left
@@ -757,38 +753,18 @@ def require_total_tier(code: int) -> tuple[_Runner, int, bool]:
     return compiled
 
 
-def _total_budget(max_budget: int) -> int:
-    """The budget of a total-tier run: the smallest 64 * 2**k >= max_budget."""
-    return max(64, 1 << (max_budget - 1).bit_length())
-
-
-def eval_total_run(e: int, inputs: Iterable[tuple[int, ...]], max_budget: int = _TOTAL_CAP) -> Iterator[tuple[int, int]]:
-    """Evaluate a total-tier program on each argument tuple of `inputs`, in
-    order, yielding (value, steps used) for each.
-
-    Each run is made at `_total_budget(max_budget)`.  Budget monotonicity
-    (see the module docstring) makes that one run exact: a program
-    converging within it has the same value and step count at every larger
-    budget.  A run that does not converge there raises
-    TotalBudgetExceededError at its input.  The code is looked up and its
-    tier checked once, when the first input is taken, so a run over no input
-    raises nothing; from there one run loop serves every input, and each
-    input yields or raises exactly what `eval_total_steps` on it alone would.
-    """
-    inputs = iter(inputs)
-    for first in inputs:  # the loop below takes every further input
-        compiled = require_total_tier(e)
-        try:
-            yield from _runs(compiled, chain((first,), inputs), _total_budget(max_budget), None, stop=True)
-        except _Diverge:
-            raise TotalBudgetExceededError(f"code {e} needs more than {max_budget} steps") from None
-
-
 def eval_total_steps(e: int, args: Sequence[int], max_budget: int = _TOTAL_CAP) -> tuple[int, int]:
     """Evaluate a total-tier program, returning (value, steps used): the
-    one-input case of the run loop, as `eval_total_run` describes it."""
+    total tier's one entry point, the run loop's one-input case.
+
+    The run is made at the smallest 64 * 2**k >= max_budget.  Budget
+    monotonicity (see the module docstring) makes that one run exact: a
+    program converging within it has the same value and step count at every
+    larger budget.  A run that does not converge there raises
+    TotalBudgetExceededError."""
     compiled = require_total_tier(e)
-    value, steps = next(_runs(compiled, (tuple(args),), _total_budget(max_budget), None))
+    budget = max(64, 1 << (max_budget - 1).bit_length())
+    value, steps = next(_runs(compiled, (tuple(args),), budget, None))
     if value is None:
         raise TotalBudgetExceededError(f"code {e} needs more than {max_budget} steps")
     return value, steps

@@ -30,7 +30,6 @@ from .machine import (
     Splice,
     encode,
     eval_total,
-    eval_total_run,
     is_total_tier,
     we_bounded,
     we_enumeration,
@@ -69,14 +68,14 @@ class ComputableSet(Record, hidden=("head", "leaf", "offset", "progression")):
 
     def _walk(self, n: int = 0) -> Iterator[int]:
         """The values from index n on, in order and kept nowhere: every read is
-        a walk.  Its leaf values are a·i + b on a progression, else come from
-        one leaf run started at its first leaf index, on the indices it reads."""
+        a walk.  Its leaf value at leaf index j is a·j + b on a progression,
+        else `eval_total` of the leaf at j, run only when the walk reaches j."""
         i = self.offset + max(0, n - len(self.head))
         if self.progression:
             a, b = self.progression
             tail = itertools.count(a * i + b, a)
         else:
-            tail = (x for x, _ in eval_total_run(self.leaf, zip(itertools.count(i))))
+            tail = (eval_total(self.leaf, (j,)) for j in itertools.count(i))
         return itertools.chain(self.head[n:], tail)
 
     def values(self, count: int) -> list[int]:
@@ -287,19 +286,19 @@ def meet_avoidance(cond: Condition, count: int) -> tuple[Condition, AvoidanceRec
         return cond, AvoidanceRecord((), ())
     top = cond.stem.max_value() if not cond.stem.is_empty else -1
     block_index = 1
-    while schnorr.block(block_index).min_value() <= top:
+    while schnorr.block_span(block_index - 1) <= top:
         block_index += 1
     missed: list[int] = []
     kept: list[int] = []
     walk = enumerate(cond.reservoir._walk(), start=1)  # (values read, value)
     for _ in range(count):
         missed.append(block_index)
-        block_top = schnorr.block(block_index).max_value()
+        block_top = schnorr.block_span(block_index) - 1
         for read, x in walk:
             if x > block_top:
                 break
         kept.append(x)
-        while schnorr.block(block_index).min_value() <= x:
+        while schnorr.block_span(block_index - 1) <= x:
             block_index += 1
     thinned = cond.reservoir.with_table_prefix(kept, read)
     return Condition(cond.stem, thinned), AvoidanceRecord(tuple(missed), tuple(kept))

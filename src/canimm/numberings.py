@@ -66,10 +66,12 @@ class Registry:
     @classmethod
     def deserialize(cls, text: str) -> "Registry":
         reg = cls()
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
             parts = line.split("\t")
+            if len(parts) < 3:
+                raise ValueError(f"line {number} has too few fields: a pool line needs an id, a rule and a surjective flag")
             if parts[2] not in ("0", "1"):  # the surjective flag as serialize writes it
                 raise ValueError(f"surjective flag {short_repr(parts[2])} is neither 0 nor 1")
             label = parts[3] if len(parts) > 3 else ""

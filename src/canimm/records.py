@@ -146,7 +146,7 @@ def parse_trace(text: str) -> ParsedTrace:
     meta: dict = {}
     records: list[TraceRecord] = []
     prefixes: dict[str, SetPrefix] = {}
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         kind, _, rest = line.partition("\t")
@@ -161,6 +161,8 @@ def parse_trace(text: str) -> ParsedTrace:
             meta[key] = parse_value(raw)
         elif kind == "rec":
             parts = rest.split("\t")
+            if len(parts) < 2:
+                raise ValueError(f"line {number} is a record with no rule")
             stage = parts[0]  # int() also reads `1_0`, `+4`, `010` and non-ASCII digits
             if not (stage.isdigit() and stage.isascii() and (stage[0] != "0" or stage == "0")):
                 raise ValueError(f"record stage {short_repr(stage)} is not a decimal number as a trace writes it")

@@ -69,20 +69,28 @@ def block_span(m: int) -> int:
     return m * (m + 1) // 2
 
 
-def in_U_n(prefix: SetPrefix, n: int, m: int) -> tuple[bool, int | None]:
-    """Truncated membership: is some block F_i with n < i <= m disjoint from
-    the prefix?  Returns (answer, least witness index or None).
+def disjoint_blocks(prefix: SetPrefix, m: int) -> list[int]:
+    """The indices i <= m, in increasing order, of the blocks F_i disjoint
+    from the prefix, found in one pass over its bits.
 
     The prefix must cover block(m) so the answer is decided by the bits given.
     """
-    if m < 1 or n < 0:
-        raise ValueError("need m >= 1 and n >= 0")
+    if m < 0:
+        raise ValueError("need m >= 0")
     if prefix.length < block_span(m):
         raise ValueError(f"prefix of length {prefix.length} does not cover block {m}")
-    for i in range(n + 1, m + 1):
-        if prefix.mask & block(i).code == 0:
-            return True, i
-    return False, None
+    bits = prefix.bits
+    return [i for i in range(1, m + 1) if bits.find("1", block_span(i - 1), block_span(i)) < 0]
+
+
+def in_U_n(prefix: SetPrefix, n: int, m: int) -> tuple[bool, int | None]:
+    """Truncated membership: is some block F_i with n < i <= m disjoint from
+    the prefix?  Returns (answer, least witness index or None), read from
+    `disjoint_blocks(prefix, m)`."""
+    if m < 1 or n < 0:
+        raise ValueError("need m >= 1 and n >= 0")
+    witness = next((i for i in disjoint_blocks(prefix, m) if i > n), None)
+    return witness is not None, witness
 
 
 # Size guard of measure_U_trunc: its largest exponent, block_span(m) -

@@ -32,10 +32,10 @@ _PROGRESSIONS = (mt.ComputableSet.naturals, mt.ComputableSet.evens, mt.Computabl
 
 
 def test_progression_reservoirs_run_no_leaf_code(monkeypatch, pool):
-    def refuse(code, inputs, *rest):
+    def refuse(code, args, *rest):
         raise AssertionError(f"leaf code {code} ran")
 
-    monkeypatch.setattr(mt, "eval_total_run", refuse)
+    monkeypatch.setattr(mt, "eval_total", refuse)
     schedule = mt.default_schedule(list(pool), thin_count=12, avoid_count=6, stem_target=8)
     for progression in _PROGRESSIONS:
         cs = progression()
@@ -285,16 +285,14 @@ def test_build_generic_runs_only_leaf_codes(monkeypatch, pool):
     leaf = mt.ComputableSet(encode(pg.add_(pg.P0, pg.c_(5))))
     codes = set()
 
-    def counting(run_total):
-        def run(e, args, *rest):
-            codes.add(e)
-            return run_total(e, args, *rest)
+    run_total = M.eval_total_steps
 
-        return run
+    def counting(e, args, *rest):
+        codes.add(e)
+        return run_total(e, args, *rest)
 
-    # reservoirs read their leaf values in runs, numberings one value a call
-    monkeypatch.setattr(mt, "eval_total_run", counting(M.eval_total_run))
-    monkeypatch.setattr(M, "eval_total_steps", counting(M.eval_total_steps))
+    # reservoir leaf values and numbering values alike, one value a call
+    monkeypatch.setattr(M, "eval_total_steps", counting)
     schedule = mt.default_schedule(list(pool), thin_count=12, avoid_count=6, stem_target=8)
     run = mt.build_generic(mt.Condition.empty(leaf), schedule, horizon=200)
     derived = {cond.reservoir.enumerator for _, cond in run.chain} - {leaf.enumerator}
@@ -401,8 +399,7 @@ def _value_elementwise(cs, n):
     """cs's value at index n, read alone: the leaf runs on n's leaf index only."""
     if n < len(cs.head):
         return cs.head[n]
-    [(x, _)] = mt.eval_total_run(cs.leaf, [(cs.offset + n - len(cs.head),)])
-    return x
+    return mt.eval_total(cs.leaf, (cs.offset + n - len(cs.head),))
 
 
 def _inside_elementwise(values, cs):
@@ -494,18 +491,14 @@ def _with_stem(cs, size):
 def _evaluated(call):
     """call()'s result and the leaf indices it evaluated, in order."""
     evaluated = []
-    run = M.eval_total_run
+    run = M.eval_total
 
-    def record(code, inputs, *rest):
-        def noted():
-            for args in inputs:
-                evaluated.append(args[0])
-                yield args
-
-        return run(code, noted(), *rest)
+    def record(code, args, *rest):
+        evaluated.append(args[0])
+        return run(code, args, *rest)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mt, "eval_total_run", record)
+        patch.setattr(mt, "eval_total", record)
         return call(), evaluated
 
 

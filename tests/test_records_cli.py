@@ -514,6 +514,19 @@ def test_build_malformed_pool_file_errors(tmp_path):
     _assert_input_error(run_cli("build", "delta2", "--pool", str(pool_file)))
 
 
+def test_short_pool_and_record_lines_name_the_line_and_what_it_lacks(tmp_path):
+    pool_file = tmp_path / "short.tsv"
+    pool_file.write_text(f"0\t{pg.identity_code()}\t1\tstandard\n0\t5\n")
+    result = run_cli("build", "delta2", "--pool", str(pool_file))
+    _assert_input_error(result)
+    assert "line 2 has too few fields: a pool line needs an id, a rule and a surjective flag" in result.stderr
+    trace = tmp_path / "short.trace"
+    trace.write_text("trace\tdelta2\nrec\t5\n")
+    result = run_cli("check", "immunity", str(trace))
+    _assert_input_error(result)
+    assert "line 2 is a record with no rule" in result.stderr
+
+
 def test_build_missing_pool_file_errors(tmp_path):
     _assert_input_error(run_cli("build", "delta2", "--pool", str(tmp_path / "no-such-pool.tsv")))
 
@@ -884,7 +897,7 @@ CHECK_ENTRY_POINTS = {
     "immunity": ((checkers, "check_canonical_immunity"), "delta2", ()),
     "domination": ((checkers, "refute_domination"), "ci-not-hi", ("--modulus", "double")),
     "effective": ((checkers, "check_effective_immunity"), "ci-not-hi", ("--modulus", "double", "--budget", "96")),
-    "schnorr": ((schnorr, "in_U_n"), "generic", ()),
+    "schnorr": ((schnorr, "disjoint_blocks"), "generic", ()),
 }
 
 

@@ -134,3 +134,48 @@ def test_in_U_n_least_witness():
     prefix = SetPrefix(mask, block_span(6))
     assert in_U_n(prefix, 0, 6) == (True, 4)
     assert in_U_n(prefix, 4, 6) == (False, None)
+
+
+def _in_U_n_per_block(prefix, n, m):
+    """in_U_n as a loop over the blocks, ANDing the mask with each in turn."""
+    return next(((True, i) for i in range(n + 1, m + 1) if prefix.mask & block(i).code == 0), (False, None))
+
+
+def _check_schnorr_per_block(prefix, missed):
+    """The lines and failure flag of `check schnorr`, each U_n answered block by block."""
+    top = 0
+    while block_span(top + 1) <= prefix.length:
+        top += 1
+    covered = [i for i in missed if i <= top]
+    if not covered:
+        return ["schnorr\tinconclusive\tno covered missed blocks\n"], False
+    m = max(covered)
+    lines, found_fail = [], False
+    for n in range(min(len(missed), m)):
+        ok, witness = _in_U_n_per_block(prefix, n, m)
+        found_fail |= not ok
+        lines.append(f"schnorr\tU_{n}\t{'member' if ok else 'MISSING'}\twitness\t{witness or 0}\n")
+    return lines, found_fail
+
+
+# sparse members, so that some blocks stay disjoint from the prefix; missed
+# lists with indices past the prefix's blocks, repeats and 0
+_sparse_prefixes = st.integers(0, block_span(11)).flatmap(
+    lambda length: st.sets(st.integers(0, max(0, length - 1)), max_size=12).map(
+        lambda members: SetPrefix.from_members([x for x in members if x < length], length)
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_prefixes, st.lists(st.integers(0, 14), max_size=8))
+def test_schnorr_check_matches_a_per_block_reference(prefix, missed):
+    from canimm import handlers
+    from canimm.records import ParsedTrace
+
+    parsed = ParsedTrace("generic", {"missed_blocks": missed}, [], {"R": prefix})
+    assert handlers._check_schnorr(parsed, None, None, None) == _check_schnorr_per_block(prefix, missed)
+    for m in range(1, 12):
+        if block_span(m) <= prefix.length:
+            for n in range(m + 1):
+                assert in_U_n(prefix, n, m) == _in_U_n_per_block(prefix, n, m)
