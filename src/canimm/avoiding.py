@@ -203,14 +203,6 @@ def cofinal_decode(prefix: SetPrefix) -> str:
     return "".join("1" if m % 2 == 0 else "0" for m in prefix.members())
 
 
-def cofinal_carrier(pool: Sequence[Numbering], count: int) -> SetPrefix:
-    """Both parities over the avoided positions (immune with modulus 2i+1)."""
-    positions = choose_cofinal_positions(pool, count)
-    members = [2 * p for p in positions] + [2 * p + 1 for p in positions]
-    members.sort()
-    return SetPrefix.from_members(members)
-
-
 def replay_cofinal(trace: ConstructionTrace) -> SetPrefix:
     members = [rec.fields[1] for rec in trace.records if rec.rule == "pick"]
     return SetPrefix.from_members(members)

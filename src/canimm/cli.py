@@ -6,9 +6,9 @@ module a verb can run up front, the four construction families through
 their index `constructions`: the benchmark runs `main` and
 `modulus_catalog` from here, and its tracer wraps the entry points it
 finds in `sys.modules`.  `recursion`, which no verb runs, stays unloaded.
-The build and check glue, `canimm.handlers`, still loads when a build or
-check runs; it reads each library function off its module at call time,
-so the tracer's wrappers see the call.
+The glue of each verb, `canimm.builds` or `canimm.checks`, still loads
+when that verb runs; it reads each library function off its module at
+call time, so the tracer's wrappers see the call.
 """
 
 import sys

@@ -10,10 +10,10 @@ lists the positionals and flags of a verb.
 # Only sys and types at the top (`python -m` has loaded types already):
 # `parse_args` reads the flags from `ARGS`, without argparse, and each verb
 # imports the modules it runs when it runs.  `measure` loads `schnorr` and
-# `finitesets` alone; `build` and `check` load their glue, `handlers`, and
-# of the library only what the verb runs and the inputs it reads: a build
-# loads its construction's family module, not the `constructions` index of
-# all four, and no verb loads `recursion`.
+# `finitesets` alone; `build` loads its glue, `builds`, and `check` its
+# own, `checks`, and of the library only what the verb runs and the inputs
+# it reads: a build loads its construction's family module, not the
+# `constructions` index of all four, and no verb loads `recursion`.
 import sys
 from types import SimpleNamespace
 
@@ -40,8 +40,8 @@ POOL, MODULUS = "pool", "modulus"
 # verb -> construction or check suite -> the inputs it reads besides its
 # flags and a check's trace: POOL opens --pool, MODULUS encodes --modulus.
 # Every verb accepts those flags and leaves unread the ones it does not
-# declare.  `ARGS` takes its choices from here; `handlers` holds the
-# handler of each.
+# declare.  `ARGS` takes its choices from here; `builds.BUILDS` and
+# `checks.CHECKS` hold the handler of each.
 VERBS = {
     "build": {
         "delta2": (POOL,),
@@ -78,10 +78,51 @@ _TOP = (__doc__, {"command": ARGS}, {})  # `canimm` up to its verb
 
 
 def _handled(args) -> int:
-    """Run a build or a check through `handlers`, which `measure` never loads."""
-    from . import handlers
+    """Run a build through `builds` or a check through `checks`; neither
+    verb compiles the other's glue, and `measure` loads neither."""
+    if args.command == "build":
+        from . import builds
 
-    return getattr(handlers, f"cmd_{args.command}")(args)
+        return builds.cmd_build(args)
+    from . import checks
+
+    return checks.cmd_check(args)
+
+
+def _read(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
+def _load_pool(path: str | None):
+    """The pool from a --pool file (default pool without one)."""
+    from .numberings import Registry, default_pool
+
+    if path is None:
+        return default_pool()
+    try:
+        return Registry.deserialize(_read(path))
+    except (OSError, ValueError) as err:
+        raise ValueError(f"cannot read pool file {path}: {err}") from err
+
+
+def _inputs(verb: str, name: str, args):
+    """The pool and the modulus code the verb reads, None for each it does not."""
+    reads = VERBS[verb][name]
+    pool = _load_pool(args.pool) if POOL in reads else None
+    if MODULUS not in reads:
+        return pool, None
+    from . import programs
+
+    return pool, MODULI[args.modulus](programs)
+
+
+def _emit(text: str, out: str | None) -> None:
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        with open(out, "w") as fh:
+            fh.write(text)
 
 
 def _readers(verb: str, what: str) -> str:

@@ -15,7 +15,7 @@ and the threshold function f(i) = max over e <= i of pair(e, i) is
 pair(i, i).
 
 Each family is its own module, and a build imports only its own
-(`handlers.BUILDS`): `markers` (delta2, effectivize), `avoiding` (bci,
+(`builds.BUILDS`): `markers` (delta2, effectivize), `avoiding` (bci,
 cofinal, ci-hi, ci-not-hi), `blocks` (hi-not-ci) and `pumping`
 (2generic-witness).  This module imports all four and re-exports their
 public names as the same objects, so a wrapper that replaces a name here
@@ -23,7 +23,7 @@ by identity finds it in the family module too.
 """
 
 from .avoiding import MAX_FILL_PAIRS, bci_run, ci_hi_run, ci_not_hi_run, cofinal_encode  # noqa: F401
-from .avoiding import choose_cofinal_positions, cofinal_carrier, cofinal_decode  # noqa: F401
+from .avoiding import choose_cofinal_positions, cofinal_decode  # noqa: F401
 from .avoiding import replay_bci, replay_ci_hi, replay_ci_not_hi, replay_cofinal  # noqa: F401
 from .blocks import MAX_BLOCK_END, MAX_SELECTION_BLOCKS, hi_not_ci_run, replay_hi_not_ci  # noqa: F401
 from .blocks import h_block_at, h_blocks, h_even_rule_tree  # noqa: F401

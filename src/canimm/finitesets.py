@@ -195,6 +195,3 @@ class SetPrefix(Record):
 
     def members(self) -> tuple[int, ...]:
         return elements_of(self.mask)
-
-    def complement_members(self) -> tuple[int, ...]:
-        return elements_of(((1 << self.length) - 1) ^ self.mask)

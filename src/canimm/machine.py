@@ -693,16 +693,6 @@ def eval_bounded(e: int, args: Sequence[int], budget: int) -> Outcome:
     return _run(e, args, budget, None)
 
 
-def eval_oracle_bounded(e: int, oracle: str, n: int, budget: int) -> Outcome:
-    """Run oracle program e on input n against a finite 0/1 oracle string.
-
-    Any query at a position >= len(oracle) diverges the whole run.
-    """
-    if any(c not in "01" for c in oracle):
-        raise ValueError("oracle strings are over {0,1}")
-    return _run(e, (n,), budget, oracle)
-
-
 def we_bounded(e: int, budget: int, oracle: str | None = None):
     """Bounded domain: the set of n < budget where e converges in `budget` steps.
 

@@ -156,30 +156,14 @@ def zero_code() -> int:
     return encode(Const(0))
 
 
-def add_code() -> int:
-    """add(n, y) = n + y by primitive recursion on the first argument."""
-    from .machine import PrimRec
-
-    return encode(PrimRec(P0, succ_(P1)))
-
-
 def double_code() -> int:
     return encode(mul_(c_(2), P0))
-
-
-def diverge_code() -> int:
-    return ALWAYS_DIVERGE_CODE
 
 
 def enumerate_oracle_ones_code() -> int:
     """Converges on input n exactly when the oracle bit at n is one."""
     # inside Mu the argument vector is (y, n)
     return encode(Mu(monus_(c_(1), Query(P1))))
-
-
-def query_at_code(position: int) -> int:
-    """Returns the oracle bit at a fixed position (diverges past the oracle)."""
-    return encode(Query(c_(position)))
 
 
 def domain_program(elements: Sequence[int]) -> int:

@@ -116,32 +116,3 @@ def measure_U_trunc(n: int, m: int) -> DyadicRational:
     for i in range(n + 1, m + 1):
         numerator = (numerator << i) - numerator
     return DyadicRational((1 << exponent) - numerator, exponent)
-
-
-def check_schnorr_bound(n: int, m: int) -> bool:
-    """Exact comparison measure_U_trunc(n, m) <= 2^{-n}.
-
-    The truncated measures are nondecreasing in m and bounded by the tail
-    sum of 2^{-i} over i > n, which telescopes to 2^{-n}; the comparison
-    here is exact, not a float estimate.
-    """
-    return measure_U_trunc(n, m) <= DyadicRational.power(n)
-
-
-def brute_force_measure(n: int, m: int) -> DyadicRational:
-    """Independent oracle: count all prefixes over the blocks up to m.
-
-    Enumerates every assignment of the block_span(m) covered bits and counts
-    those with an empty block in (n, m].  Exponential; meant for small m.
-    """
-    if m <= n:
-        raise ValueError("need m > n")
-    span = block_span(m)
-    masks = [block(i).code for i in range(n + 1, m + 1)]
-    hits = 0
-    for assignment in range(1 << span):
-        for bm in masks:
-            if assignment & bm == 0:
-                hits += 1
-                break
-    return DyadicRational.make(hits, span)

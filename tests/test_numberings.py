@@ -7,6 +7,8 @@ from canimm import numberings as nb
 from canimm import programs as pg
 from canimm.finitesets import FiniteSet
 
+from reference import diverge_code
+
 
 def _stage_approx(e, i, budget):
     """D_{e,s}, as the marker construction reads it: the coded set if e
@@ -16,7 +18,7 @@ def _stage_approx(e, i, budget):
 
 
 def test_stage_approx_examples():
-    assert _stage_approx(pg.diverge_code(), 3, 10_000).is_empty
+    assert _stage_approx(diverge_code(), 3, 10_000).is_empty
     assert _stage_approx(pg.identity_code(), 5, 1000).elements == (0, 2)
     assert _stage_approx(pg.identity_code(), 5, 0).is_empty
 
@@ -49,7 +51,7 @@ def test_registry_ids_and_duplicate_rules():
 def test_registry_rejects_partial_rules():
     reg = nb.Registry()
     with pytest.raises(nb.NotTotalTierError):
-        reg.register(pg.diverge_code())
+        reg.register(diverge_code())
 
 
 def test_registry_serialization_roundtrip(pool):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canimm import avoiding, blocks, checkers, cli, command, handlers, markers, pumping
+from canimm import avoiding, blocks, builds, checkers, checks, cli, command, markers, pumping
 from canimm import constructions as C
 from canimm import machine as M
 from canimm import mathias
@@ -238,14 +238,14 @@ def test_drawn_builds_replay_and_round_trip(tmp_path_factory, name, flags, extra
     pool_file = work / "pool.tsv"
     pool_file.write_text(pool.serialize())
     argv = ["build", name, *(str(x) for item in flags.items() for x in item), "--pool", str(pool_file)]
-    builds = []
+    results = []
     for run in range(2):
         out = work / f"{run}.trace"
         with contextlib.redirect_stderr(io.StringIO()) as err:
             code = command.main([*argv, "--out", str(out)])
-        builds.append((code, err.getvalue(), b"" if code else out.read_bytes()))
-    assert builds[0] == builds[1]
-    code, err, data = builds[0]
+        results.append((code, err.getvalue(), b"" if code else out.read_bytes()))
+    assert results[0] == results[1]
+    code, err, data = results[0]
     if code:
         assert name in ("bci", "ci-not-hi") and code == 1 and "pair blocks of the fill" in err
         assert flags["--stages"] > M.pair(0, flags["--index-bound"] + 1)
@@ -263,7 +263,7 @@ def _generic_run(pool, index_bound=6, blocks=4, markers=5, stages=120):
 
 
 def _hi_not_ci_run(pool, blocks=6):
-    prefix, trace = C.hi_not_ci_run(handlers.default_functions(), blocks, target_index=0)
+    prefix, trace = C.hi_not_ci_run(builds.default_functions(), blocks, target_index=0)
     return trace, {"R": prefix}
 
 
@@ -325,11 +325,11 @@ def _rejected(argv):
 
 def test_parser_choices_are_the_name_tables():
     assert list(command.ARGS) == ["build", "check", "measure"]
-    assert list(command.ARGS["build"][1]["construction"]) == list(command.VERBS["build"]) == list(handlers.BUILDS)
-    assert list(command.ARGS["check"][1]["suite"]) == list(command.VERBS["check"]) == list(handlers.CHECKS)
-    for name in handlers.BUILDS:
+    assert list(command.ARGS["build"][1]["construction"]) == list(command.VERBS["build"]) == list(builds.BUILDS)
+    assert list(command.ARGS["check"][1]["suite"]) == list(command.VERBS["check"]) == list(checks.CHECKS)
+    for name in builds.BUILDS:
         assert command.parse_args(["build", name]).construction == name
-    for suite in handlers.CHECKS:
+    for suite in checks.CHECKS:
         assert command.parse_args(["check", suite, "t"]).suite == suite
     for modulus in sorted(command.modulus_catalog()):
         assert command.parse_args(["check", "immunity", "t", "--modulus", modulus]).modulus == modulus
@@ -461,7 +461,7 @@ def test_broken_extension_order_exits_2(monkeypatch, capsys):
     def broken(pool, args):
         raise mathias.ExtensionOrderError("step 3 (thin) does not extend its input")
 
-    monkeypatch.setitem(handlers.BUILDS, "delta2", broken)
+    monkeypatch.setitem(builds.BUILDS, "delta2", broken)
     assert command.main(["build", "delta2"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: step 3 (thin) does not extend its input\n"
@@ -706,7 +706,7 @@ def test_build_past_the_fill_horizon_errors(name):
 def test_build_hi_not_ci_with_double_second_errors(monkeypatch, capsys):
     # unguarded, this list ran out of memory at 10 selections
     fns = [pg.identity_code(), pg.double_code(), pg.succ_code(), pg.zero_code()]
-    monkeypatch.setattr(handlers, "default_functions", lambda: fns)
+    monkeypatch.setattr(builds, "default_functions", lambda: fns)
     assert command.main(["build", "hi-not-ci", "--blocks", "10"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --blocks 10: selection 7 would walk more than") and "Traceback" not in err
@@ -771,6 +771,36 @@ def test_check_immunity_with_a_negative_witness_position_errors(tmp_path):
     result = run_cli("check", "immunity", str(edited), "--expect-fail")
     _assert_input_error(result)
     assert "witness_positions" in result.stderr
+
+
+def test_check_immunity_refuses_a_witness_position_past_twice_the_prefix(tmp_path):
+    """Block n of the witness rule starts at or above n, so a position 2n at
+    or past twice the prefix length names a block outside the prefix; the
+    check refuses it with one error line before it scans."""
+    trace = tmp_path / "hnc.trace"
+    assert run_cli("build", "hi-not-ci", "--blocks", "4", "--out", str(trace)).returncode == 0
+    length = parse_trace(trace.read_text()).prefixes["R"].length
+    forged = _with_meta(tmp_path, trace, "witness_positions", "[200000]")
+    command_line = [sys.executable, "-m", "canimm", "check", "immunity", str(forged), "--expect-fail"]
+    result = subprocess.run(command_line, capture_output=True, text=True, timeout=10)
+    _assert_input_error(result)
+    assert result.stderr == f"error: witness position 200000 names block 100000, which starts at or past the prefix length {length}\n"
+    for last, code in ((2 * length - 1, 0), (2 * length, 1)):
+        edge = _with_meta(tmp_path, trace, "witness_positions", f"[4,{last}]")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert command.main(["check", "immunity", str(edge), "--expect-fail"]) == code, last
+
+
+def test_hi_not_ci_witness_positions_stay_below_half_the_prefix(tmp_path):
+    """Every trace the CLI builds keeps its largest witness position at most
+    4/9 of its prefix length, far below the refused twice that, and checks."""
+    for count in range(1, 9):
+        trace = tmp_path / f"hnc{count}.trace"
+        assert command.main(["build", "hi-not-ci", "--blocks", str(count), "--out", str(trace)]) == 0
+        parsed = parse_trace(trace.read_text())
+        assert 9 * max(parsed.meta["witness_positions"]) <= 4 * parsed.prefixes["R"].length, count
+        verdict = tmp_path / f"hnc{count}.verdict"
+        assert command.main(["check", "immunity", str(trace), "--expect-fail", "--out", str(verdict)]) == 0, count
 
 
 def test_check_schnorr_without_prefix_errors(tmp_path):
@@ -918,7 +948,7 @@ def test_build_entry_calls_the_library_through_its_module(monkeypatch, tmp_path,
     """A wrapper installed on the module after import (the benchmark
     tracer's, say) sees the call; an entry that captured the function at
     import would bypass it."""
-    assert set(BUILD_ENTRY_POINTS) == set(handlers.BUILDS)
+    assert set(BUILD_ENTRY_POINTS) == set(builds.BUILDS)
     calls = _count_calls(monkeypatch, *BUILD_ENTRY_POINTS[name])
     assert command.main(["build", name, *flags, "--out", str(tmp_path / "t.trace")]) == 0
     assert calls
@@ -975,7 +1005,7 @@ def test_the_benchmark_tracer_records_each_family_entry_point(tmp_path, name):
 
 @pytest.mark.parametrize("suite", sorted(CHECK_ENTRY_POINTS))
 def test_check_entry_calls_the_library_through_its_module(monkeypatch, tmp_path, suite):
-    assert set(CHECK_ENTRY_POINTS) == set(handlers.CHECKS)
+    assert set(CHECK_ENTRY_POINTS) == set(checks.CHECKS)
     entry_point, build, flags = CHECK_ENTRY_POINTS[suite]
     trace = str(tmp_path / "t.trace")
     assert command.main(["build", build, *dict(BUILD_FLAGS)[build], "--out", trace]) == 0
@@ -1032,14 +1062,14 @@ def test_handlers_read_only_the_inputs_their_verbs_declare(pool):
     for name, flags in BUILD_FLAGS:
         watched = _Watched(pool)
         given_pool, _ = _declared("build", name, watched)
-        trace, prefixes = handlers.BUILDS[name](given_pool, command.parse_args(["build", name, *flags]))
+        trace, prefixes = builds.BUILDS[name](given_pool, command.parse_args(["build", name, *flags]))
         assert watched.reads > 0 or command.POOL not in command.VERBS["build"][name]
         parsed[name] = parse_trace(render_trace(trace, prefixes))
     for suite, (_, build, flags) in CHECK_ENTRY_POINTS.items():
         args = command.parse_args(["check", suite, "unused.trace", *flags])
         watched = _Watched(pool)
         given_pool, h = _declared("check", suite, watched, command.MODULI[args.modulus](pg))
-        lines, found_fail = handlers.CHECKS[suite](parsed[build], given_pool, h, args)
+        lines, found_fail = checks.CHECKS[suite](parsed[build], given_pool, h, args)
         assert lines and not found_fail
         assert watched.reads > 0 or command.POOL not in command.VERBS["check"][suite]
 
