@@ -5,10 +5,10 @@ only when a verb runs it.  Importing this module instead loads every
 module a verb can run up front, the four construction families through
 their index `constructions`: the benchmark runs `main` and
 `modulus_catalog` from here, and its tracer wraps the entry points it
-finds in `sys.modules`.  `recursion`, which no verb runs, stays unloaded.
-The glue of each verb, `canimm.builds` or `canimm.checks`, still loads
-when that verb runs; it reads each library function off its module at
-call time, so the tracer's wrappers see the call.
+finds in `sys.modules`.  Only `__main__` and the glue of each verb,
+`canimm.builds` or `canimm.checks`, stay unloaded until that verb runs;
+the glue reads each library function off its module at call time, so
+the tracer's wrappers see the call.
 """
 
 import sys

@@ -13,7 +13,7 @@ lists the positionals and flags of a verb.
 # `finitesets` alone; `build` loads its glue, `builds`, and `check` its
 # own, `checks`, and of the library only what the verb runs and the inputs
 # it reads: a build loads its construction's family module, not the
-# `constructions` index of all four, and no verb loads `recursion`.
+# `constructions` index of all four.
 import sys
 from types import SimpleNamespace
 

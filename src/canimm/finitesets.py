@@ -143,13 +143,6 @@ class FiniteSet(Record):
     def issubset_mask(self, mask: int) -> bool:
         return self.code & ~mask == 0
 
-    def characteristic_string(self) -> str:
-        """Binary string of length max+1 with ones exactly on the set.
-
-        The empty set yields the empty string.
-        """
-        return format(self.code, "b")[::-1] if self.code else ""
-
 
 def subset_of_string(fs: FiniteSet, sigma: str) -> bool:
     """Whether every element n of fs has sigma[n] == '1'.

@@ -9,10 +9,9 @@ round-trip through encode/decode, and every other integer decodes to the
 canonical always-diverging program.
 
 One table, `_KINDS`, describes the 17 node kinds.  The node classes,
-encoding, decoding, the totality and arity checks, compilation, disassembly
-and node equality, hashing and repr are all
-driven by it, and each of these walks keeps its own stack, so no tree is
-too deep for them.
+encoding, decoding, the totality check, compilation, disassembly and node
+equality, hashing and repr are all driven by it, and each of these walks
+keeps its own stack, so no tree is too deep for them.
 
 Evaluation is fuel-bounded and deterministic.  One fuel unit is one
 interpreter step; an arithmetic step additionally charges one unit per
@@ -56,9 +55,7 @@ A single run, bounded or total-tier, is its one-input case and the bounded
 scans loop through it; only `we_bounded` answers the `_never` runner
 without entering it.
 
-Codes serialize as decimal integers.  s-m-n and the recursion theorem
-live in `canimm.recursion`, outside the run path; `header_bits` gives it
-the bits `encode` writes for a node.
+Codes serialize as decimal integers.
 """
 
 from __future__ import annotations
@@ -305,7 +302,8 @@ def _apply(t, kids, total):
 # or two), _CALL holds a function child and an argument tuple.  The int
 # payload or the argument count is the node's header number (None for
 # _TREE).  The arity rule maps it and the children's arity bounds to the
-# node's; the runner factory maps the node, its children's runners and
+# node's (`_word` reads it to tell a unary word operation from a binary
+# one); the runner factory maps the node, its children's runners and
 # whether its subtree is total-tier to its own runner.  Children are always
 # taken in code order.  The ten word kinds also give (value function,
 # charge rule); the others give None.
@@ -472,15 +470,6 @@ def _gamma(n: int) -> _Bits:
     return m, 2 * length - 1
 
 
-def header_bits(kind: type, number: int | None = None) -> _Bits:
-    """The bits `encode` writes for a node of class `kind` before its
-    children: its tag, then gamma(number) when the node has a header number."""
-    if number is None:
-        return kind._tag, _TAG_WIDTH
-    m, width = _gamma(number)
-    return (kind._tag << width) | m, _TAG_WIDTH + width
-
-
 class Splice:
     """A leaf that only `encode` takes: an existing code, written as it is.
 
@@ -572,12 +561,6 @@ def is_total_tier(program: int | Node) -> bool:
     if isinstance(program, int):
         return _compiled(program)[2]
     return all(t._kind.total for t, _ in _preorder(program))
-
-
-def arity_bound(program: int | Node) -> int:
-    """How many argument positions the program can possibly read."""
-    tree = decode(program) if isinstance(program, int) else program
-    return _fold(tree, lambda t, kids: t._kind.arity(t._number, kids))
 
 
 def disassemble(program: int | Node) -> str:

@@ -31,8 +31,6 @@ from .machine import (
     encode,
     eval_total,
     is_total_tier,
-    we_bounded,
-    we_enumeration,
     NotTotalTierError,
 )
 from .numberings import Numbering
@@ -302,91 +300,6 @@ def meet_avoidance(cond: Condition, count: int) -> tuple[Condition, AvoidanceRec
             block_index += 1
     thinned = cond.reservoir.with_table_prefix(kept, read)
     return Condition(cond.stem, thinned), AvoidanceRecord(tuple(missed), tuple(kept))
-
-
-class MeetOutcome(Record):
-    """Met(condition, clause) or an honest Unresolved with the evidence."""
-
-    __slots__ = ("condition", "clause", "evidence")
-
-    def __init__(self, condition: Condition | None, clause: str | None, evidence: dict):
-        self._fill(condition, clause, evidence)
-
-
-def _stem_string(stem_code: int) -> str:
-    return FiniteSet(stem_code).characteristic_string()
-
-
-def meet_D_eh(cond: Condition, e: int, h: int, budget: int, max_prefix: int = 16, max_rounds: int = 4) -> MeetOutcome:
-    """Decide the effective-immunity dichotomy family for (e, h) at desk scale.
-
-    Searches finite extensions b of the stem inside the reservoir for growth
-    of the bounded oracle domain of e under the string of b.  Once the
-    domain can be pumped past the needed size, a constant transformer built
-    with smn freezes its first elements as a plain domain, the recursion
-    theorem provides the self-referential index j, and the output condition
-    commits to b with the reservoir moved above it; both halves of the
-    first clause (the j-th domain sits inside the oracle domain and beats
-    h(j)) are then re-verified by enumeration.  If no growth shows up
-    within the budget, the largest domain size seen is returned as evidence
-    toward the bounded clause.
-    """
-    from .recursion import fixed_point, smn
-
-    stem_elements = list(cond.stem.elements)
-
-    def oracle_domain(b_elements) -> FiniteSet:
-        chi = _stem_string(code_of(b_elements))
-        return we_bounded(e, budget, chi)
-
-    def enumerated(b_elements):
-        chi = _stem_string(code_of(b_elements))
-        return [n for _, n in we_enumeration(e, budget, chi)]
-
-    prefix_sizes = []
-    for t in range(max_prefix + 1):
-        b = stem_elements + cond.reservoir.values(t)
-        size = len(oracle_domain(b))
-        prefix_sizes.append(size)
-
-    need = 1
-    for _ in range(max_rounds):
-        target_t = next((t for t, s in enumerate(prefix_sizes) if s >= need), None)
-        if target_t is None:
-            break
-        used = cond.reservoir.values(target_t)
-        b_elements = stem_elements + used
-        first = enumerated(b_elements)[:need]
-        rho_set = code_of(used)
-        g = smn(pg.identity_code(), [pg.domain_program(first)])
-        rho = smn(pg.identity_code(), [rho_set])
-        fp = fixed_point(g)
-        h_at_j = eval_total(h, (fp.code,))
-        if need <= h_at_j:
-            need = h_at_j + 1
-            continue
-        inner = 64 * (max(first, default=0) + len(first) + 2)
-        w_j = we_bounded(fp.code, fp.prefix_cost + inner)
-        if w_j.elements != tuple(sorted(first)):
-            break
-        if not w_j.issubset_mask(oracle_domain(b_elements).code):
-            break
-        # values strictly increase, so index target_t is the first above `used`
-        met = Condition(FiniteSet(code_of(b_elements)), cond.reservoir.shifted(target_t))
-        return MeetOutcome(
-            met,
-            "clause1",
-            {
-                "j": fp.code,
-                "g": g,
-                "rho": rho,
-                "witness_domain": w_j.code,
-                "h_at_j": h_at_j,
-                "oracle_budget": budget,
-                "inner_budget": fp.prefix_cost + inner,
-            },
-        )
-    return MeetOutcome(None, None, {"best_size": max(prefix_sizes), "prefix_sizes": prefix_sizes})
 
 
 # ---------------------------------------------------------------------------

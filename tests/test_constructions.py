@@ -13,7 +13,7 @@ from canimm.finitesets import FiniteSet, SetPrefix, elements_of, free_position
 from canimm.machine import encode, eval_bounded, pair_bound, unpair, we_bounded
 from canimm.records import ConstructionTrace
 
-from reference import cofinal_carrier, diverge_code
+from reference import cofinal_carrier, diverge_code, domain_program, eq_
 
 
 def _rule(tree):
@@ -34,7 +34,7 @@ def test_delta2_hand_simulated_pool():
     prefix, _ = C.delta2_prefix([rule], 2000, 2)
     assert prefix.members() == (2, 3)
     # adding D(1) = {5} must not move anything: one element is within bound 1
-    rule2 = _rule(pg.add_(pg.mul_(pg.c_(3), pg.iszero_(pg.P0)), pg.mul_(pg.c_(32), pg.eq_(pg.P0, pg.c_(1)))))
+    rule2 = _rule(pg.add_(pg.mul_(pg.c_(3), pg.iszero_(pg.P0)), pg.mul_(pg.c_(32), eq_(pg.P0, pg.c_(1)))))
     prefix2, _ = C.delta2_prefix([rule2], 2000, 2)
     assert prefix2.members() == (2, 3)
 
@@ -556,7 +556,7 @@ def test_effectivize_no_removals_when_domains_are_empty():
 
 def test_effectivize_removes_minimum_of_crafted_domain():
     # explicit code pool: index 0 diverges everywhere, index 1 has domain {5}
-    codes = [diverge_code(), pg.domain_program([5])]
+    codes = [diverge_code(), domain_program([5])]
     base = SetPrefix.from_members(range(12), 12)
     q, trace = C.effectivize_inside(base, 6, 600, codes=codes)
     acts = {rec.fields[0]: rec.fields[1] for rec in trace.records if rec.rule == "act"}
@@ -612,7 +612,7 @@ def _effectivize_reference(prefix, stages, budget, codes=None):
 _EFFECTIVIZE_CODES = [
     diverge_code(),
     pg.identity_code(),
-    *[pg.domain_program(d) for d in ([5], [0, 1], [3, 9, 30], [12, 13, 14, 15], [40, 61])],
+    *[domain_program(d) for d in ([5], [0, 1], [3, 9, 30], [12, 13, 14, 15], [40, 61])],
     *range(40),  # raw codes, as the default listing uses
 ]
 

