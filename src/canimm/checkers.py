@@ -79,26 +79,26 @@ def check_canonical_immunity(
     )
 
 
-def refute_domination(principal: Sequence[int], f: int, positions: range, rank_base: int = 1) -> Verdict:
+def refute_domination(principal: Sequence[int], f: int, positions: range) -> Verdict:
     """Does f dominate the principal function on the given positions?
 
-    The value at position n is the n-th member counting from rank_base, so
-    with the default rank_base of 1 the comparison is "the n-th element
-    against f(n)" in the usual 1-indexed reading, while rank_base 0 compares
-    the list entry at n directly (the shape of per-stage growth claims).
+    The value at position n is the n-th member counting from 1, so the
+    comparison is "the n-th element against f(n)" in the usual 1-indexed
+    reading; the horizon stamps that rank base as rank_base=1.
 
     Fail means refuted: some position has its member above f there, which
     is hyperimmunity evidence against f at this horizon.  Pass means f
     bounds the principal function on the whole range.  Positions reaching
-    past the available members make the verdict Inconclusive.
+    past the available members, or below position 1, make the verdict
+    Inconclusive.
     """
-    stamp = _horizon(positions=(positions.start, positions.stop), members=len(principal), rank_base=rank_base)
-    if positions and (positions[0] < rank_base or positions[-1] - rank_base >= len(principal)):
+    stamp = _horizon(positions=(positions.start, positions.stop), members=len(principal), rank_base=1)
+    if positions and (positions[0] < 1 or positions[-1] > len(principal)):
         return Verdict(INCONCLUSIVE, (), stamp)
     exceedances = []
     for n in positions:
         bound = eval_total(f, (n,))
-        member = principal[n - rank_base]
+        member = principal[n - 1]
         if member > bound:
             exceedances.append((n, member, bound))
     status = FAIL if exceedances else PASS

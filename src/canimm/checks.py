@@ -89,8 +89,8 @@ def _check_schnorr(parsed, pool, h, args):
     if prefix is None:
         raise ValueError("a schnorr check needs the trace's prefix R line")
     missed = parsed.meta.get("missed_blocks", [])
-    if not _index_list(missed):
-        raise ValueError("meta missed_blocks must be a list of block indices")
+    if not _index_list(missed) or 0 in missed:
+        raise ValueError("meta missed_blocks must be a list of block indices, which start at 1")
     top = 0
     while schnorr.block_span(top + 1) <= prefix.length:
         top += 1

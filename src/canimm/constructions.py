@@ -19,7 +19,8 @@ Each family is its own module, and a build imports only its own
 cofinal, ci-hi, ci-not-hi), `blocks` (hi-not-ci) and `pumping`
 (2generic-witness).  This module imports all four and re-exports their
 public names as the same objects, so a wrapper that replaces a name here
-by identity finds it in the family module too.
+by identity finds it in the family module too.  No name here is one that
+only the tests call.
 """
 
 from .avoiding import MAX_FILL_PAIRS, bci_run, ci_hi_run, ci_not_hi_run, cofinal_encode  # noqa: F401
@@ -29,4 +30,4 @@ from .blocks import MAX_BLOCK_END, MAX_SELECTION_BLOCKS, hi_not_ci_run, replay_h
 from .blocks import h_block_at, h_blocks, h_even_rule_tree  # noqa: F401
 from .markers import delta2_prefix, effectivize_inside, replay_delta2, replay_effectivize  # noqa: F401
 from .pumping import PUMP_FUEL_PER_BIT, PumpResult, WitnessEntry, alpha_string  # noqa: F401
-from .pumping import build_2generic_witness, pump_enumeration, replay_2generic, x_n_membership  # noqa: F401
+from .pumping import build_2generic_witness, pump_enumeration, replay_2generic  # noqa: F401

@@ -134,26 +134,8 @@ class FiniteSet(Record):
             raise ValueError("max of the empty set is undefined")
         return self.code.bit_length() - 1
 
-    def min_value(self) -> int:
-        if self.code == 0:
-            raise ValueError("min of the empty set is undefined")
-        low = self.code & -self.code
-        return low.bit_length() - 1
-
     def issubset_mask(self, mask: int) -> bool:
         return self.code & ~mask == 0
-
-
-def subset_of_string(fs: FiniteSet, sigma: str) -> bool:
-    """Whether every element n of fs has sigma[n] == '1'.
-
-    Elements at or beyond len(sigma) make the answer False.
-    """
-    if fs.code == 0:
-        return True
-    if fs.max_value() >= len(sigma):
-        return False
-    return all(sigma[n] == "1" for n in fs.elements)
 
 
 class SetPrefix(Record):

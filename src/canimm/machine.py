@@ -9,9 +9,9 @@ round-trip through encode/decode, and every other integer decodes to the
 canonical always-diverging program.
 
 One table, `_KINDS`, describes the 17 node kinds.  The node classes,
-encoding, decoding, the totality check, compilation, disassembly and node
-equality, hashing and repr are all driven by it, and each of these walks
-keeps its own stack, so no tree is too deep for them.
+encoding, decoding, the totality check, compilation and node equality,
+hashing and repr are all driven by it, and each of these walks keeps its
+own stack, so no tree is too deep for them.
 
 Evaluation is fuel-bounded and deterministic.  One fuel unit is one
 interpreter step; an arithmetic step additionally charges one unit per
@@ -311,7 +311,7 @@ def _apply(t, kids, total):
 _INT, _TREE, _CALL = "int", "tree", "call"
 
 
-_Kind = namedtuple("_Kind", "name shape fields arity total listing runner op", defaults=(None,))
+_Kind = namedtuple("_Kind", "name shape fields arity total runner op", defaults=(None,))
 
 
 def _reads(k: int):
@@ -320,23 +320,23 @@ def _reads(k: int):
 
 # (1).__add__ and (1).__lshift__ are a + 1 and 1 << a without a Python frame
 _KINDS = (
-    _Kind("Const", _INT, ("value",), _reads(0), True, "const", _leaf),
-    _Kind("Proj", _INT, ("index",), lambda n, a: n + 1, True, "proj", _leaf),
-    _Kind("Succ", _TREE, (), _reads(1), True, "succ", _word, ((1).__add__, _BY_SIZE)),
-    _Kind("Add", _TREE, (), _reads(2), True, "add", _word, (operator.add, _BY_SIZE)),
-    _Kind("Monus", _TREE, (), _reads(2), True, "monus", _word, (lambda a, b: a - b if a > b else 0, _BY_SIZE)),
-    _Kind("Mul", _TREE, (), _reads(2), True, "mul", _word, (operator.mul, _BY_SIZE)),
-    _Kind("Div", _TREE, (), _reads(2), True, "div", _word, (lambda a, b: a // b if b else 0, _BY_SIZE)),
-    _Kind("Pow2", _TREE, (), _reads(1), True, "pow2", _word, ((1).__lshift__, _BY_VALUE)),
-    _Kind("Log2", _TREE, (), _reads(1), True, "log2", _word, (lambda a: a.bit_length() - 1 if a else 0, _BY_SIZE)),
-    _Kind("PairOp", _TREE, (), _reads(2), True, "pair", _word, (pair, _BY_SIZE)),
-    _Kind("UnpairL", _TREE, (), _reads(1), True, "unpair-left", _word, (lambda a: unpair(a)[0], _BY_SIZE)),
-    _Kind("UnpairR", _TREE, (), _reads(1), True, "unpair-right", _word, (lambda a: unpair(a)[1], _BY_SIZE)),
-    _Kind("Comp", _CALL, ("func", "args"), lambda n, a: max(a[1:], default=0), True, "comp", _comp),
-    _Kind("PrimRec", _TREE, ("base", "step"), lambda n, a: max(1, 1 + a[0], a[1] - 1), True, "primrec", _primrec),
-    _Kind("Mu", _TREE, ("pred",), lambda n, a: max(0, a[0] - 1), False, "mu", _mu),
-    _Kind("Query", _TREE, ("pos",), lambda n, a: a[0], False, "query", _query),
-    _Kind("Apply", _CALL, ("func", "args"), lambda n, a: max(a), False, "apply", _apply),
+    _Kind("Const", _INT, ("value",), _reads(0), True, _leaf),
+    _Kind("Proj", _INT, ("index",), lambda n, a: n + 1, True, _leaf),
+    _Kind("Succ", _TREE, (), _reads(1), True, _word, ((1).__add__, _BY_SIZE)),
+    _Kind("Add", _TREE, (), _reads(2), True, _word, (operator.add, _BY_SIZE)),
+    _Kind("Monus", _TREE, (), _reads(2), True, _word, (lambda a, b: a - b if a > b else 0, _BY_SIZE)),
+    _Kind("Mul", _TREE, (), _reads(2), True, _word, (operator.mul, _BY_SIZE)),
+    _Kind("Div", _TREE, (), _reads(2), True, _word, (lambda a, b: a // b if b else 0, _BY_SIZE)),
+    _Kind("Pow2", _TREE, (), _reads(1), True, _word, ((1).__lshift__, _BY_VALUE)),
+    _Kind("Log2", _TREE, (), _reads(1), True, _word, (lambda a: a.bit_length() - 1 if a else 0, _BY_SIZE)),
+    _Kind("PairOp", _TREE, (), _reads(2), True, _word, (pair, _BY_SIZE)),
+    _Kind("UnpairL", _TREE, (), _reads(1), True, _word, (lambda a: unpair(a)[0], _BY_SIZE)),
+    _Kind("UnpairR", _TREE, (), _reads(1), True, _word, (lambda a: unpair(a)[1], _BY_SIZE)),
+    _Kind("Comp", _CALL, ("func", "args"), lambda n, a: max(a[1:], default=0), True, _comp),
+    _Kind("PrimRec", _TREE, ("base", "step"), lambda n, a: max(1, 1 + a[0], a[1] - 1), True, _primrec),
+    _Kind("Mu", _TREE, ("pred",), lambda n, a: max(0, a[0] - 1), False, _mu),
+    _Kind("Query", _TREE, ("pos",), lambda n, a: a[0], False, _query),
+    _Kind("Apply", _CALL, ("func", "args"), lambda n, a: max(a), False, _apply),
 )
 
 
@@ -552,25 +552,12 @@ def decode(code: int) -> Node:
     return ALWAYS_DIVERGE if tree is None else tree
 
 
-ALWAYS_DIVERGE_CODE = encode(ALWAYS_DIVERGE)
-
-
 def is_total_tier(program: int | Node) -> bool:
     """Syntactic check: no Mu, Query, or Apply anywhere in the tree.  A code
     is answered by its compiled entry."""
     if isinstance(program, int):
         return _compiled(program)[2]
     return all(t._kind.total for t, _ in _preorder(program))
-
-
-def disassemble(program: int | Node) -> str:
-    """Human-readable listing, one instruction per line."""
-    tree = decode(program) if isinstance(program, int) else program
-    lines = []
-    for t, depth in _preorder(tree):
-        line = "  " * depth + t._kind.listing
-        lines.append(line if t._kind.shape != _INT else f"{line} {t._number}")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

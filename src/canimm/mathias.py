@@ -47,14 +47,15 @@ class ComputableSet(Record, hidden=("head", "leaf", "offset", "progression")):
     `enumerator` is the set's program, the form traces record.  Values are
     read natively from a normal form instead: the explicit `head` values,
     then the values of the `leaf` code from index `offset` on.  A set built
-    from a code is its own leaf; `naturals`, `evens` and `odds` also set the
-    `progression` (a, b) of their leaf, its value a·i + b at index i, which
-    is never inferred from a code.  `shifted` and `with_table_prefix` derive
-    the child's normal form from the parent's (`_derived`), so only leaf
-    codes run in the interpreter, whatever the nesting of the derived
-    program, and none runs below a progression.  Callers pass only
-    `enumerator`, whose totality is checked; the derivations fill in the
-    other fields, which `==`, `hash` and `repr` leave out.
+    from a code is its own leaf; a set built by `_progression`, such as
+    `naturals`, also sets the `progression` (a, b) of its leaf, its value
+    a·i + b at index i, which is never inferred from a code.  `shifted`
+    and `with_table_prefix` derive the child's normal form from the
+    parent's (`_derived`), so only leaf codes run in the interpreter,
+    whatever the nesting of the derived program, and none runs below a
+    progression.  Callers pass only `enumerator`, whose totality is
+    checked; the derivations fill in the other fields, which `==`, `hash`
+    and `repr` leave out.
     """
 
     __slots__ = ("enumerator", "head", "leaf", "offset", "progression")
@@ -85,14 +86,6 @@ class ComputableSet(Record, hidden=("head", "leaf", "offset", "progression")):
     @classmethod
     def naturals(cls) -> "ComputableSet":
         return cls._progression(pg.identity_code(), 1, 0)
-
-    @classmethod
-    def evens(cls) -> "ComputableSet":
-        return cls._progression(encode(pg.mul_(pg.c_(2), pg.P0)), 2, 0)
-
-    @classmethod
-    def odds(cls) -> "ComputableSet":
-        return cls._progression(encode(pg.succ_(pg.mul_(pg.c_(2), pg.P0))), 2, 1)
 
     @classmethod
     def _progression(cls, enumerator: int, a: int, b: int) -> "ComputableSet":

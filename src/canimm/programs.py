@@ -29,7 +29,6 @@ from .machine import (
 
 P0 = Proj(0)
 P1 = Proj(1)
-P2 = Proj(2)
 
 
 def c_(v: int) -> Node:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 
-from .finitesets import FiniteSet, Record, subset_of_string
+from .finitesets import FiniteSet, Record
 from .machine import eval_total, pair, we_bounded, we_enumeration
 from .numberings import Numbering, Registry, witness_rule_from_table
 from .records import ConstructionTrace
@@ -103,13 +103,3 @@ def build_2generic_witness(
 
 def replay_2generic(trace: ConstructionTrace) -> dict[int, int]:
     return {rec.stage: rec.fields[3] for rec in trace.records if rec.rule == "entry"}
-
-
-def x_n_membership(sigma: str, numbering: Numbering, f: int, n: int, index_bound: int) -> bool:
-    """Does some index i in [n, index_bound] witness the numbering against f
-    inside sigma, i.e. D(i) inside the string and |D(i)| > f(i)?"""
-    for i in range(n, index_bound + 1):
-        value = numbering.value(i)
-        if subset_of_string(value, sigma) and len(value) > eval_total(f, (i,)):
-            return True
-    return False

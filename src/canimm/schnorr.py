@@ -15,7 +15,7 @@ value is surfaced rather than rounded to that bound.
 
 from __future__ import annotations
 
-from .finitesets import FiniteSet, Record, SetPrefix
+from .finitesets import Record, SetPrefix
 
 
 class DyadicRational(Record):
@@ -54,14 +54,6 @@ class DyadicRational(Record):
         if self.exponent == 0:
             return str(self.numerator)
         return f"{self.numerator}/2^{self.exponent}"
-
-
-def block(i: int) -> FiniteSet:
-    """The i-th block F_i = [i(i-1)/2, i(i-1)/2 + i); defined for i >= 1."""
-    if i < 1:
-        raise ValueError("blocks are indexed from 1")
-    start = i * (i - 1) // 2
-    return FiniteSet(((1 << i) - 1) << start)
 
 
 def block_span(m: int) -> int:

@@ -1,13 +1,16 @@
 """References and fixtures the tests compare the library against.
 
 No verb runs any of these, so they live beside the tests rather than in
-`canimm`: a brute-force count of the truncated Schnorr measures, a run
-against a finite oracle string, the both-parities cofinal carrier, named
-programs (addition, a fixed oracle query, the program that diverges
-everywhere, and one whose bounded domain is a given finite set), the
-characteristic string of a finite set, the arity bound of a program, and
-s-m-n, the Kleene recursion theorem and the effective-immunity dichotomy
-D_(e,h) for a Mathias condition, which the acceptance test meets once.
+`canimm`: a brute-force count of the truncated Schnorr measures, the
+Schnorr blocks as finite sets, a run against a finite oracle string, the
+both-parities cofinal carrier, named programs (addition, a fixed oracle
+query, the program that diverges everywhere, and one whose bounded domain
+is a given finite set), a program listing, the least element and the
+characteristic string of a finite set, the test whether a string holds a
+finite set and the witness search against a numbering that uses it, the
+evens and odds reservoirs, the arity bound of a program, and s-m-n, the
+Kleene recursion theorem and the effective-immunity dichotomy D_(e,h) for
+a Mathias condition, which the acceptance test meets once.
 """
 
 from __future__ import annotations
@@ -16,13 +19,24 @@ from typing import NamedTuple, Sequence
 
 from canimm.avoiding import choose_cofinal_positions
 from canimm.finitesets import FiniteSet, Record, SetPrefix, code_of
-from canimm.machine import ALWAYS_DIVERGE_CODE, Add, Apply, Comp, Const, Log2, Monus, Mu, Mul, Node, Outcome
-from canimm.machine import Pow2, PrimRec, Proj, Query, Succ, _TAG_WIDTH, _fold, _gamma, _run, decode, encode
-from canimm.machine import eval_total, eval_total_steps, require_total_tier, we_bounded, we_enumeration
-from canimm.mathias import Condition
+from canimm.machine import ALWAYS_DIVERGE, Add, Apply, Comp, Const, Log2, Monus, Mu, Mul, Node, Outcome
+from canimm.machine import Pow2, PrimRec, Proj, Query, Succ, _INT, _TAG_WIDTH, _fold, _gamma, _preorder, _run
+from canimm.machine import decode, encode, eval_total, eval_total_steps, require_total_tier, we_bounded
+from canimm.machine import we_enumeration
+from canimm.mathias import ComputableSet, Condition
 from canimm.numberings import Numbering
-from canimm.programs import P0, P1, add_, c_, identity_code, iszero_, monus_, succ_
-from canimm.schnorr import DyadicRational, block, block_span
+from canimm.programs import P0, P1, add_, c_, identity_code, iszero_, monus_, mul_, succ_
+from canimm.schnorr import DyadicRational, block_span
+
+ALWAYS_DIVERGE_CODE = encode(ALWAYS_DIVERGE)
+
+
+def block(i: int) -> FiniteSet:
+    """The i-th block F_i = [i(i-1)/2, i(i-1)/2 + i); defined for i >= 1."""
+    if i < 1:
+        raise ValueError("blocks are indexed from 1")
+    start = i * (i - 1) // 2
+    return FiniteSet(((1 << i) - 1) << start)
 
 
 def brute_force_measure(n: int, m: int) -> DyadicRational:
@@ -102,6 +116,43 @@ def domain_program(elements: Sequence[int]) -> int:
     return encode(Mu(monus_(c_(1), hit)))
 
 
+def min_value(fs: FiniteSet) -> int:
+    if fs.code == 0:
+        raise ValueError("min of the empty set is undefined")
+    low = fs.code & -fs.code
+    return low.bit_length() - 1
+
+
+def subset_of_string(fs: FiniteSet, sigma: str) -> bool:
+    """Whether every element n of fs has sigma[n] == '1'.
+
+    Elements at or beyond len(sigma) make the answer False.
+    """
+    if fs.code == 0:
+        return True
+    if fs.max_value() >= len(sigma):
+        return False
+    return all(sigma[n] == "1" for n in fs.elements)
+
+
+def x_n_membership(sigma: str, numbering: Numbering, f: int, n: int, index_bound: int) -> bool:
+    """Does some index i in [n, index_bound] witness the numbering against f
+    inside sigma, i.e. D(i) inside the string and |D(i)| > f(i)?"""
+    for i in range(n, index_bound + 1):
+        value = numbering.value(i)
+        if subset_of_string(value, sigma) and len(value) > eval_total(f, (i,)):
+            return True
+    return False
+
+
+def evens() -> ComputableSet:
+    return ComputableSet._progression(encode(mul_(c_(2), P0)), 2, 0)
+
+
+def odds() -> ComputableSet:
+    return ComputableSet._progression(encode(succ_(mul_(c_(2), P0))), 2, 1)
+
+
 def characteristic_string(fs: FiniteSet) -> str:
     """Binary string of length max+1 with ones exactly on the set.
 
@@ -114,6 +165,23 @@ def arity_bound(program: int | Node) -> int:
     """How many argument positions the program can possibly read."""
     tree = decode(program) if isinstance(program, int) else program
     return _fold(tree, lambda t, kids: t._kind.arity(t._number, kids))
+
+
+# the listing name of each node kind, by tag
+_LISTING = (
+    "const", "proj", "succ", "add", "monus", "mul", "div", "pow2", "log2",
+    "pair", "unpair-left", "unpair-right", "comp", "primrec", "mu", "query", "apply",
+)
+
+
+def disassemble(program: int | Node) -> str:
+    """Human-readable listing, one instruction per line."""
+    tree = decode(program) if isinstance(program, int) else program
+    lines = []
+    for t, depth in _preorder(tree):
+        line = "  " * depth + _LISTING[t._tag]
+        lines.append(line if t._kind.shape != _INT else f"{line} {t._number}")
+    return "\n".join(lines)
 
 
 def header_bits(kind: type, number: int | None = None) -> tuple[int, int]:

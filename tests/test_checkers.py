@@ -59,9 +59,6 @@ def test_refute_domination_rank_conventions():
     assert dominated.status == ck.PASS
     exceeds = ck.refute_domination([9, 10], pg.zero_code(), range(1, 3))
     assert exceeds.failed and exceeds.violations[0] == (1, 9, 0)
-    # position semantics: rank_base 0 compares members[n] against f(n)
-    at_zero = ck.refute_domination([1], pg.zero_code(), range(0, 1), rank_base=0)
-    assert at_zero.failed
 
 
 def test_refute_domination_inconclusive_beyond_members():

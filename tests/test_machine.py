@@ -10,7 +10,8 @@ from canimm import machine as M
 from canimm import programs as pg
 from canimm.numberings import adversarial_rule_code, default_pool
 
-from reference import _diagonal_builder_tree, add_code, arity_bound, diverge_code, eval_oracle_bounded, fixed_point
+from reference import _diagonal_builder_tree, add_code, arity_bound, disassemble, diverge_code, eval_oracle_bounded
+from reference import fixed_point
 from reference import query_at_code, smn, smn_overhead
 
 
@@ -560,7 +561,7 @@ def test_memo_holds_at_most_cache_entries():
 
 def test_memo_skips_codes_at_the_bit_limit():
     code = 1 << (M._CACHE_BIT_LIMIT - 1)  # exactly _CACHE_BIT_LIMIT bits
-    diverger = M._compiled(M.ALWAYS_DIVERGE_CODE)[1:]
+    diverger = M._compiled(diverge_code())[1:]
     before = M._compiled.cache_info()
     for _ in range(2):
         assert M._compiled(code)[1:] == diverger
@@ -723,12 +724,12 @@ comp
 
 
 def test_disassembly_listings_are_pinned():
-    assert M.disassemble(add_code()) == _ADD_LISTING
-    assert M.disassemble(_diagonal_builder_tree()) == _DIAGONAL_BUILDER_LISTING
+    assert disassemble(add_code()) == _ADD_LISTING
+    assert disassemble(_diagonal_builder_tree()) == _DIAGONAL_BUILDER_LISTING
 
 
 def test_disassembly_one_instruction_per_line():
-    listing = M.disassemble(add_code())
+    listing = disassemble(add_code())
     lines = listing.splitlines()
     assert lines[0] == "primrec"
     assert all(line.strip() for line in lines)
@@ -802,7 +803,7 @@ def test_a_spliced_code_encodes_as_the_tree_it_codes(inner, func, args, data):
 
 def test_only_encode_takes_a_splice():
     spliced = M.Comp(M.Succ(), (M.Splice(M.encode(M.Proj(0))),))
-    for walk in (M.is_total_tier, arity_bound, M.disassemble, M._compile, hash):
+    for walk in (M.is_total_tier, arity_bound, disassemble, M._compile, hash):
         with pytest.raises(TypeError, match="not a program node"):
             walk(spliced)
     for leaf in (5, "x", None):
@@ -838,7 +839,7 @@ def test_deep_trees_go_through_every_walk(name):
     assert tree != _chain(wrap, _DEEP - 1)
     assert M.is_total_tier(code) is total and arity_bound(code) == arity
     # a listing indents each level, so its size is quadratic in the depth
-    listing = M.disassemble(_chain(wrap, _LISTED)).splitlines()
+    listing = disassemble(_chain(wrap, _LISTED)).splitlines()
     assert len(listing) == nodes * _LISTED + 1 and listing[-1] == "  " * _LISTED + "proj 0"
     assert repr(tree) == opening * _DEEP + "Proj(index=0)" + closing * _DEEP
     assert M._compile(tree)[1:] == (_DEEP + 1, total)

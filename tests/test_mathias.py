@@ -9,7 +9,7 @@ from canimm import programs as pg
 from canimm.finitesets import FiniteSet, code_of
 from canimm.machine import decode, encode, eval_total, we_bounded
 
-from reference import characteristic_string, diverge_code, meet_D_eh
+from reference import block, characteristic_string, diverge_code, evens, meet_D_eh, min_value, odds
 
 
 def _set(*elements):
@@ -26,11 +26,11 @@ def _increasing(values):
 
 
 def test_reservoir_constructors_are_increasing():
-    for cs in (mt.ComputableSet.naturals(), mt.ComputableSet.evens(), mt.ComputableSet.odds()):
+    for cs in (mt.ComputableSet.naturals(), evens(), odds()):
         assert _increasing(cs.values(65))
 
 
-_PROGRESSIONS = (mt.ComputableSet.naturals, mt.ComputableSet.evens, mt.ComputableSet.odds)
+_PROGRESSIONS = (mt.ComputableSet.naturals, evens, odds)
 
 
 def test_progression_reservoirs_run_no_leaf_code(monkeypatch, pool):
@@ -56,22 +56,22 @@ def test_reservoir_rejects_partial_enumerators():
     with pytest.raises(mt.NotTotalTierError):
         mt.ComputableSet(diverge_code())
     # a code spliced around a set's enumerator is checked in full from outside
-    spliced = encode(pg.comp(M.Splice(mt.ComputableSet.evens().enumerator), M.Mu(pg.P0)))
+    spliced = encode(pg.comp(M.Splice(evens().enumerator), M.Mu(pg.P0)))
     with pytest.raises(mt.NotTotalTierError):
         mt.ComputableSet(spliced)
 
 
 def test_condition_requires_stem_below_reservoir():
     with pytest.raises(ValueError):
-        mt.Condition(_set(4), mt.ComputableSet.evens())
+        mt.Condition(_set(4), evens())
 
 
 def test_extends_examples():
-    parent = mt.Condition.empty(mt.ComputableSet.evens())
+    parent = mt.Condition.empty(evens())
     assert mt.extends(parent, parent, 100)
-    child = mt.Condition(_set(0, 2), mt.ComputableSet.evens().shifted(2))
+    child = mt.Condition(_set(0, 2), evens().shifted(2))
     assert mt.extends(child, parent, 100)
-    stray = mt.Condition(_set(1), mt.ComputableSet.evens().shifted(2))
+    stray = mt.Condition(_set(1), evens().shifted(2))
     assert not mt.extends(stray, parent, 100)
     widened = mt.Condition(_set(0), mt.ComputableSet.naturals().shifted(1))
     assert not mt.extends(widened, parent, 50)  # reservoir leaves the parent
@@ -145,20 +145,18 @@ def test_avoidance_example_blocks():
 
 
 def test_avoidance_respects_stem_and_interleaves():
-    from canimm import schnorr
-
     stem = _set(0, 4)
     cond = mt.Condition(stem, mt.ComputableSet.naturals().shifted(5))
     thinned, record = mt.meet_avoidance(cond, 4)
     assert list(record.missed_blocks) == sorted(set(record.missed_blocks))
     for index, kept in zip(record.missed_blocks, record.kept_values):
-        block = schnorr.block(index)
-        assert block.min_value() > stem.max_value()
-        assert kept > block.max_value()
+        span = block(index)
+        assert min_value(span) > stem.max_value()
+        assert kept > span.max_value()
     # every block on record is disjoint from stem and kept values alike
     visible = stem.code | code_of(record.kept_values)
     for index in record.missed_blocks:
-        assert schnorr.block(index).code & visible == 0
+        assert block(index).code & visible == 0
 
 
 def test_meet_d_eh_met_on_oracle_ones():
@@ -202,10 +200,10 @@ def test_build_generic_trivial_schedules():
 
 def test_build_generic_rejects_violating_transformer():
     def escape(cond):
-        return mt.Condition(_set(0), mt.ComputableSet.odds()), None
+        return mt.Condition(_set(0), odds()), None
 
     with pytest.raises(mt.ExtensionOrderError) as err:
-        mt.build_generic(mt.Condition.empty(mt.ComputableSet.evens()), [mt.ScheduleStep("rogue", escape)], horizon=40)
+        mt.build_generic(mt.Condition.empty(evens()), [mt.ScheduleStep("rogue", escape)], horizon=40)
     assert "rogue" in str(err.value)
 
 
@@ -253,8 +251,8 @@ def _lowered_table(code, values, tail_index):
 
 _LEAVES = (
     mt.ComputableSet.naturals,
-    mt.ComputableSet.evens,
-    mt.ComputableSet.odds,
+    evens,
+    odds,
     # a leaf whose own program starts with a table: 1, 3, 5, then n from 6 on
     lambda: mt.ComputableSet(_lowered_table(pg.identity_code(), [1, 3, 5], 6)),
 )
@@ -439,20 +437,18 @@ def _thin_elementwise(cond, numbering, count):
 
 def _avoid_elementwise(cond, count):
     """(missed blocks, kept values, values read) of meet_avoidance, one value read at a time."""
-    from canimm import schnorr
-
     top = cond.stem.max_value() if not cond.stem.is_empty else -1
     block_index = 1
-    while schnorr.block(block_index).min_value() <= top:
+    while min_value(block(block_index)) <= top:
         block_index += 1
     missed, kept, idx = [], [], 0
     for _ in range(count):
         missed.append(block_index)
-        while (x := _value_elementwise(cond.reservoir, idx)) <= schnorr.block(block_index).max_value():
+        while (x := _value_elementwise(cond.reservoir, idx)) <= block(block_index).max_value():
             idx += 1
         kept.append(x)
         idx += 1
-        while schnorr.block(block_index).min_value() <= kept[-1]:
+        while min_value(block(block_index)) <= kept[-1]:
             block_index += 1
     return missed, kept, idx
 

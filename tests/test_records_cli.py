@@ -764,6 +764,20 @@ def test_check_schnorr_with_a_negative_missed_block_errors(tmp_path):
     assert "missed_blocks" in result.stderr
 
 
+def test_check_schnorr_refuses_a_missed_block_below_1(tmp_path):
+    """Blocks are numbered from 1: a block 0 is refused with one error line,
+    and block 1 still answers U_0 (this trace's prefix holds 0, so block 1
+    is not missed)."""
+    trace = tmp_path / "generic.trace"
+    flags = ("--index-bound", "6", "--blocks", "4", "--markers", "5", "--stages", "120")
+    assert run_cli("build", "generic", *flags, "--out", str(trace)).returncode == 0
+    result = run_cli("check", "schnorr", str(_with_meta(tmp_path, trace, "missed_blocks", "[0]")))
+    _assert_input_error(result)
+    assert result.stdout == "" and result.stderr.count("\n") == 1 and "missed_blocks" in result.stderr
+    result = run_cli("check", "schnorr", str(_with_meta(tmp_path, trace, "missed_blocks", "[1]")))
+    assert (result.returncode, result.stdout) == (2, "schnorr\tU_0\tMISSING\twitness\t0\n"), result.stderr
+
+
 def test_check_immunity_with_a_negative_witness_position_errors(tmp_path):
     trace = tmp_path / "hnc.trace"
     assert run_cli("build", "hi-not-ci", "--blocks", "6", "--out", str(trace)).returncode == 0

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from canimm.finitesets import SetPrefix
 from canimm.schnorr import (
     DyadicRational,
-    block,
     block_span,
     in_U_n,
     measure_U_trunc,
 )
 
-from reference import brute_force_measure
+from reference import block, brute_force_measure, min_value
 
 dyadics = st.builds(
     DyadicRational.make,
@@ -130,7 +129,7 @@ def test_in_U_n_least_witness():
     # fill every block except the fourth
     mask = 0
     for i in (1, 2, 3, 5, 6):
-        mask |= 1 << block(i).min_value()
+        mask |= 1 << min_value(block(i))
     prefix = SetPrefix(mask, block_span(6))
     assert in_U_n(prefix, 0, 6) == (True, 4)
     assert in_U_n(prefix, 4, 6) == (False, None)
@@ -174,7 +173,11 @@ def test_schnorr_check_matches_a_per_block_reference(prefix, missed):
     from canimm.records import ParsedTrace
 
     parsed = ParsedTrace("generic", {"missed_blocks": missed}, [], {"R": prefix})
-    assert checks._check_schnorr(parsed, None, None, None) == _check_schnorr_per_block(prefix, missed)
+    if 0 in missed:  # blocks are numbered from 1
+        with pytest.raises(ValueError, match="missed_blocks"):
+            checks._check_schnorr(parsed, None, None, None)
+    else:
+        assert checks._check_schnorr(parsed, None, None, None) == _check_schnorr_per_block(prefix, missed)
     for m in range(1, 12):
         if block_span(m) <= prefix.length:
             for n in range(m + 1):
