@@ -68,7 +68,7 @@ MAX_SELECTION_BLOCKS = 1 << 14
 MAX_BLOCK_END = 1 << 25
 
 
-def hi_not_ci_run(fns: Sequence[int], pair_count: int, target_index: int = 0) -> tuple[SetPrefix, ConstructionTrace]:
+def hi_not_ci_run(fns: Sequence[int], pair_count: int) -> tuple[SetPrefix, ConstructionTrace]:
     """Union of blocks chosen to outrun every listed function.
 
     The p-th selection, for p = pair(i, k), takes a block of the i-th
@@ -88,7 +88,7 @@ def hi_not_ci_run(fns: Sequence[int], pair_count: int, target_index: int = 0) ->
         raise ValueError("need at least one selection")
     trace = ConstructionTrace(
         "hi-not-ci",
-        meta={"pair_count": pair_count, "functions": list(fns), "target_index": target_index},
+        meta={"pair_count": pair_count, "functions": list(fns), "target_index": 0},
     )
     mask = 0
     placed = 0
@@ -115,12 +115,12 @@ def hi_not_ci_run(fns: Sequence[int], pair_count: int, target_index: int = 0) ->
         block_n = _block_set(*table[n])
         assert mask & block_n.code == 0
         mask |= block_n.code
-        if fi == target_index:
+        if fi == 0:
             chosen[n] = block_n.code
         trace.add(p, "select", fi, k, n, placed, bound, block_n.code)
         placed += len(block_n)
 
-    trace.meta["witness_rule"] = even_odd_rule_code(h_even_rule_tree(fns[target_index]))
+    trace.meta["witness_rule"] = even_odd_rule_code(h_even_rule_tree(fns[0]))
     trace.meta["witness_positions"] = [2 * n for n in sorted(chosen)]
     return replay_hi_not_ci(trace), trace
 

@@ -81,7 +81,7 @@ def _build_hi_not_ci(pool, args):
     from . import blocks
 
     try:
-        return _with_r(*blocks.hi_not_ci_run(default_functions(), args.blocks, target_index=0))
+        return _with_r(*blocks.hi_not_ci_run(default_functions(), args.blocks))
     except ValueError as err:  # no selection, or one past the construction's size guard
         raise ValueError(f"--blocks {args.blocks}: {err}") from err
 

@@ -151,11 +151,9 @@ class SetPrefix(Record):
         self._fill(mask, length)
 
     @classmethod
-    def from_members(cls, members: Iterable[int], length: int | None = None) -> "SetPrefix":
+    def from_members(cls, members: Iterable[int]) -> "SetPrefix":
         code = code_of(members)
-        if length is None:
-            length = code.bit_length()
-        return cls(code, length)
+        return cls(code, code.bit_length())
 
     @classmethod
     def from_bits(cls, bits: str) -> "SetPrefix":

@@ -381,10 +381,10 @@ class Node:
             return NotImplemented
         # the kinds and header numbers in code order fix the whole tree
         pairs = zip(_preorder(self), _preorder(other))
-        return all(type(a) is type(b) and a._number == b._number for (a, _), (b, _) in pairs)
+        return all(type(a) is type(b) and a._number == b._number for a, b in pairs)
 
     def __hash__(self):
-        return hash(tuple((type(t), t._number) for t, _ in _preorder(self)))
+        return hash(tuple((type(t), t._number) for t in _preorder(self)))
 
     def __repr__(self):
         out, todo = [], [self]
@@ -426,20 +426,20 @@ ALWAYS_DIVERGE = Mu(Const(1))
 
 
 def _preorder(tree: Node):
-    """(node, depth) pairs in code order, the order `encode` writes nodes."""
-    todo = [(tree, 0)]
+    """The nodes in code order, the order `encode` writes them."""
+    todo = [tree]
     while todo:
-        t, depth = todo.pop()
+        t = todo.pop()
         if not isinstance(t, Node):
             raise TypeError(f"not a program node: {t!r}")
-        yield t, depth
-        todo += [(kid, depth + 1) for kid in reversed(t._kids)]
+        yield t
+        todo += reversed(t._kids)
 
 
 def _fold(tree: Node, combine):
     """combine(node, its children's values in code order), children first."""
     values = []
-    for t, _ in reversed(list(_preorder(tree))):
+    for t in reversed(list(_preorder(tree))):
         kids = [values.pop() for _ in t._kids]
         values.append(combine(t, kids))
     return values[0]
@@ -557,7 +557,7 @@ def is_total_tier(program: int | Node) -> bool:
     is answered by its compiled entry."""
     if isinstance(program, int):
         return _compiled(program)[2]
-    return all(t._kind.total for t, _ in _preorder(program))
+    return all(t._kind.total for t in _preorder(program))
 
 
 # ---------------------------------------------------------------------------
@@ -713,22 +713,20 @@ def require_total_tier(code: int) -> tuple[_Runner, int, bool]:
     return compiled
 
 
-def eval_total_steps(e: int, args: Sequence[int], max_budget: int = _TOTAL_CAP) -> tuple[int, int]:
+def eval_total_steps(e: int, args: Sequence[int]) -> tuple[int, int]:
     """Evaluate a total-tier program, returning (value, steps used): the
     total tier's one entry point, the run loop's one-input case.
 
-    The run is made at the smallest 64 * 2**k >= max_budget.  Budget
-    monotonicity (see the module docstring) makes that one run exact: a
-    program converging within it has the same value and step count at every
-    larger budget.  A run that does not converge there raises
-    TotalBudgetExceededError."""
+    The run is made once, at the cap _TOTAL_CAP.  Budget monotonicity (see
+    the module docstring) makes that one run exact: a program converging
+    within it has the same value and step count at every larger budget.  A
+    run that does not converge there raises TotalBudgetExceededError."""
     compiled = require_total_tier(e)
-    budget = max(64, 1 << (max_budget - 1).bit_length())
-    value, steps = next(_runs(compiled, (tuple(args),), budget, None))
+    value, steps = next(_runs(compiled, (tuple(args),), _TOTAL_CAP, None))
     if value is None:
-        raise TotalBudgetExceededError(f"code {e} needs more than {max_budget} steps")
+        raise TotalBudgetExceededError(f"code {e} needs more than {_TOTAL_CAP} steps")
     return value, steps
 
 
-def eval_total(e: int, args: Sequence[int], max_budget: int = _TOTAL_CAP) -> int:
-    return eval_total_steps(e, args, max_budget)[0]
+def eval_total(e: int, args: Sequence[int]) -> int:
+    return eval_total_steps(e, args)[0]

@@ -93,17 +93,15 @@ def replay_delta2(trace: ConstructionTrace) -> SetPrefix:
 # Carving an effectively immune subset out of a given prefix
 
 
-def effectivize_inside(
-    prefix: SetPrefix, stages: int, budget: int, codes: Sequence[int] | None = None
-) -> tuple[SetPrefix, ConstructionTrace]:
+def effectivize_inside(prefix: SetPrefix, stages: int, budget: int) -> tuple[SetPrefix, ConstructionTrace]:
     """Run the classical effective-immunity construction inside the members.
 
     At each stage the least not-yet-acted index e at most the stage number
     whose bounded domain meets the members from position 2e onward acts
     once, removing the least such element.  At most one removal per index
-    keeps at least half of every initial segment.  The e-th domain comes
-    from codes[e]; by default index e is the raw code e itself (the same
-    finite surrogate for a universal listing the marker construction uses).
+    keeps at least half of every initial segment.  Index e is the raw code
+    e itself (the same finite surrogate for a universal listing the marker
+    construction uses).
 
     Whether an index can act does not depend on the stage.  So when stage s
     begins, every index below s has acted or never will, and index s is
@@ -112,15 +110,13 @@ def effectivize_inside(
     members = prefix.members()
     if len(members) < 2 * stages:
         raise ValueError("prefix must hold at least 2 * stages members")
-    if codes is None:
-        codes = range(stages)
     trace = ConstructionTrace(
         "effectivize",
         meta={"stages": stages, "budget": budget, "base_mask": prefix.mask, "base_length": prefix.length},
     )
-    for s in range(min(stages, len(codes))):
+    for s in range(stages):
         start = members[2 * s]
-        hit = we_bounded(codes[s], budget).code & (prefix.mask >> start << start)
+        hit = we_bounded(s, budget).code & (prefix.mask >> start << start)
         if hit:
             trace.add(s, "act", s, (hit & -hit).bit_length() - 1)
     return replay_effectivize(trace), trace

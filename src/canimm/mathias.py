@@ -139,8 +139,8 @@ class Condition(Record):
         self._fill(stem, reservoir)
 
     @classmethod
-    def empty(cls, reservoir: ComputableSet | None = None) -> "Condition":
-        return cls(FiniteSet(0), reservoir or ComputableSet.naturals())
+    def empty(cls) -> "Condition":
+        return cls(FiniteSet(0), ComputableSet.naturals())
 
     def stem_size(self) -> int:
         return len(self.stem)

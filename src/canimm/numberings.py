@@ -65,6 +65,9 @@ class Registry:
 
     @classmethod
     def deserialize(cls, text: str) -> "Registry":
+        """The pool `serialize` writes.  Blank lines aside, the k-th line is
+        numbering k and carries the id k: verdicts and thinning certificates
+        name a numbering by its position."""
         reg = cls()
         for number, line in enumerate(text.splitlines(), 1):
             if not line.strip():
@@ -72,6 +75,10 @@ class Registry:
             parts = line.split("\t")
             if len(parts) < 3:
                 raise ValueError(f"line {number} has too few fields: a pool line needs an id, a rule and a surjective flag")
+            if len(parts) > 4:
+                raise ValueError(f"line {number} has {len(parts)} fields: a pool line has at most an id, a rule, a flag and a label")
+            if parts[0] != str(len(reg)):
+                raise ValueError(f"line {number} has id {short_repr(parts[0])}, not its position {len(reg)} among the pool lines")
             if parts[2] not in ("0", "1"):  # the surjective flag as serialize writes it
                 raise ValueError(f"surjective flag {short_repr(parts[2])} is neither 0 nor 1")
             label = parts[3] if len(parts) > 3 else ""
@@ -170,11 +177,6 @@ def witness_rule_from_table(table: dict[int, int]) -> int:
     return even_odd_rule_code(pg.packed_select_(values, pg.P0))
 
 
-def adversarial_numbering(registry: Registry, f_code: int, label: str = "adversarial") -> Numbering:
-    """Register the adversarial rule for modulus f; see adversarial_rule_code."""
-    return registry.register(adversarial_rule_code(f_code), surjective=True, label=label)
-
-
 def default_pool() -> Registry:
     """The pool shipped with the CLI: standard, singleton, interval, a wide
     interval that trips every pair-based threshold, and one adversarial rule."""
@@ -183,5 +185,5 @@ def default_pool() -> Registry:
     reg.register(singleton_rule_code(), label="singleton")
     reg.register(interval_rule_code(), label="interval")
     reg.register(big_interval_rule_code(), label="big-interval")
-    adversarial_numbering(reg, pg.identity_code(), label="adversarial-id")
+    reg.register(adversarial_rule_code(pg.identity_code()), surjective=True, label="adversarial-id")
     return reg

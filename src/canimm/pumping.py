@@ -13,6 +13,8 @@ from .numberings import Numbering, Registry, witness_rule_from_table
 from .records import ConstructionTrace
 
 PUMP_FUEL_PER_BIT = 16
+# The extensions one pump tries before it reports itself unresolved
+MAX_PUMP_CANDIDATES = 4096
 
 
 class PumpResult(Record):
@@ -29,7 +31,7 @@ class PumpResult(Record):
         return self.rho is not None
 
 
-def pump_enumeration(sigma: str, e: int, target: int, max_candidates: int = 4096) -> PumpResult:
+def pump_enumeration(sigma: str, e: int, target: int) -> PumpResult:
     """First extension rho of sigma (length-lex order) whose bounded oracle
     domain exceeds the target size, with per-candidate fuel
     PUMP_FUEL_PER_BIT * len(rho)."""
@@ -37,7 +39,7 @@ def pump_enumeration(sigma: str, e: int, target: int, max_candidates: int = 4096
     best = 0
     for extra in itertools.count(0):
         for suffix in itertools.product("01", repeat=extra):
-            if tried >= max_candidates:
+            if tried >= MAX_PUMP_CANDIDATES:
                 return PumpResult(None, tried, best)
             rho = sigma + "".join(suffix)
             tried += 1
@@ -60,12 +62,7 @@ class WitnessEntry(Record):
 
 
 def build_2generic_witness(
-    sigma: str,
-    e: int,
-    f: int,
-    i_max: int,
-    n_max: int,
-    max_candidates: int = 4096,
+    sigma: str, e: int, f: int, i_max: int, n_max: int
 ) -> tuple[list[WitnessEntry], Numbering, ConstructionTrace]:
     """Pump the oracle domain along each branch sigma + alpha_i and collect
     witness sets H(i, n): the first f(2 pair(i,n)) + 1 elements enumerated
@@ -84,7 +81,7 @@ def build_2generic_witness(
         for n in range(n_max + 1):
             key = pair(i, n)
             target = eval_total(f, (2 * key,))
-            pump = pump_enumeration(tau, e, target, max_candidates)
+            pump = pump_enumeration(tau, e, target)
             if not pump.resolved:
                 entries.append(WitnessEntry(i, n, key, target, None, None))
                 trace.add(key, "unresolved", i, n, target)

@@ -177,8 +177,10 @@ _LISTING = (
 def disassemble(program: int | Node) -> str:
     """Human-readable listing, one instruction per line."""
     tree = decode(program) if isinstance(program, int) else program
-    lines = []
-    for t, depth in _preorder(tree):
+    lines, depths = [], [0]  # depths mirrors the walk's stack: all kids of a node share a depth
+    for t in _preorder(tree):
+        depth = depths.pop()
+        depths += [depth + 1] * len(t._kids)
         line = "  " * depth + _LISTING[t._tag]
         lines.append(line if t._kind.shape != _INT else f"{line} {t._number}")
     return "\n".join(lines)

@@ -163,7 +163,7 @@ def test_ci_not_hi_criterion(pool):
 
 def test_hi_not_ci_criterion():
     fns = [pg.identity_code(), pg.zero_code(), pg.succ_code(), pg.double_code()]
-    prefix, trace = C.hi_not_ci_run(fns, 6, target_index=0)
+    prefix, trace = C.hi_not_ci_run(fns, 6)
     target = trace.meta["functions"][trace.meta["target_index"]]
     positions = trace.meta["witness_positions"]
     registry = nb.Registry()

@@ -68,14 +68,14 @@ def test_refute_domination_inconclusive_beyond_members():
 
 def test_effective_immunity_scan():
     # all bounded domains of tiny codes are empty: pass at horizon
-    prefix = SetPrefix.from_members(range(10), 10)
+    prefix = SetPrefix.from_members(range(10))
     verdict = ck.check_effective_immunity(prefix, pg.zero_code(), range(8), 64)
     assert verdict.status == ck.PASS
 
 
 def test_effective_immunity_finds_crafted_violation():
     e = domain_program([1, 2, 3])
-    prefix = SetPrefix.from_members(range(8), 8)
+    prefix = SetPrefix.from_members(range(8))
     budget = 512
     verdict = ck.check_effective_immunity(prefix, pg.zero_code(), range(e, e + 1), budget)
     assert verdict.failed

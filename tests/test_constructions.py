@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canimm import avoiding, blocks, markers
+from canimm import avoiding, blocks, markers, pumping
 from canimm import checkers as ck
 from canimm import constructions as C
 from canimm import numberings as nb
 from canimm import programs as pg
-from canimm.finitesets import FiniteSet, SetPrefix, elements_of, free_position
+from canimm.finitesets import FiniteSet, SetPrefix, code_of, elements_of, free_position
 from canimm.machine import encode, eval_bounded, pair_bound, unpair, we_bounded
 from canimm.records import ConstructionTrace
 
@@ -112,7 +112,7 @@ def _delta2_reference(pool, stages, markers):
             if n >= len(current) or current[n] != x:
                 trace.add(s, "set", n, x)
         current = stage_markers
-    return SetPrefix.from_members(current, current[-1] + 1), trace
+    return SetPrefix(code_of(current), current[-1] + 1), trace
 
 
 def _slow_rule(delay, value):
@@ -377,7 +377,7 @@ def test_one_per_pair_runs_read_each_pool_value_once_fill_scan_first(run, pool, 
 @pytest.fixture(scope="module")
 def hinotci():
     fns = [pg.identity_code(), pg.zero_code(), pg.succ_code(), pg.double_code()]
-    return C.hi_not_ci_run(fns, 6, target_index=0)
+    return C.hi_not_ci_run(fns, 6)
 
 
 def test_hi_not_ci_block_properties():
@@ -409,13 +409,13 @@ DEFAULT_FNS = (pg.identity_code(), pg.zero_code(), pg.succ_code(), pg.double_cod
 # steps past 4.7 million blocks, so those runs stop at 7 selections.  The
 # short list falls back to the zero function for indices 2 and 3.
 @pytest.mark.parametrize(
-    "fns,max_pairs,target_index",
-    [(DEFAULT_FNS, 7, 0), (DEFAULT_FNS, 7, 2), (DEFAULT_FNS[:2], 10, 0)],
-    ids=["four-fns-target0", "four-fns-target2", "two-fns-zero-fallback"],
+    "fns,max_pairs",
+    [(DEFAULT_FNS, 7), (DEFAULT_FNS[:2], 10)],
+    ids=["four-fns-target0", "two-fns-zero-fallback"],
 )
-def test_hi_not_ci_selects_least_block_clearing_the_mask(fns, max_pairs, target_index):
+def test_hi_not_ci_selects_least_block_clearing_the_mask(fns, max_pairs):
     for pair_count in range(1, max_pairs + 1):
-        prefix, trace = C.hi_not_ci_run(list(fns), pair_count, target_index=target_index)
+        prefix, trace = C.hi_not_ci_run(list(fns), pair_count)
         assert len(trace.records) == pair_count
         mask = 0
         for rec in trace.records:
@@ -431,7 +431,7 @@ def test_hi_not_ci_selects_least_block_clearing_the_mask(fns, max_pairs, target_
 
 
 def test_hi_not_ci_eight_selections_fit_the_size_guard():
-    prefix, trace = C.hi_not_ci_run(list(DEFAULT_FNS), 8, target_index=0)
+    prefix, trace = C.hi_not_ci_run(list(DEFAULT_FNS), 8)
     assert len(trace.records) == 8
     assert prefix.length == 4_702_392 <= C.MAX_BLOCK_END
 
@@ -458,7 +458,7 @@ def test_hi_not_ci_refuses_selections_past_the_size_guard(monkeypatch, fns, pair
 
     monkeypatch.setattr(blocks, "_block_set", block_set)
     with pytest.raises(ValueError, match=refusal):
-        C.hi_not_ci_run(list(fns), pair_count, target_index=0)
+        C.hi_not_ci_run(list(fns), pair_count)
     assert max(built, default=0) <= C.MAX_BLOCK_END
 
 
@@ -499,8 +499,9 @@ def test_pump_finds_first_length_lex_witness():
     assert C.pump_enumeration("1", ones, 0).rho == "1"
 
 
-def test_pump_unresolved_is_a_value():
-    result = C.pump_enumeration("0", diverge_code(), 0, max_candidates=50)
+def test_pump_unresolved_is_a_value(monkeypatch):
+    monkeypatch.setattr(pumping, "MAX_PUMP_CANDIDATES", 50)
+    result = C.pump_enumeration("0", diverge_code(), 0)
     assert not result.resolved
     assert result.candidates_tried == 50
     assert result.best_size == 0
@@ -524,8 +525,9 @@ def test_2generic_witness_postconditions():
     assert C.replay_2generic(trace) == {e.key: e.witness.code for e in entries}
 
 
-def test_2generic_witness_propagates_unresolved():
-    entries, numbering, _ = C.build_2generic_witness("", diverge_code(), pg.zero_code(), 1, 1, max_candidates=20)
+def test_2generic_witness_propagates_unresolved(monkeypatch):
+    monkeypatch.setattr(pumping, "MAX_PUMP_CANDIDATES", 20)
+    entries, numbering, _ = C.build_2generic_witness("", diverge_code(), pg.zero_code(), 1, 1)
     assert all(e.beta is None for e in entries)
     assert all(numbering.value(2 * e.key).is_empty for e in entries)
 
@@ -549,16 +551,17 @@ def test_x_n_membership_examples(pool):
 
 
 def test_effectivize_no_removals_when_domains_are_empty():
-    base = SetPrefix.from_members(range(40), 40)
+    base = SetPrefix.from_members(range(40))
     q, _ = C.effectivize_inside(base, 8, 16)  # tiny budget: raw codes never settle
     assert q.mask == base.mask
 
 
-def test_effectivize_removes_minimum_of_crafted_domain():
-    # explicit code pool: index 0 diverges everywhere, index 1 has domain {5}
-    codes = [diverge_code(), domain_program([5])]
-    base = SetPrefix.from_members(range(12), 12)
-    q, trace = C.effectivize_inside(base, 6, 600, codes=codes)
+def test_effectivize_removes_minimum_of_crafted_domain(monkeypatch):
+    # crafted domains: index 1 has domain {5}, and every other index diverges everywhere
+    crafted = {1: domain_program([5])}
+    monkeypatch.setattr(markers, "we_bounded", lambda e, budget: we_bounded(crafted.get(e, diverge_code()), budget))
+    base = SetPrefix.from_members(range(12))
+    q, trace = C.effectivize_inside(base, 6, 600)
     acts = {rec.fields[0]: rec.fields[1] for rec in trace.records if rec.rule == "act"}
     assert acts == {1: 5}
     assert 5 not in q.members()
@@ -566,7 +569,7 @@ def test_effectivize_removes_minimum_of_crafted_domain():
 
 
 def test_effectivize_density_and_one_act_per_index():
-    base = SetPrefix.from_members(range(160), 160)
+    base = SetPrefix.from_members(range(160))
     q, trace = C.effectivize_inside(base, 80, 256)
     acted = [rec.fields[0] for rec in trace.records if rec.rule == "act"]
     assert len(acted) == len(set(acted))
@@ -576,12 +579,10 @@ def test_effectivize_density_and_one_act_per_index():
         assert 2 * sum(1 for m in members[: n + 1] if m in kept) >= n
 
 
-def _effectivize_reference(prefix, stages, budget, codes=None):
+def _effectivize_reference(prefix, stages, budget):
     """effectivize_inside rescanning every index at every stage, each
     domain and tail mask computed once and kept."""
     members = prefix.members()
-    if codes is None:
-        codes = range(stages)
     member_mask = prefix.mask
     tail_masks = {}
     acted = set()
@@ -592,11 +593,11 @@ def _effectivize_reference(prefix, stages, budget, codes=None):
     )
     domains = {}
     for s in range(stages):
-        for e in range(min(s + 1, len(codes))):
+        for e in range(s + 1):
             if e in acted:
                 continue
             if e not in domains:
-                domains[e] = markers.we_bounded(codes[e], budget).code
+                domains[e] = markers.we_bounded(e, budget).code
             if 2 * e not in tail_masks:
                 tail_masks[2 * e] = member_mask & ~((1 << members[2 * e]) - 1)
             hit = domains[e] & tail_masks[2 * e]
@@ -613,7 +614,7 @@ _EFFECTIVIZE_CODES = [
     diverge_code(),
     pg.identity_code(),
     *[domain_program(d) for d in ([5], [0, 1], [3, 9, 30], [12, 13, 14, 15], [40, 61])],
-    *range(40),  # raw codes, as the default listing uses
+    *range(40),  # raw codes, as the construction's own listing uses
 ]
 
 
@@ -622,22 +623,23 @@ _EFFECTIVIZE_CODES = [
     st.sets(st.integers(0, 70), min_size=2),
     st.integers(0, 8),
     st.integers(0, 64),
-    st.one_of(st.none(), st.lists(st.sampled_from(_EFFECTIVIZE_CODES), max_size=12)),
+    st.lists(st.sampled_from(_EFFECTIVIZE_CODES), max_size=12),
     st.data(),
 )
 def test_effectivize_matches_the_rescanning_reference(members, extra, budget, codes, data):
     stages = data.draw(st.integers(1, len(members) // 2), label="stages")
-    prefix = SetPrefix.from_members(members, max(members) + 1 + extra)
+    prefix = SetPrefix(code_of(members), max(members) + 1 + extra)
     scanned = {"construction": [], "reference": []}
 
     def run(side, construction):
-        def counted(code, b):
-            scanned[side].append(code)
-            return we_bounded(code, b)
+        # index e reads the domain of codes[e], and past the drawn codes that of the raw code e
+        def counted(e, b):
+            scanned[side].append(e)
+            return we_bounded(codes[e] if e < len(codes) else e, b)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(markers, "we_bounded", counted)
-            return construction(prefix, stages, budget, codes)
+            return construction(prefix, stages, budget)
 
     assert run("construction", C.effectivize_inside) == run("reference", _effectivize_reference)
     assert scanned["construction"] == scanned["reference"]
@@ -645,4 +647,4 @@ def test_effectivize_matches_the_rescanning_reference(members, extra, budget, co
 
 def test_effectivize_requires_enough_members():
     with pytest.raises(ValueError):
-        C.effectivize_inside(SetPrefix.from_members(range(9), 9), 5, 64)
+        C.effectivize_inside(SetPrefix.from_members(range(9)), 5, 64)

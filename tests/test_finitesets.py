@@ -88,7 +88,7 @@ def test_set_prefix_bits_roundtrip():
     p = SetPrefix.from_bits("01101")
     assert p.members() == (1, 2, 4)
     assert p.bits == "01101"
-    assert SetPrefix.from_members([1, 2, 4], 5) == p
+    assert SetPrefix(code_of([1, 2, 4]), 5) == p
     assert elements_of(((1 << p.length) - 1) ^ p.mask) == (0, 3)
 
 
@@ -386,6 +386,66 @@ def test_every_library_name_is_reached_outside_the_tests():
     `tests/reference.py`; the allowlist holds only the names a planned
     run-time caller will reach, and leaves once that caller lands."""
     assert _unreached() == UNREACHED
+
+
+# Defaulted library parameters that no call outside the tests passes yet
+UNPASSED = set()
+
+
+def _passes(call, index, name):
+    """Whether the call passes the parameter `name`, the `index`-th
+    positional one past self or cls (None if keyword-only)."""
+    if any(keyword.arg in (name, None) for keyword in call.keywords):
+        return True
+    positional = call.args
+    return index is not None and (index < len(positional) or any(isinstance(a, ast.Starred) for a in positional))
+
+
+def _unpassed():
+    """The defaulted parameters of the top-level functions of `src/canimm`
+    and of the methods of its classes (none is a staticmethod) that no call
+    in `src/canimm`, `scripts/` or `perfbench/` passes, by keyword or by
+    position.  A call names a function or method by its name or attribute,
+    and an `__init__` by its class's name; a keyword of any class statement
+    passes `__init_subclass__`'s parameter of that name."""
+    library = {path.stem: _parse(path) for path in (ROOT / "src" / "canimm").glob("*.py")}
+    trees = [*library.values(), *(_parse(path) for folder in ("perfbench", "scripts") for path in (ROOT / folder).glob("*.py"))]
+    calls, class_keywords = {}, set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                callee = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(callee, []).append(node)
+            elif isinstance(node, ast.ClassDef):
+                class_keywords |= {keyword.arg for keyword in node.keywords}
+    unpassed = set()
+    for module, tree in library.items():
+        owned = [(None, node) for node in tree.body]
+        owned += [(node.name, item) for node in tree.body if isinstance(node, ast.ClassDef) for item in node.body]
+        for owner, fn in owned:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args
+            positional = (args.posonlyargs + args.args)[owner is not None:]  # a method's self or cls is bound
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= len(positional) - len(args.defaults)]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            qualified = f"{module}.{owner}.{fn.name}" if owner else f"{module}.{fn.name}"
+            for index, name in defaulted:
+                if fn.name == "__init_subclass__":
+                    passed = name in class_keywords
+                else:
+                    callee = owner if fn.name == "__init__" else fn.name
+                    passed = any(_passes(call, index, name) for call in calls.get(callee, ()))
+                if not passed:
+                    unpassed.add(f"{qualified}.{name}")
+    return unpassed
+
+
+def test_every_defaulted_library_parameter_is_passed_outside_the_tests():
+    """A default that no verb, script or benchmark call overrides is a
+    constant: a parameter that only the tests set becomes the value the
+    verbs use, and the tests change that value with monkeypatch."""
+    assert _unpassed() == UNPASSED
 
 
 def test_package_import_loads_no_submodule():

@@ -583,7 +583,7 @@ def test_decode_rejects_negative_codes_without_caching():
 # -- single-run total evaluation against the budget-doubling search ----------
 
 
-def _doubling_eval_total_steps(e, args, max_budget=M._TOTAL_CAP):
+def _doubling_eval_total_steps(e, args, max_budget):
     """Reference: rerun at budgets 64, 128, ... until convergence or the cap."""
     M.require_total_tier(e)
     budget = 64
@@ -596,9 +596,9 @@ def _doubling_eval_total_steps(e, args, max_budget=M._TOTAL_CAP):
         budget *= 2
 
 
-def _total_outcome(evaluate, code, args, max_budget):
+def _total_outcome(evaluate, code, args):
     try:
-        return evaluate(code, args, max_budget)
+        return evaluate(code, args)
     except M.TotalBudgetExceededError:
         return "exceeded"
 
@@ -621,27 +621,28 @@ _TOTAL_CASE_RNG = random.Random(0x70A1)
 _TOTAL_CASES = [_random_total_case(_TOTAL_CASE_RNG) for _ in range(150)]
 
 
-@pytest.mark.parametrize("max_budget", [1, 63, 64, 65, 100, 128, 1000, M._TOTAL_CAP])
-def test_eval_total_steps_matches_doubling_search(max_budget):
+_SHIPPED_CAP = M._TOTAL_CAP
+
+
+@pytest.mark.parametrize("cap", [64, 128, _SHIPPED_CAP])
+def test_eval_total_steps_matches_doubling_search(monkeypatch, cap):
+    monkeypatch.setattr(M, "_TOTAL_CAP", cap)
     outcomes = set()
     for code, args in _TOTAL_CASES:
-        expected = _total_outcome(_doubling_eval_total_steps, code, args, max_budget)
-        assert _total_outcome(M.eval_total_steps, code, args, max_budget) == expected
+        expected = _total_outcome(lambda e, a: _doubling_eval_total_steps(e, a, cap), code, args)
+        assert _total_outcome(M.eval_total_steps, code, args) == expected
         outcomes.add(expected == "exceeded")
-    # every cap but the default one sees runs both converge and exceed it
-    assert outcomes == ({False} if max_budget == M._TOTAL_CAP else {False, True})
+    # every cap but the shipped one sees runs both converge and exceed it
+    assert outcomes == ({False} if cap == _SHIPPED_CAP else {False, True})
 
 
-def test_eval_total_budget_cap_rounds_up_to_a_doubling_step():
+def test_eval_total_budget_cap_is_exact(monkeypatch):
     add = add_code()  # add(n, 0) takes 2 + 3n steps
-    assert M.eval_total_steps(add, [20, 0], max_budget=64) == (20, 62)
-    with pytest.raises(M.TotalBudgetExceededError):
-        M.eval_total_steps(add, [21, 0], max_budget=64)
-    # a cap of 100 admits every run of at most 128 steps
-    for n, steps in ((21, 65), (40, 122), (42, 128)):
-        assert M.eval_total_steps(add, [n, 0], max_budget=100) == (n, steps)
-    with pytest.raises(M.TotalBudgetExceededError):
-        M.eval_total_steps(add, [43, 0], max_budget=100)
+    for cap, n in ((64, 20), (128, 42)):
+        monkeypatch.setattr(M, "_TOTAL_CAP", cap)
+        assert M.eval_total_steps(add, [n, 0]) == (n, 2 + 3 * n)
+        with pytest.raises(M.TotalBudgetExceededError):
+            M.eval_total_steps(add, [n + 1, 0])
 
 
 _ADD_LISTING = """\
@@ -936,16 +937,17 @@ _run_inputs = st.lists(
 
 
 # caps far below _TOTAL_CAP: fuel bounds the size of the values a run builds
-@given(st.one_of(_primrec_trees, _word_trees), _run_inputs, st.sampled_from([1, 64, 100, 300, _RESUME_CAP]))
+@given(st.one_of(_primrec_trees, _word_trees), _run_inputs, st.sampled_from([64, 128, 512, 2048]))
 @example(_add_rest, [(1, 5), (4, 5), (2, 5), (20, 5), (21, 5), (3, 5)], 64)
-@example(M.Comp(M.Pow2(), (M.Proj(0),)), [(3,), (2**64,), (5,)], _RESUME_CAP)
+@example(M.Comp(M.Pow2(), (M.Proj(0),)), [(3,), (2**64,), (5,)], 2048)
 @settings(max_examples=150, deadline=None)
-def test_total_run_loop_matches_per_input_calls(tree, inputs, max_budget):
+def test_total_run_loop_matches_per_input_calls(tree, inputs, budget):
     code = M.encode(tree)
-    expected = _per_input(lambda args: M.eval_total_steps(code, args, max_budget), inputs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(M, "_TOTAL_CAP", budget)
+        expected = _per_input(lambda args: M.eval_total_steps(code, args), inputs)
     # one total-tier run after another, PrimRec resume points carried across
     # them, matches the tree-walking reference at the budget each is made at
-    budget = max(64, 1 << (max_budget - 1).bit_length())
     values, error = expected
     for args, (value, steps) in zip(inputs, values):
         assert _ref_outcome(tree, args, budget) == M.Outcome(value, steps), args

@@ -47,7 +47,7 @@ def test_progression_reservoirs_run_no_leaf_code(monkeypatch, pool):
         derived = cs.shifted(3).with_table_prefix([0], 5).shifted(1)
         assert derived.values(4) == [a * n + b for n in range(8, 12)]
         assert derived.progression == cs.progression and derived.leaf == cs.enumerator
-        run = mt.build_generic(mt.Condition.empty(cs), schedule, horizon=200)
+        run = mt.build_generic(mt.Condition(FiniteSet(0), cs), schedule, horizon=200)
         assert all(cond.reservoir.progression == cs.progression for _, cond in run.chain)
         assert len(run.prefix.members()) >= 8
 
@@ -67,7 +67,7 @@ def test_condition_requires_stem_below_reservoir():
 
 
 def test_extends_examples():
-    parent = mt.Condition.empty(evens())
+    parent = mt.Condition(FiniteSet(0), evens())
     assert mt.extends(parent, parent, 100)
     child = mt.Condition(_set(0, 2), evens().shifted(2))
     assert mt.extends(child, parent, 100)
@@ -203,7 +203,7 @@ def test_build_generic_rejects_violating_transformer():
         return mt.Condition(_set(0), odds()), None
 
     with pytest.raises(mt.ExtensionOrderError) as err:
-        mt.build_generic(mt.Condition.empty(evens()), [mt.ScheduleStep("rogue", escape)], horizon=40)
+        mt.build_generic(mt.Condition(FiniteSet(0), evens()), [mt.ScheduleStep("rogue", escape)], horizon=40)
     assert "rogue" in str(err.value)
 
 
@@ -294,7 +294,7 @@ def test_build_generic_runs_only_leaf_codes(monkeypatch, pool):
     # reservoir leaf values and numbering values alike, one value a call
     monkeypatch.setattr(M, "eval_total_steps", counting)
     schedule = mt.default_schedule(list(pool), thin_count=12, avoid_count=6, stem_target=8)
-    run = mt.build_generic(mt.Condition.empty(leaf), schedule, horizon=200)
+    run = mt.build_generic(mt.Condition(FiniteSet(0), leaf), schedule, horizon=200)
     derived = {cond.reservoir.enumerator for _, cond in run.chain} - {leaf.enumerator}
     assert len(derived) == len(run.chain) - 1
     assert all(cond.reservoir.leaf == leaf.enumerator for _, cond in run.chain)
@@ -376,7 +376,7 @@ def test_derived_totality_verdict_matches_the_decoded_code(parent, wrap):
 
 def test_a_size_chain_parses_no_derived_enumerator(monkeypatch):
     # a leaf no other test decodes, so decode's cache holds none of the chain
-    start = mt.Condition.empty(mt.ComputableSet(encode(pg.add_(pg.P0, pg.c_(4093)))))
+    start = mt.Condition(FiniteSet(0), mt.ComputableSet(encode(pg.add_(pg.P0, pg.c_(4093)))))
     parsed = set()
     parse = M._parse
 
@@ -591,8 +591,8 @@ def _chain_step(cond, step):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(_PROGRESSIONS), _chain_steps, st.integers(0, 30))
 def test_closed_form_reads_match_interpreter_reads(progression, steps, n):
-    closed = mt.Condition.empty(progression())
-    run = mt.Condition.empty(mt.ComputableSet(closed.reservoir.enumerator))
+    closed = mt.Condition(FiniteSet(0), progression())
+    run = mt.Condition(FiniteSet(0), mt.ComputableSet(closed.reservoir.enumerator))
     assert run.reservoir.progression is None
     for step in steps:
         (closed, closed_record), (run, run_record) = _chain_step(closed, step), _chain_step(run, step)

@@ -79,9 +79,24 @@ def test_registry_reads_hex_rules_and_refuses_other_atoms():
             nb.Registry.deserialize(f"0\t{code}\t{flag}\tx\n")
 
 
+def test_registry_ids_are_line_positions_and_lines_have_at_most_four_fields():
+    code = pg.identity_code()
+    # blank lines hold no position; serialize writes ids 0, 1, ...
+    reloaded = nb.Registry.deserialize(f"\n0\t{code}\t1\ta\n \n1\t{code}\t0\n")
+    assert [(n.id, n.label) for n in reloaded] == [(0, "a"), (1, "")]
+    with pytest.raises(ValueError, match="line 1 has id '7', not its position 0 among the pool lines"):
+        nb.Registry.deserialize(f"7\t{code}\t1\ta\n3\t{code}\t1\tb\n")
+    with pytest.raises(ValueError, match="line 2 has id '0', not its position 1"):
+        nb.Registry.deserialize(f"0\t{code}\t1\ta\n0\t{code}\t1\tb\n")
+    for number in ("xyz", "00", "-0", "+0", " 0", "", "0x0"):
+        with pytest.raises(ValueError, match="not its position 0"):
+            nb.Registry.deserialize(f"{number}\t{code}\t1\ta\n")
+    with pytest.raises(ValueError, match="line 1 has 5 fields: a pool line has at most"):
+        nb.Registry.deserialize(f"0\t{code}\t0\tfoo\tbar\n")
+
+
 def test_adversarial_numbering_inequalities():
-    reg = nb.Registry()
-    adv = nb.adversarial_numbering(reg, pg.identity_code())
+    adv = nb.Registry().register(nb.adversarial_rule_code(pg.identity_code()), surjective=True)
     for i in range(1, 80, 2):
         value = adv.value(i)
         assert min_value(value) > i
@@ -91,8 +106,7 @@ def test_adversarial_numbering_inequalities():
 
 
 def test_adversarial_numbering_block_example():
-    reg = nb.Registry()
-    adv = nb.adversarial_numbering(reg, pg.identity_code())
+    adv = nb.Registry().register(nb.adversarial_rule_code(pg.identity_code()), surjective=True)
     # blocks are consecutive: sizes 2, 4, 6, 8 from 3 on
     assert adv.value(1).elements == (3, 4)
     assert adv.value(3).elements == (5, 6, 7, 8)
@@ -100,8 +114,7 @@ def test_adversarial_numbering_block_example():
 
 
 def test_adversarial_numbering_constant_zero_modulus():
-    reg = nb.Registry()
-    adv = nb.adversarial_numbering(reg, pg.zero_code())
+    adv = nb.Registry().register(nb.adversarial_rule_code(pg.zero_code()), surjective=True)
     for i in (1, 5, 11):
         value = adv.value(i)
         assert len(value) >= 1 and min_value(value) > i

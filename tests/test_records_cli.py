@@ -263,7 +263,7 @@ def _generic_run(pool, index_bound=6, blocks=4, markers=5, stages=120):
 
 
 def _hi_not_ci_run(pool, blocks=6):
-    prefix, trace = C.hi_not_ci_run(builds.default_functions(), blocks, target_index=0)
+    prefix, trace = C.hi_not_ci_run(builds.default_functions(), blocks)
     return trace, {"R": prefix}
 
 
@@ -525,6 +525,15 @@ def test_short_pool_and_record_lines_name_the_line_and_what_it_lacks(tmp_path):
     result = run_cli("check", "immunity", str(trace))
     _assert_input_error(result)
     assert "line 2 is a record with no rule" in result.stderr
+
+
+@pytest.mark.parametrize("line", ["1\t{code}\t1\tstandard", "0\t{code}\t1\tstandard\textra"], ids=["id-1", "fifth-field"])
+def test_pool_line_with_a_misnumbered_id_or_a_fifth_field_errors(tmp_path, line):
+    pool_file = tmp_path / "pool.tsv"
+    pool_file.write_text(line.format(code=pg.identity_code()) + "\n")
+    result = run_cli("build", "cofinal", "--pool", str(pool_file))
+    _assert_input_error(result)
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: cannot read pool file")
 
 
 def test_build_missing_pool_file_errors(tmp_path):

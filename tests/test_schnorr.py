@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canimm.finitesets import SetPrefix
+from canimm.finitesets import SetPrefix, code_of
 from canimm.schnorr import (
     DyadicRational,
     block_span,
@@ -161,7 +161,7 @@ def _check_schnorr_per_block(prefix, missed):
 # lists with indices past the prefix's blocks, repeats and 0
 _sparse_prefixes = st.integers(0, block_span(11)).flatmap(
     lambda length: st.sets(st.integers(0, max(0, length - 1)), max_size=12).map(
-        lambda members: SetPrefix.from_members([x for x in members if x < length], length)
+        lambda members: SetPrefix(code_of(x for x in members if x < length), length)
     )
 )
 
