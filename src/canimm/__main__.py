@@ -1,5 +1,3 @@
-import sys
+from .command import run
 
-from .command import main
-
-sys.exit(main())
+run()

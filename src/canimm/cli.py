@@ -11,12 +11,10 @@ the glue reads each library function off its module at call time, so
 the tracer's wrappers see the call.
 """
 
-import sys
-
 from . import checkers, constructions, machine, mathias, numberings, programs, records, schnorr  # noqa: F401
-from .command import main, modulus_catalog
+from .command import main, modulus_catalog, run
 
 __all__ = ["main", "modulus_catalog"]
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -5,15 +5,24 @@ through the library to the same prefix.  Exit status is 0 on success, 1 on
 usage or input errors, 2 when a check finds what it should not (or fails
 to find an expected failure under --expect-fail).  `canimm <verb> --help`
 lists the positionals and flags of a verb.
+
+`run` is the process entry, which `python -m canimm` and the installed
+`canimm` script call: it runs `main` and, on every way out, freezes the
+heap, so the interpreter's exit-time collection walks none of the
+objects the verb left.  `main` is the in-process entry, which the tests,
+`scripts/run_all.py` and the benchmark's tracer call, and leaves the
+collector alone: frozen objects are never collected, so a process that
+goes on after `main` keeps its cyclic garbage collectable.
 """
 
-# Only sys and types at the top (`python -m` has loaded types already):
-# `parse_args` reads the flags from `ARGS`, without argparse, and each verb
-# imports the modules it runs when it runs.  `measure` loads `schnorr` and
-# `finitesets` alone; `build` loads its glue, `builds`, and `check` its
-# own, `checks`, and of the library only what the verb runs and the inputs
-# it reads: a build loads its construction's family module, not the
-# `constructions` index of all four.
+# Only gc (built in), sys and types (`python -m` has loaded types already)
+# at the top: `parse_args` reads the flags from `ARGS`, without argparse, and
+# each verb imports the modules it runs when it runs.  `measure` loads
+# `schnorr` and `finitesets` alone; `build` loads its glue, `builds`, and
+# `check` its own, `checks`, and of the library only what the verb runs and
+# the inputs it reads: a build loads its construction's family module, not
+# the `constructions` index of all four.
+import gc
 import sys
 from types import SimpleNamespace
 
@@ -277,5 +286,16 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> None:
+    """Exit with `main`'s status, freezing the heap first on every way out
+    (a returned status, a usage error's or --help's SystemExit, an uncaught
+    exception): the collection the interpreter runs at exit then frees
+    none of the objects the verb left, which the process no longer needs."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -41,6 +41,10 @@ class Registry:
         self.entries: list[Numbering] = []
 
     def register(self, rule: int, *, surjective: bool = False, label: str = "") -> Numbering:
+        """Append the numbering of `rule`.  Its label goes into a pool line as
+        it is, so it may hold no tab and nothing `str.splitlines` breaks on."""
+        if "\t" in label or len(f"{label}.".splitlines()) > 1:
+            raise ValueError(f"label {short_repr(label)} holds a tab or a line break, which no pool line can hold")
         if not is_total_tier(rule):
             raise NotTotalTierError(f"numbering rule {rule} is not total-tier")
         numbering = Numbering(id=len(self.entries), rule=rule, surjective=surjective, label=label)
@@ -67,7 +71,7 @@ class Registry:
     def deserialize(cls, text: str) -> "Registry":
         """The pool `serialize` writes.  Blank lines aside, the k-th line is
         numbering k and carries the id k: verdicts and thinning certificates
-        name a numbering by its position."""
+        name a numbering by its position.  Every error names its line."""
         reg = cls()
         for number, line in enumerate(text.splitlines(), 1):
             if not line.strip():
@@ -79,10 +83,13 @@ class Registry:
                 raise ValueError(f"line {number} has {len(parts)} fields: a pool line has at most an id, a rule, a flag and a label")
             if parts[0] != str(len(reg)):
                 raise ValueError(f"line {number} has id {short_repr(parts[0])}, not its position {len(reg)} among the pool lines")
-            if parts[2] not in ("0", "1"):  # the surjective flag as serialize writes it
-                raise ValueError(f"surjective flag {short_repr(parts[2])} is neither 0 nor 1")
-            label = parts[3] if len(parts) > 3 else ""
-            reg.register(_parse_rule(parts[1]), surjective=parts[2] == "1", label=label)
+            try:
+                if parts[2] not in ("0", "1"):  # the surjective flag as serialize writes it
+                    raise ValueError(f"surjective flag {short_repr(parts[2])} is neither 0 nor 1")
+                label = parts[3] if len(parts) > 3 else ""
+                reg.register(_parse_rule(parts[1]), surjective=parts[2] == "1", label=label)
+            except ValueError as err:
+                raise ValueError(f"line {number}: {err}") from err
         return reg
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +95,37 @@ def test_registry_ids_are_line_positions_and_lines_have_at_most_four_fields():
             nb.Registry.deserialize(f"{number}\t{code}\t1\ta\n")
     with pytest.raises(ValueError, match="line 1 has 5 fields: a pool line has at most"):
         nb.Registry.deserialize(f"0\t{code}\t0\tfoo\tbar\n")
+
+
+# every character `str.splitlines` breaks a line on
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@given(st.lists(st.text(st.characters() | st.sampled_from("\t" + _LINE_BREAKS), max_size=6), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_registry_refuses_the_labels_a_pool_line_cannot_hold_and_round_trips_the_rest(labels):
+    reg = nb.Registry()
+    for label in labels:
+        if any(c in label for c in "\t" + _LINE_BREAKS):
+            with pytest.raises(ValueError, match="holds a tab or a line break"):
+                reg.register(pg.identity_code(), label=label)
+        else:
+            reg.register(pg.identity_code(), label=label)
+    reloaded = nb.Registry.deserialize(reg.serialize())
+    assert [(n.id, n.label) for n in reloaded] == [(n.id, n.label) for n in reg]
+
+
+def test_every_pool_error_names_its_line():
+    code, first = pg.identity_code(), f"0\t{pg.identity_code()}\t1\ta\n"
+    for bad, message in [
+        (f"1\t{code}\t7\tx", "line 2: surjective flag '7' is neither 0 nor 1"),
+        ("1\tfive\t0\tx", "line 2: numbering rule 'five' is not an integer"),
+        (f"1\t{'7' * 5000}\t0\tx", "line 2: Exceeds the limit"),
+        (f"1\t{diverge_code()}\t0\tx", f"line 2: numbering rule {diverge_code()} is not total-tier"),
+        ("1\t5", "line 2 has too few fields"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            nb.Registry.deserialize(first + bad + "\n")
 
 
 def test_adversarial_numbering_inequalities():

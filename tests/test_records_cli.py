@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import importlib.util
 import io
 import os
@@ -538,6 +539,74 @@ def test_pool_line_with_a_misnumbered_id_or_a_fifth_field_errors(tmp_path, line)
 
 def test_build_missing_pool_file_errors(tmp_path):
     _assert_input_error(run_cli("build", "delta2", "--pool", str(tmp_path / "no-such-pool.tsv")))
+
+
+def _main_in_process(argv):
+    """The stdout, stderr and exit status of `command.main(argv)` in this
+    process, a usage error's or --help's SystemExit caught."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = command.main(argv)
+        except SystemExit as exit:
+            status = exit.code
+    return out.getvalue(), err.getvalue(), status
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["build", "delta2", "--stages", "50", "--markers", "8"], 0),
+        (["check", "immunity", "--expect-fail", "{trace}"], 2),
+        (["build", "delta2", "--no-such-flag"], 1),
+        (["build", "cofinal", "--pool", "{missing}"], 1),
+        (["measure", "1", "200"], 1),
+        (["--help"], 0),
+    ],
+    ids=["build", "expect-fail-on-a-pass", "unknown-flag", "missing-pool", "measure-past-the-digit-limit", "help"],
+)
+def test_process_entry_exits_as_main_does(tmp_path, argv, status):
+    """`python -m canimm` goes through `command.run`, which freezes the heap
+    on its way out: it prints and exits as `command.main` does in process."""
+    trace = tmp_path / "delta2.trace"
+    assert command.main(["build", "delta2", "--stages", "50", "--markers", "8", "--out", str(trace)]) == 0
+    argv = [arg.format(trace=trace, missing=tmp_path / "no-such-pool.tsv") for arg in argv]
+    result = run_cli(*argv)
+    assert (result.stdout, result.stderr, result.returncode) == _main_in_process(argv)
+    assert result.returncode == status
+
+
+# The process entry as `python -m canimm` runs it, with an exit-time probe of
+# the frozen objects; sys.argv[1] == "raise" makes `main` raise instead.
+_FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+import canimm.command
+
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+print("frozen at start:", gc.get_freeze_count() > 0)
+if sys.argv[1] == "raise":
+    canimm.command.main = lambda: 1 // 0
+sys.argv = ["canimm", *sys.argv[1:]]
+runpy.run_module("canimm", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv, status", [(["measure", "1", "3"], 0), (["measure", "x"], 1), (["raise"], 1)],
+                         ids=["returned-status", "usage-error", "uncaught-exception"])
+def test_process_entry_freezes_the_heap_on_every_way_out(argv, status):
+    result = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, *argv], capture_output=True, text=True)
+    assert result.returncode == status, result.stderr
+    lines = result.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("frozen at start: False", "frozen at exit: True")
+    assert ("ZeroDivisionError" in result.stderr) == (argv == ["raise"])
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert command.main(["measure", "1", "3"]) == 0
+    with pytest.raises(SystemExit):
+        command.main(["--help"])
+    assert gc.get_freeze_count() == frozen
 
 
 def test_check_malformed_trace_errors(tmp_path):
