@@ -15,7 +15,7 @@ def main() -> None:
             if m <= n:
                 continue
             value = measure_U_trunc(n, m)
-            bound = DyadicRational.power(n)
+            bound = DyadicRational(1, n)
             print(f"{n:>3} {m:>3}  {value.serialize():<24} {bound.serialize():<10} {value <= bound}")
 
 

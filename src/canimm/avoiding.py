@@ -11,7 +11,7 @@ import itertools
 from typing import Sequence
 
 from .finitesets import FiniteSet, SetPrefix, code_of, free_position
-from .machine import eval_total, pair, pair_bound, unpair
+from .machine import eval_total, pair, unpair
 from .numberings import Numbering
 from .records import ConstructionTrace
 
@@ -151,7 +151,7 @@ def bci_run(pool: Sequence[Numbering], stages: int, index_bound: int) -> tuple[S
     would spoil a block at or past the fill horizon raises ValueError.
     """
     trace = _spoiling_run(
-        "bci", pool, stages, index_bound, lambda i: 4 * pair_bound(i) + 3, 2,
+        "bci", pool, stages, index_bound, lambda i: 4 * pair(i, i) + 3, 2,
         lambda x, z: (x, _partner(x), z, _partner(z)),
     )
     return (*replay_bci(trace), trace)
@@ -251,7 +251,7 @@ def ci_not_hi_run(pool: Sequence[Numbering], stages: int, index_bound: int) -> t
     both the set and its complement meet every block exactly once.  A stage
     that would spoil a block at or past the fill horizon raises ValueError.
     """
-    trace = _spoiling_run("ci-not-hi", pool, stages, index_bound, lambda i: 2 * pair_bound(i), 1, lambda x: (x,))
+    trace = _spoiling_run("ci-not-hi", pool, stages, index_bound, lambda i: 2 * pair(i, i), 1, lambda x: (x,))
     return replay_ci_not_hi(trace), trace
 
 

@@ -9,12 +9,14 @@ pattern: the pool entry at position e is scanned from index e.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .finitesets import Record, SetPrefix
 from .machine import eval_total, we_bounded
-from .numberings import Numbering
 from .records import render_atom
+
+if TYPE_CHECKING:  # a check that reads no pool compiles no `numberings`
+    from .numberings import Numbering
 
 PASS = "pass"
 FAIL = "fail"

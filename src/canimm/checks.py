@@ -45,7 +45,7 @@ def _check_immunity(parsed, pool, h, args):
     """
     from . import checkers
     from .machine import is_total_tier
-    from .numberings import Registry
+    from .numberings import Numbering
 
     scan, bound = list(pool), args.index_bound
     if parsed.name == "hi-not-ci" and args.modulus == "identity":
@@ -59,7 +59,7 @@ def _check_immunity(parsed, pool, h, args):
         if bound >= 2 * length:
             raise ValueError(f"witness position {bound} names block {bound // 2}, which starts at or past "
                              f"the prefix length {length}")
-        scan = [Registry().register(rule, surjective=True, label="witness")]
+        scan = [Numbering(0, rule, True, "witness")]
     return _verdict_lines(parsed, lambda prefix: checkers.check_canonical_immunity(prefix, h, scan, bound))
 
 

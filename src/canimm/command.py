@@ -142,7 +142,7 @@ def cmd_measure(args) -> int:
     from . import schnorr
 
     value = schnorr.measure_U_trunc(args.n, args.m)
-    bound = schnorr.DyadicRational.power(args.n)
+    bound = schnorr.DyadicRational(1, args.n)
     ok = value <= bound
     try:
         text = value.serialize()

@@ -97,11 +97,6 @@ def unpair(p: int) -> tuple[int, int]:
     return w - y, y
 
 
-def pair_bound(i: int) -> int:
-    """max over e <= i of pair(e, i); equals pair(i, i) since pair grows in e."""
-    return pair(i, i)
-
-
 # ---------------------------------------------------------------------------
 # Runners: a compiled node is a closure run(args, oracle, fuel)
 
@@ -157,8 +152,9 @@ def _leaf(t, kids, total):
     return run
 
 
-# A word kind's row gives its value function and its charge rule: the
-# operation takes one step plus rule(x) // WORD_BITS for each operand x.
+# A word kind's row gives its value function, its charge rule and its
+# operand count, 1 or 2: the operation takes one step plus
+# rule(x) // WORD_BITS for each operand x.
 # _BY_SIZE charges by the operand's bit length; _BY_VALUE charges by its
 # value, so Pow2 pays for the words of 1 << x before allocating it.
 _BY_SIZE = int.bit_length
@@ -167,8 +163,8 @@ _BY_VALUE = operator.index
 
 def _word(t, kids, total):
     # a word operation reads its operands from argument positions 0 and 1
-    value, rule = t._kind.op
-    if t._kind.arity(None, ()) == 1:
+    value, rule, operands = t._kind.op
+    if operands == 1:
 
         def run(args, oracle, fuel):
             x = args[0] if args else 0
@@ -301,42 +297,36 @@ def _apply(t, kids, total):
 # Shapes: _INT holds one int payload, _TREE holds only children (none, one
 # or two), _CALL holds a function child and an argument tuple.  The int
 # payload or the argument count is the node's header number (None for
-# _TREE).  The arity rule maps it and the children's arity bounds to the
-# node's (`_word` reads it to tell a unary word operation from a binary
-# one); the runner factory maps the node, its children's runners and
+# _TREE).  The runner factory maps the node, its children's runners and
 # whether its subtree is total-tier to its own runner.  Children are always
 # taken in code order.  The ten word kinds also give (value function,
-# charge rule); the others give None.
+# charge rule, operand count); the others give None.
 
 _INT, _TREE, _CALL = "int", "tree", "call"
 
 
-_Kind = namedtuple("_Kind", "name shape fields arity total runner op", defaults=(None,))
-
-
-def _reads(k: int):
-    return lambda number, kids: k
+_Kind = namedtuple("_Kind", "name shape fields total runner op", defaults=(None,))
 
 
 # (1).__add__ and (1).__lshift__ are a + 1 and 1 << a without a Python frame
 _KINDS = (
-    _Kind("Const", _INT, ("value",), _reads(0), True, _leaf),
-    _Kind("Proj", _INT, ("index",), lambda n, a: n + 1, True, _leaf),
-    _Kind("Succ", _TREE, (), _reads(1), True, _word, ((1).__add__, _BY_SIZE)),
-    _Kind("Add", _TREE, (), _reads(2), True, _word, (operator.add, _BY_SIZE)),
-    _Kind("Monus", _TREE, (), _reads(2), True, _word, (lambda a, b: a - b if a > b else 0, _BY_SIZE)),
-    _Kind("Mul", _TREE, (), _reads(2), True, _word, (operator.mul, _BY_SIZE)),
-    _Kind("Div", _TREE, (), _reads(2), True, _word, (lambda a, b: a // b if b else 0, _BY_SIZE)),
-    _Kind("Pow2", _TREE, (), _reads(1), True, _word, ((1).__lshift__, _BY_VALUE)),
-    _Kind("Log2", _TREE, (), _reads(1), True, _word, (lambda a: a.bit_length() - 1 if a else 0, _BY_SIZE)),
-    _Kind("PairOp", _TREE, (), _reads(2), True, _word, (pair, _BY_SIZE)),
-    _Kind("UnpairL", _TREE, (), _reads(1), True, _word, (lambda a: unpair(a)[0], _BY_SIZE)),
-    _Kind("UnpairR", _TREE, (), _reads(1), True, _word, (lambda a: unpair(a)[1], _BY_SIZE)),
-    _Kind("Comp", _CALL, ("func", "args"), lambda n, a: max(a[1:], default=0), True, _comp),
-    _Kind("PrimRec", _TREE, ("base", "step"), lambda n, a: max(1, 1 + a[0], a[1] - 1), True, _primrec),
-    _Kind("Mu", _TREE, ("pred",), lambda n, a: max(0, a[0] - 1), False, _mu),
-    _Kind("Query", _TREE, ("pos",), lambda n, a: a[0], False, _query),
-    _Kind("Apply", _CALL, ("func", "args"), lambda n, a: max(a), False, _apply),
+    _Kind("Const", _INT, ("value",), True, _leaf),
+    _Kind("Proj", _INT, ("index",), True, _leaf),
+    _Kind("Succ", _TREE, (), True, _word, ((1).__add__, _BY_SIZE, 1)),
+    _Kind("Add", _TREE, (), True, _word, (operator.add, _BY_SIZE, 2)),
+    _Kind("Monus", _TREE, (), True, _word, (lambda a, b: a - b if a > b else 0, _BY_SIZE, 2)),
+    _Kind("Mul", _TREE, (), True, _word, (operator.mul, _BY_SIZE, 2)),
+    _Kind("Div", _TREE, (), True, _word, (lambda a, b: a // b if b else 0, _BY_SIZE, 2)),
+    _Kind("Pow2", _TREE, (), True, _word, ((1).__lshift__, _BY_VALUE, 1)),
+    _Kind("Log2", _TREE, (), True, _word, (lambda a: a.bit_length() - 1 if a else 0, _BY_SIZE, 1)),
+    _Kind("PairOp", _TREE, (), True, _word, (pair, _BY_SIZE, 2)),
+    _Kind("UnpairL", _TREE, (), True, _word, (lambda a: unpair(a)[0], _BY_SIZE, 1)),
+    _Kind("UnpairR", _TREE, (), True, _word, (lambda a: unpair(a)[1], _BY_SIZE, 1)),
+    _Kind("Comp", _CALL, ("func", "args"), True, _comp),
+    _Kind("PrimRec", _TREE, ("base", "step"), True, _primrec),
+    _Kind("Mu", _TREE, ("pred",), False, _mu),
+    _Kind("Query", _TREE, ("pos",), False, _query),
+    _Kind("Apply", _CALL, ("func", "args"), False, _apply),
 )
 
 
@@ -646,21 +636,12 @@ def _runs(
             yield value, budget - fuel.left
 
 
-def _exec(compiled: tuple[_Runner, int, bool], args: tuple[int, ...], budget: int, oracle: str | None) -> Outcome:
-    """One run of a compiled program, the budget already checked: the run
-    loop's one-input case."""
-    value, steps = next(_runs(compiled, (args,), budget, oracle))
-    return DIVERGED if value is None else Outcome(value, steps)
-
-
-def _run(code: int, args: Sequence[int], budget: int, oracle: str | None) -> Outcome:
-    _check_budget(budget)
-    return _exec(_compiled(code), tuple(args), budget, oracle)
-
-
 def eval_bounded(e: int, args: Sequence[int], budget: int) -> Outcome:
-    """Run program e on args for at most `budget` steps."""
-    return _run(e, args, budget, None)
+    """Run program e on args for at most `budget` steps: the run loop's
+    one-input case."""
+    _check_budget(budget)
+    value, steps = next(_runs(_compiled(e), (tuple(args),), budget, None))
+    return DIVERGED if value is None else Outcome(value, steps)
 
 
 def we_bounded(e: int, budget: int, oracle: str | None = None):

@@ -29,7 +29,8 @@ def delta2_prefix(pool: Sequence[int], stages: int, markers: int) -> tuple[SetPr
     """
     if stages < 1 or markers < 1:
         raise ValueError("stage and marker horizons must be positive")
-    settled: dict[tuple[int, int], tuple[int, int]] = {}
+    events = {0}
+    hits: dict[int, list[tuple[int, int]]] = {}  # stage -> (level, oversized value)
     unsettled: list[tuple[int, int]] = []
     for e, code in enumerate(pool):
         if e >= markers:
@@ -37,10 +38,11 @@ def delta2_prefix(pool: Sequence[int], stages: int, markers: int) -> tuple[SetPr
         for i in range(markers):
             r = eval_bounded(code, (i,), stages)
             if r.converged:
-                settled[(e, i)] = (r.steps, r.value)
+                events.add(r.steps)
+                if r.value.bit_count() > i:
+                    hits.setdefault(r.steps, []).append((max(e, i), r.value))
             else:
                 unsettled.append((e, i))
-    events = sorted({0} | {steps for steps, _ in settled.values()})
 
     trace = ConstructionTrace(
         "delta2",
@@ -48,19 +50,15 @@ def delta2_prefix(pool: Sequence[int], stages: int, markers: int) -> tuple[SetPr
             "stages": stages,
             "markers": markers,
             "pool": list(pool),
-            "settled": len(settled),
+            "settled": min(len(pool), markers) * markers - len(unsettled),
             "unsettled": sorted(unsettled),
         },
     )
-    hits: dict[int, list[tuple[int, int]]] = {}  # stage -> (level, oversized value)
-    for (e, i), (steps, value) in settled.items():
-        if value.bit_count() > i:
-            hits.setdefault(steps, []).append((max(e, i), value))
     levels = [0] * markers  # the union of each level's settled oversized values
     below = [0] * markers  # below[n]: the union of levels 0..n, which marker n avoids
     current = [-1] * markers  # -1: not placed yet; the first event places every marker
     low = 0
-    for s in events:
+    for s in sorted(events):
         for level, value in hits.get(s, ()):
             if value & ~levels[level]:
                 levels[level] |= value

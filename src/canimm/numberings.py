@@ -109,10 +109,6 @@ def _parse_rule(field: str) -> int:
 # Rule builders
 
 
-def standard_rule_code() -> int:
-    return pg.identity_code()
-
-
 def singleton_rule_code() -> int:
     """i -> {i}."""
     return encode(pg.pow2_(pg.P0))
@@ -188,7 +184,7 @@ def default_pool() -> Registry:
     """The pool shipped with the CLI: standard, singleton, interval, a wide
     interval that trips every pair-based threshold, and one adversarial rule."""
     reg = Registry()
-    reg.register(standard_rule_code(), surjective=True, label="standard")
+    reg.register(pg.identity_code(), surjective=True, label="standard")
     reg.register(singleton_rule_code(), label="singleton")
     reg.register(interval_rule_code(), label="interval")
     reg.register(big_interval_rule_code(), label="big-interval")

@@ -9,7 +9,7 @@ import itertools
 
 from .finitesets import FiniteSet, Record
 from .machine import eval_total, pair, we_bounded, we_enumeration
-from .numberings import Numbering, Registry, witness_rule_from_table
+from .numberings import Numbering, witness_rule_from_table
 from .records import ConstructionTrace
 
 PUMP_FUEL_PER_BIT = 16
@@ -94,7 +94,7 @@ def build_2generic_witness(
             entries.append(WitnessEntry(i, n, key, target, beta, witness))
             trace.add(key, "entry", i, n, target, witness.code)
     trace.meta["witness_rule"] = witness_rule_from_table(replay_2generic(trace))
-    numbering = Registry().register(trace.meta["witness_rule"], surjective=True, label="2generic-witness")
+    numbering = Numbering(0, trace.meta["witness_rule"], True, "2generic-witness")
     return entries, numbering, trace
 
 

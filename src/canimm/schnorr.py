@@ -32,20 +32,6 @@ class DyadicRational(Record):
             raise ValueError("zero has exponent 0")
         self._fill(numerator, exponent)
 
-    @classmethod
-    def make(cls, numerator: int, exponent: int) -> "DyadicRational":
-        if numerator == 0:
-            return cls(0, 0)
-        while exponent > 0 and numerator % 2 == 0:
-            numerator //= 2
-            exponent -= 1
-        return cls(numerator, exponent)
-
-    @classmethod
-    def power(cls, n: int) -> "DyadicRational":
-        """2^{-n}."""
-        return cls.make(1, n)
-
     def __le__(self, other: "DyadicRational") -> bool:
         e = max(self.exponent, other.exponent)
         return self.numerator << (e - self.exponent) <= other.numerator << (e - other.exponent)

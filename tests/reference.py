@@ -1,16 +1,19 @@
 """References and fixtures the tests compare the library against.
 
 No verb runs any of these, so they live beside the tests rather than in
-`canimm`: a brute-force count of the truncated Schnorr measures, the
-Schnorr blocks as finite sets, a run against a finite oracle string, the
-both-parities cofinal carrier, named programs (addition, a fixed oracle
-query, the program that diverges everywhere, and one whose bounded domain
-is a given finite set), a program listing, the least element and the
-characteristic string of a finite set, the test whether a string holds a
-finite set and the witness search against a numbering that uses it, the
-evens and odds reservoirs, the arity bound of a program, and s-m-n, the
-Kleene recursion theorem and the effective-immunity dichotomy D_(e,h) for
-a Mathias condition, which the acceptance test meets once.
+`canimm`: a brute-force count of the truncated Schnorr measures and the
+normalizing constructor of a dyadic rational, the Schnorr blocks as finite
+sets, single runs through the machine's run loop and a run against a
+finite oracle string, the both-parities cofinal carrier, named programs
+(addition, a fixed oracle query, the program that diverges everywhere, and
+one whose bounded domain is a given finite set), a program listing, the
+least element and the characteristic string of a finite set, the test
+whether a string holds a finite set and the witness search against a
+numbering that uses it, the evens and odds reservoirs, the arity bound of
+a program from one arity rule per node kind that is not a word operation
+and each word row's operand count, and s-m-n, the Kleene
+recursion theorem and the effective-immunity dichotomy D_(e,h) for a
+Mathias condition, which the acceptance test meets once.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from typing import NamedTuple, Sequence
 
 from canimm.avoiding import choose_cofinal_positions
 from canimm.finitesets import FiniteSet, Record, SetPrefix, code_of
-from canimm.machine import ALWAYS_DIVERGE, Add, Apply, Comp, Const, Log2, Monus, Mu, Mul, Node, Outcome
-from canimm.machine import Pow2, PrimRec, Proj, Query, Succ, _INT, _TAG_WIDTH, _fold, _gamma, _preorder, _run
-from canimm.machine import decode, encode, eval_total, eval_total_steps, require_total_tier, we_bounded
-from canimm.machine import we_enumeration
+from canimm.machine import ALWAYS_DIVERGE, DIVERGED, Add, Apply, Comp, Const, Log2, Monus, Mu, Mul, Node, Outcome
+from canimm.machine import Pow2, PrimRec, Proj, Query, Succ, _INT, _TAG_WIDTH, _check_budget, _compiled, _fold
+from canimm.machine import _gamma, _preorder, _runs, decode, encode, eval_total, eval_total_steps, require_total_tier
+from canimm.machine import we_bounded, we_enumeration
 from canimm.mathias import ComputableSet, Condition
 from canimm.numberings import Numbering
 from canimm.programs import P0, P1, add_, c_, identity_code, iszero_, monus_, mul_, succ_
@@ -37,6 +40,16 @@ def block(i: int) -> FiniteSet:
         raise ValueError("blocks are indexed from 1")
     start = i * (i - 1) // 2
     return FiniteSet(((1 << i) - 1) << start)
+
+
+def dyadic(numerator: int, exponent: int) -> DyadicRational:
+    """numerator / 2^exponent, brought to lowest terms."""
+    if numerator == 0:
+        return DyadicRational(0, 0)
+    while exponent > 0 and numerator % 2 == 0:
+        numerator //= 2
+        exponent -= 1
+    return DyadicRational(numerator, exponent)
 
 
 def brute_force_measure(n: int, m: int) -> DyadicRational:
@@ -55,7 +68,20 @@ def brute_force_measure(n: int, m: int) -> DyadicRational:
             if assignment & bm == 0:
                 hits += 1
                 break
-    return DyadicRational.make(hits, span)
+    return dyadic(hits, span)
+
+
+def run_compiled(compiled, args: tuple[int, ...], budget: int, oracle: str | None) -> Outcome:
+    """One run of a compiled program, the budget already checked: the run
+    loop's one-input case."""
+    value, steps = next(_runs(compiled, (args,), budget, oracle))
+    return DIVERGED if value is None else Outcome(value, steps)
+
+
+def run_code(code: int, args: Sequence[int], budget: int, oracle: str | None) -> Outcome:
+    """One run of program `code` on args against an oracle string or None."""
+    _check_budget(budget)
+    return run_compiled(_compiled(code), tuple(args), budget, oracle)
 
 
 def eval_oracle_bounded(e: int, oracle: str, n: int, budget: int) -> Outcome:
@@ -65,7 +91,7 @@ def eval_oracle_bounded(e: int, oracle: str, n: int, budget: int) -> Outcome:
     """
     if any(c not in "01" for c in oracle):
         raise ValueError("oracle strings are over {0,1}")
-    return _run(e, (n,), budget, oracle)
+    return run_code(e, (n,), budget, oracle)
 
 
 def cofinal_carrier(pool: Sequence[Numbering], count: int) -> SetPrefix:
@@ -161,10 +187,28 @@ def characteristic_string(fs: FiniteSet) -> str:
     return format(fs.code, "b")[::-1] if fs.code else ""
 
 
+# the arity rule of each node kind that is not a word operation, by name:
+# its header number and its children's arity bounds -> its own; a word
+# operation reads as many positions as its row's operand count
+_ARITY = {
+    "Const": lambda n, a: 0,
+    "Proj": lambda n, a: n + 1,
+    "Comp": lambda n, a: max(a[1:], default=0),
+    "PrimRec": lambda n, a: max(1, 1 + a[0], a[1] - 1),
+    "Mu": lambda n, a: max(0, a[0] - 1),
+    "Query": lambda n, a: a[0],
+    "Apply": lambda n, a: max(a),
+}
+
+
+def _arity(t: Node, kids: list[int]) -> int:
+    return t._kind.op[2] if t._kind.op else _ARITY[t._kind.name](t._number, kids)
+
+
 def arity_bound(program: int | Node) -> int:
     """How many argument positions the program can possibly read."""
     tree = decode(program) if isinstance(program, int) else program
-    return _fold(tree, lambda t, kids: t._kind.arity(t._number, kids))
+    return _fold(tree, _arity)
 
 
 # the listing name of each node kind, by tag

@@ -10,7 +10,7 @@ from canimm import constructions as C
 from canimm import numberings as nb
 from canimm import programs as pg
 from canimm.finitesets import FiniteSet, SetPrefix, code_of, elements_of, free_position
-from canimm.machine import encode, eval_bounded, pair_bound, unpair, we_bounded
+from canimm.machine import encode, eval_bounded, pair, unpair, we_bounded
 from canimm.records import ConstructionTrace
 
 from reference import cofinal_carrier, diverge_code, domain_program, eq_, min_value, x_n_membership
@@ -341,7 +341,7 @@ def test_ci_not_hi_case2_withholds_an_element(pool):
         e, i, p_s, x = rec.fields
         value = pool[e].value(i)
         assert x in value and x // 2 == p_s
-        assert len(value) > 2 * pair_bound(i)
+        assert len(value) > 2 * pair(i, i)
 
 
 def test_ci_not_hi_refuses_a_spoiled_block_outside_the_fill(pool):

@@ -257,6 +257,8 @@ def test_build_and_check_load_only_the_modules_they_run(tmp_path):
         assert "canimm.records" in modules, suite
         assert ("canimm.checkers" in modules) == (suite != "schnorr"), suite
         assert ("canimm.schnorr" in modules) == (suite == "schnorr"), suite
+        # only the immunity suite reads a pool: `checkers` names Numbering in annotations alone
+        assert ("canimm.numberings" in modules) == (suite == "immunity"), suite
 
     files = (ROOT / "src" / "canimm").glob("*.py")
     package = {"canimm", *(f"canimm.{path.stem}" for path in files if path.stem != "__init__")}

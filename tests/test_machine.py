@@ -12,7 +12,7 @@ from canimm.numberings import adversarial_rule_code, default_pool
 
 from reference import _diagonal_builder_tree, add_code, arity_bound, disassemble, diverge_code, eval_oracle_bounded
 from reference import fixed_point
-from reference import query_at_code, smn, smn_overhead
+from reference import query_at_code, run_code, run_compiled, smn, smn_overhead
 
 
 def test_pairing_examples():
@@ -37,8 +37,9 @@ def test_pair_is_injective_on_grid(x, y):
 
 
 def test_pair_bound_is_diagonal():
+    # the constructions' threshold max over e <= i of pair(e, i) is pair(i, i)
     for i in range(20):
-        assert M.pair_bound(i) == max(M.pair(e, i) for e in range(i + 1))
+        assert M.pair(i, i) == max(M.pair(e, i) for e in range(i + 1))
 
 
 def test_encode_decode_roundtrip_on_sample_trees():
@@ -280,7 +281,7 @@ _shortcut_trees = st.recursive(
 def test_run_matches_reference_around_constant_searches(tree, args, oracle):
     code = M.encode(tree)
     for budget in range(301):
-        assert M._run(code, args, budget, oracle) == _ref_outcome(tree, args, budget, oracle), budget
+        assert run_code(code, args, budget, oracle) == _ref_outcome(tree, args, budget, oracle), budget
 
 
 @functools.lru_cache(maxsize=None)
@@ -295,6 +296,10 @@ def _ref_enumeration(tree, budget):
 
 @pytest.mark.parametrize("budget", [0, 1, 64, 192])
 def test_bounded_domains_match_reference_on_small_codes(budget):
+    # the codes take in every word kind, so a row whose operand count differs
+    # from its value's argument count fails here
+    kinds = {t._kind for code in range(512) for t in M._preorder(M.decode(code))}
+    assert kinds >= {k for k in M._KINDS if k.op is not None}
     for code in range(512):
         # codes decoding to the same tree share one reference scan
         order = _ref_enumeration(M.decode(code), budget)
@@ -356,7 +361,7 @@ def test_run_matches_reference_on_word_operations(tree, args):
     full = _ref_outcome(tree, args, _WORD_CAP)
     top = full.steps + 1 if full.converged else _WORD_CAP
     for budget in range(top + 1):
-        assert M._run(code, args, budget, None) == _ref_outcome(tree, args, budget), budget
+        assert M.eval_bounded(code, args, budget) == _ref_outcome(tree, args, budget), budget
 
 
 # -- PrimRec resume points: one compiled entry across a sequence of calls ------
@@ -388,8 +393,8 @@ def test_primrec_resume_points_change_no_outcome(tree, calls):
         budgets = [full.steps, full.steps - 1, 0] if full.converged else [_RESUME_CAP, 0]
         for budget in budgets:
             expected = _ref_outcome(tree, args, budget)
-            assert M._exec(shared, args, budget, None) == expected, (args, budget)
-            assert M._exec(M._compile(tree), args, budget, None) == expected, (args, budget)
+            assert run_compiled(shared, args, budget, None) == expected, (args, budget)
+            assert run_compiled(M._compile(tree), args, budget, None) == expected, (args, budget)
 
 
 def _named_programs():
@@ -415,7 +420,7 @@ def test_named_programs_take_the_reference_step_counts(name):
             assert M.eval_bounded(code, args, steps - 1) == M.DIVERGED, n
         else:  # the searches and oracle readers, against a short oracle
             for budget in range(0, 200, 7):
-                assert M._run(code, args, budget, "0110") == _ref_outcome(tree, args, budget, "0110"), (n, budget)
+                assert run_code(code, args, budget, "0110") == _ref_outcome(tree, args, budget, "0110"), (n, budget)
 
 
 # -- total-tier tree generator for the s-m-n agreement cases ----------------
@@ -976,7 +981,7 @@ _arg_tuples = st.lists(st.lists(st.integers(0, 6), max_size=3).map(tuple), max_s
 @settings(max_examples=150, deadline=None)
 def test_partial_run_loop_matches_per_input_runs(tree, inputs, oracle, budget):
     compiled = M._compiled(M.encode(tree))
-    expected = _per_input(lambda args: M._exec(compiled, args, budget, oracle), inputs)
+    expected = _per_input(lambda args: run_compiled(compiled, args, budget, oracle), inputs)
     assert _collect(M.Outcome(*r) for r in M._runs(compiled, inputs, budget, oracle)) == expected
     values, error = expected
     assert error is None
@@ -997,7 +1002,7 @@ def test_run_loop_re_arms_the_nesting_after_a_diverged_apply():
     inputs = [(diverger, 7), (M.encode(M.Succ()), 7), (diverger, 1), (M.encode(M.Succ()), 9)]
     runs = [M.Outcome(*r) for r in M._runs(compiled, inputs, 10**4, None)]
     assert [r.value for r in runs] == [None, 8, None, 10]
-    assert runs == [M._exec(compiled, args, 10**4, None) for args in inputs]
+    assert runs == [run_compiled(compiled, args, 10**4, None) for args in inputs]
 
 
 @pytest.mark.parametrize("code", [M.encode(M.Query(M.Proj(0))), pg.enumerate_oracle_ones_code()], ids=["query", "ones"])
@@ -1006,5 +1011,5 @@ def test_an_oracle_run_loop_matches_per_input_runs(code):
     inputs = [(n,) for n in range(6)]
     for oracle in (None, "", "01", "0110", "111"):
         runs = [M.Outcome(*r) for r in M._runs(compiled, inputs, 200, oracle)]
-        assert runs == [M._exec(compiled, args, 200, oracle) for args in inputs]
+        assert runs == [run_compiled(compiled, args, 200, oracle) for args in inputs]
         assert runs == [_ref_outcome(M.decode(code), args, 200, oracle) for args in inputs]

@@ -40,9 +40,9 @@ def test_stage_approx_stabilizes_for_total_codes(pool):
 
 def test_registry_ids_and_duplicate_rules():
     reg = nb.Registry()
-    first = reg.register(nb.standard_rule_code(), surjective=True)
+    first = reg.register(pg.identity_code(), surjective=True)
     singleton = reg.register(nb.singleton_rule_code())
-    again = reg.register(nb.standard_rule_code())
+    again = reg.register(pg.identity_code())
     assert (first.id, singleton.id, again.id) == (0, 1, 2)
     assert singleton.value(4).elements == (4,)
     # same rule, distinct ids, identical extensions
@@ -171,7 +171,7 @@ def test_pool_rules_match_their_closed_forms_on_wide_range(pool):
         assert standard.value(i).code == i
         assert singleton.value(i).code == 1 << i
         assert interval.value(i).code == ((1 << (i + 1)) - 1) << (i + 1)
-        width = 4 * M.pair_bound(i) + 4
+        width = 4 * M.pair(i, i) + 4
         assert big.value(i).code == (1 << width) - 1
     for i in (201, 401, 751, 999):
         value = adversarial.value(i)
@@ -186,7 +186,7 @@ def test_default_pool_shape(pool):
     assert pool[0].surjective and pool[4].surjective
     assert pool[2].value(3).elements == (4, 5, 6, 7)
     big = pool[3].value(2)
-    assert big.elements[0] == 0 and len(big) == 4 * M.pair_bound(2) + 4
+    assert big.elements[0] == 0 and len(big) == 4 * M.pair(2, 2) + 4
 
 
 @given(table=st.dictionaries(st.integers(0, 12), st.integers(0, 2**70), max_size=6), i=st.integers(0, 40))
